@@ -41,7 +41,6 @@ from .evaluation import (
 from .oracle import FiniteTeamProblem, mse_exact, solve_team_exact, verify_stationarity
 from .precoding import (
     SCHEMES,
-    SchemeState,
     SingularSweepError,
     StripeStatistics,
     apply_scheme,
@@ -52,13 +51,10 @@ from .precoding import (
     local_filter,
     local_mmse_baseline,
     local_mmse_coefficients,
-    no_sharing_statistics,
     solve_statistical_precoders_bi,
-    solve_statistical_precoders_no_sharing,
     solve_statistical_precoders_uni,
     stripe_forward_pass,
     tmmse_bidirectional,
-    tmmse_no_sharing,
     tmmse_unidirectional,
 )
 from .topology import (

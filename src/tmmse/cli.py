@@ -14,6 +14,8 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
+import numbers
 import os
 import sys
 import time
@@ -90,25 +92,33 @@ class ScenarioConfig:
         return float(self.tx_budgets().sum())
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", "float") and not (value is None and f.default is None):
+                _require_number(f.name, value, integral=f.type == "int")
+        for name in ("area_m", "weights"):
+            for x in getattr(self, name) or ():
+                _require_number(name, x)
         if min(self.num_stripes, self.txs_per_stripe, self.antennas_per_tx) < 1:
-            raise ValueError("geometry counts must be >= 1")
+            raise ValueError("num_stripes, txs_per_stripe and antennas_per_tx must be >= 1")
         if self.num_users < 1:
-            raise ValueError("need at least one user")
+            raise ValueError("num_users must be >= 1")
         if not 1 <= self.serving_stripes_per_user <= self.num_stripes:
-            raise ValueError("serving stripe count out of range")
-        if self.area_m[0] <= 0 or self.area_m[1] <= 0:
-            raise ValueError("area dimensions must be positive")
+            raise ValueError("serving_stripes_per_user must lie in 1..num_stripes")
+        if len(self.area_m) != 2 or min(self.area_m) <= 0:
+            raise ValueError("area_m must be two positive dimensions")
+        for name in ("height_m", "carrier_ghz", "bandwidth_hz"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.ricean_kappa < 0 or self.shadow_std_db < 0:
-            raise ValueError("kappa and shadow sigma must be >= 0")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
+            raise ValueError("ricean_kappa and shadow_std_db must be >= 0")
         w = self.resolved_weights()
         if len(w) != self.num_users or (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must lie on the simplex over the users")
         if self.total_power() <= 0:
-            raise ValueError("power budget must be positive")
+            raise ValueError("per_tx_power_mw or sum_power_mw must give a positive budget")
         if self.drops < 1 or self.statistics_samples < 1 or self.evaluation_samples < 1:
-            raise ValueError("drops and sample counts must be >= 1")
+            raise ValueError("drops, statistics_samples and evaluation_samples must be >= 1")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
@@ -136,12 +146,20 @@ class ScenarioConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "area_m" in d:
-            d["area_m"] = tuple(float(x) for x in d["area_m"])
-        if "schemes" in d:
-            d["schemes"] = tuple(d["schemes"])
-        if "power_modes" in d:
-            d["power_modes"] = tuple(d["power_modes"])
-        return cls(**d)
+            d["area_m"] = tuple(float(_require_number("area_m", x)) for x in d["area_m"])
+        for key in ("schemes", "power_modes"):
+            if key in d:
+                d[key] = tuple(d[key])
+        return cls(**d).validate()
+
+
+def _require_number(name, value, integral=False):
+    """Return value if it is a finite real number (an integer if integral), not a bool."""
+    kind = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite {'integer' if integral else 'number'}, "
+                         f"got {value!r}")
+    return value
 
 
 def load_config(path):
@@ -208,20 +226,10 @@ def _run_drop(config, drop, deployment, rows, records, failures, timings, out_di
             moments = estimate_moments(ens_eval, precoders)
             mse = compute_mse(ens_eval, precoders, w, total_power)
             timings["evaluation"] += time.perf_counter() - t0
-            if config.dump_stats and out_dir:
-                mats = []
-                if state.stripe_stats is not None:
-                    mats += [st.pi[0] for st in state.stripe_stats]
-                if state.stripe_coupling is not None:
-                    mats += list(state.stripe_coupling)
-                if state.stripe_coeffs is not None:
-                    mats += list(state.stripe_coeffs)
-                if state.pi_by_tx is not None:
-                    mats += list(state.pi_by_tx) + list(state.tx_coeffs)
-                if mats:
-                    write_matrix_dump(
-                        os.path.join(out_dir, f"stats_drop{drop}_{scheme}.bin"), mats
-                    )
+            mats = state.dump_matrices()
+            if config.dump_stats and out_dir and mats:
+                path = os.path.join(out_dir, f"stats_drop{drop}_{scheme}.bin")
+                write_matrix_dump(path, mats)
         except Exception as exc:  # noqa: BLE001 - failures are per-run reportable
             failures.append(
                 {"drop": drop, "scheme": scheme, "stage": "precoding", "error": str(exc)}
@@ -427,35 +435,22 @@ def resolve_config(args):
     config = load_config(config_path) if config_path else ScenarioConfig()
     updates = {}
 
-    def pick(flag_value, env_name, cast):
-        env_value = _env(env_name)
-        if flag_value is not None:
-            return flag_value
-        if env_value is not None:
-            return cast(env_value)
-        return None
+    def split_list(text):
+        return tuple(s.strip() for s in text.split(",") if s.strip())
 
-    seed = pick(args.seed, "SEED", int)
-    if seed is not None:
-        updates["base_seed"] = seed
-    drops = pick(args.drops, "DROPS", int)
-    if drops is not None:
-        updates["drops"] = drops
-    stats_n = pick(args.samples_stats, "SAMPLES_STATS", int)
-    if stats_n is not None:
-        updates["statistics_samples"] = stats_n
-    eval_n = pick(args.samples_eval, "SAMPLES_EVAL", int)
-    if eval_n is not None:
-        updates["evaluation_samples"] = eval_n
-    schemes = pick(args.schemes, "SCHEMES", str)
-    if schemes is not None:
-        updates["schemes"] = tuple(s.strip() for s in schemes.split(",") if s.strip())
-    mode = pick(args.power_mode, "POWER_MODE", str)
-    if mode is not None:
-        updates["power_modes"] = POWER_MODES if mode == "both" else (mode,)
-    out = pick(args.out, "OUT", str)
-    if out is not None:
-        updates["output_dir"] = out
+    for flag, env_name, key, parse in (
+        (args.seed, "SEED", "base_seed", int),
+        (args.drops, "DROPS", "drops", int),
+        (args.samples_stats, "SAMPLES_STATS", "statistics_samples", int),
+        (args.samples_eval, "SAMPLES_EVAL", "evaluation_samples", int),
+        (args.schemes, "SCHEMES", "schemes", split_list),
+        (args.power_mode, "POWER_MODE", "power_modes",
+         lambda mode: POWER_MODES if mode == "both" else (mode,)),
+        (args.out, "OUT", "output_dir", str),
+    ):
+        value = flag if flag is not None else _env(env_name)
+        if value is not None:
+            updates[key] = parse(value)
     for flag, env_name, key in (
         (args.strict, "STRICT", "strict"),
         (args.clamp_negative_powers, "CLAMP_NEGATIVE_POWERS", "clamp_negative_powers"),

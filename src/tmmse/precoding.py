@@ -9,6 +9,12 @@ update matrices).  All per-realization computations are batched over the
 leading sample axis of an :class:`~tmmse.channel.Ensemble`, so exactness on
 finite-support models falls out of the ensemble weights.
 
+Every team scheme runs one stripe recursion (a backward sweep for the
+update matrices V, a forward product for the precoders).  Unidirectional
+and bidirectional sharing differ only in the downstream response D, the
+statistical Pi or the per-realization Pbar; no sharing is unidirectional
+sharing on stripes of one TX.
+
 Matrix conventions: channels are (K, N*L) with users as rows; precoder
 stacks are (S, N*L, K) with user columns; products of the stripe update
 matrices are LEFT products, prod_{n=1}^{m} A_n = A_m ... A_1, empty product
@@ -17,6 +23,7 @@ the identity.
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 import warnings
 from dataclasses import dataclass
@@ -27,8 +34,6 @@ from .channel import herm, tx_block
 
 RCOND_FLOOR = 1e-12
 COEFF_RESIDUAL_TOL = 1e-10
-
-SCHEMES = ("centralized", "bi", "uni", "no-share", "local-mmse")
 
 
 class SingularSweepError(RuntimeError):
@@ -57,32 +62,27 @@ class SingularCoefficientSystem(RuntimeError):
         )
 
 
-def _solve_sweep(a, b, stripe, position):
-    """Batched solve of (I - Pi P) systems with a reciprocal-condition guard."""
-    sv = np.linalg.svd(a, compute_uv=False)
-    rcond = sv[..., -1] / sv[..., 0]
-    if np.any(rcond < RCOND_FLOOR):
-        bad = int(np.argmin(rcond))
-        raise SingularSweepError(stripe, position, bad, float(np.min(rcond)))
-    return np.linalg.solve(a, b)
+def _check_psi(psi):
+    """Reject an error-covariance stack (..., N, N) that is not Hermitian PSD."""
+    if not np.allclose(psi, herm(psi), atol=1e-10):
+        raise ValueError("Psi must be Hermitian")
+    if np.linalg.eigvalsh(psi).min() < -1e-10:
+        raise ValueError("Psi must be positive semidefinite")
 
 
 def local_filter(h_hat, psi, w, total_power):
     """Regularized local MMSE filter T = (Hhat^H W Hhat + Psi + I/P)^-1 Hhat^H W^1/2.
 
     h_hat is (..., K, N); psi is the (N, N) error covariance; returns
-    (..., N, K).  The system matrix is Hermitian positive definite for any
-    finite total power, so a plain linear solve is used (no inversion).
+    (..., N, K).  Psi must be Hermitian positive semidefinite, which
+    fit_scheme, apply_scheme and stripe_forward_pass check once per call;
+    the system matrix is then Hermitian positive definite for any finite
+    total power, so a plain linear solve is used (no inversion).
     """
     h_hat = np.asarray(h_hat, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
     w = np.asarray(w, dtype=float)
     if total_power <= 0:
         raise ValueError("total power must be positive")
-    if not np.allclose(psi, herm(psi), atol=1e-10):
-        raise ValueError("Psi must be Hermitian")
-    if np.linalg.eigvalsh(psi).min() < -1e-10:
-        raise ValueError("Psi must be positive semidefinite")
     n = h_hat.shape[-1]
     wh = w[:, None] * h_hat  # W Hhat
     a = herm(h_hat) @ wh + psi + np.eye(n) / total_power
@@ -90,12 +90,97 @@ def local_filter(h_hat, psi, w, total_power):
     return np.linalg.solve(a, b)
 
 
-def _filters_and_responses(ensemble, l, psi_l, w, total_power):
-    """Per-sample T_l (S, N, K) and P_l = W^1/2 Hhat_l T_l (S, K, K)."""
-    hl = ensemble.h_hat_block(l)
-    t = local_filter(hl, psi_l, w, total_power)
-    p = np.sqrt(w)[None, :, None] * (hl @ t)
-    return t, p
+def _filters_and_responses(h_hat, l, psi, w, total_power):
+    """T_l (..., N, K) and P_l = W^1/2 Hhat_l T_l (..., K, K) from estimates (..., K, N*L)."""
+    hl = tx_block(h_hat, l, psi.shape[-1])
+    t = local_filter(hl, psi[l], w, total_power)
+    return t, np.sqrt(w)[:, None] * (hl @ t)
+
+
+# --------------------------------------------------------------------------
+# the stripe recursion
+# --------------------------------------------------------------------------
+
+def _update(d, p, stripe, position):
+    """V = (I - D P)^-1 (I - D), batched, with a reciprocal-condition guard."""
+    eye = np.eye(p.shape[-1])
+    a = eye - d @ p
+    sv = np.linalg.svd(a, compute_uv=False)
+    rcond = sv[..., -1] / sv[..., 0]
+    if np.any(rcond < RCOND_FLOOR):
+        bad = int(np.argmin(rcond))
+        raise SingularSweepError(stripe, position, bad, float(np.min(rcond)))
+    return np.linalg.solve(a, np.broadcast_to(eye - d, p.shape))
+
+
+def _backward_sweep(h_hat, txs, psi, w, total_power, stripe, weights=None):
+    """Backward recursion over the positions m = M..1 of one stripe:
+
+        V_m = (I - D_m P_m)^-1 (I - D_m),
+        D_{m-1} = R(P_m V_m) + D_m R(I - P_m V_m).
+
+    The chain end needs no solve: V_M = I, D_{M-1} = R(P_M) and
+    R(I - P_M) = I - D_{M-1} (D_M = 0 takes it out of the recursion).  R is the
+    ensemble mean under the given weights for unidirectional sharing (D is
+    the statistical Pi) and the identity without them for bidirectional
+    sharing (D is the per-realization Pbar).  Yields (T_m, P_m, V_m,
+    R(P_m V_m), R(I - P_m V_m), D_{m-1}) from m = M down, with None for V_M.
+    """
+    def reduce(x):
+        return x if weights is None else np.einsum("s,sij->ij", weights, x)
+
+    eye = np.eye(len(w))
+    d = None
+    for m in range(len(txs), 0, -1):
+        t, p = _filters_and_responses(h_hat, txs[m - 1], psi, w, total_power)
+        if d is None:
+            v = None
+            d = r_pv = reduce(p)
+            r_vbar = eye - d
+        else:
+            v = _update(d, p, stripe, m - 1)
+            pv = p @ v
+            r_pv, r_vbar = reduce(pv), reduce(eye - pv)
+            d = r_pv + d @ r_vbar
+        yield t, p, v, r_pv, r_vbar, d
+
+
+def _forward_product(hops, u):
+    """Message-form forward product along one stripe.
+
+    Each hop (T_m, P_m, V_m) transmits x_m = T_m V_m u and forwards
+    u <- u - P_m V_m u = Vbar_m u downstream; V = None is the identity of
+    the chain end, past which nothing is forwarded.  u is c_q (K, K) for
+    the precoders of every user, or one realization's precoded message
+    vector in the fronthaul protocol.  Yields the x_m.
+    """
+    for t, p, v in hops:
+        if v is None:
+            yield t @ u
+        else:
+            vu = v @ u
+            yield t @ vu
+            u = u - p @ vu
+
+
+def _uni_hops(h_hat, txs, stats, psi, w, total_power):
+    """(T_m, P_m, V_m) of unidirectional sharing, V_m from the statistical Pi_m."""
+    for m, l in enumerate(txs, start=1):
+        t, p = _filters_and_responses(h_hat, l, psi, w, total_power)
+        v = _update(stats.pi[m], p, stats.stripe, m - 1) if m < len(txs) else None
+        yield t, p, v
+
+
+def _team_stack(ensemble, stripes, coeffs, hops):
+    """Precoder stack (S, N*L, K) of the forward products from c_q of every
+    stripe with nonzero coefficients; hops(q) gives the stripe's (T, P, V)."""
+    n = ensemble.n_antennas
+    out = np.zeros((ensemble.n_samples, ensemble.num_txs * n, ensemble.num_users), complex)
+    for q, txs in enumerate(stripes):
+        if np.any(coeffs[q]):
+            for l, x in zip(txs, _forward_product(hops(q), coeffs[q])):
+                out[:, l * n : (l + 1) * n] = x
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -126,43 +211,24 @@ def estimate_stripe_statistics(ensemble, stripe_txs, psi, w, total_power, stripe
     support, Monte Carlo averages otherwise.  The pool must be independent
     of the evaluation pool to keep rate estimates unbiased.
     """
-    n_pos = len(stripe_txs)
-    K = ensemble.num_users
-    eye = np.eye(K)
-    pi = np.zeros((n_pos + 1, K, K), dtype=complex)
-    mean_pv = np.zeros((n_pos, K, K), dtype=complex)
-    mean_vbar = np.zeros((n_pos, K, K), dtype=complex)
-    wts = ensemble.weights
-    for m in range(n_pos, 0, -1):
-        l = stripe_txs[m - 1]
-        _, p = _filters_and_responses(ensemble, l, psi[l], w, total_power)
-        v = _solve_sweep(
-            eye - pi[m] @ p,
-            np.broadcast_to(eye - pi[m], p.shape),
-            stripe,
-            m - 1,
-        )
-        vbar = eye - p @ v
-        mean_pv[m - 1] = np.einsum("s,sij->ij", wts, p @ v)
-        mean_vbar[m - 1] = np.einsum("s,sij->ij", wts, vbar)
-        pi[m - 1] = mean_pv[m - 1] + pi[m] @ mean_vbar[m - 1]
-    return StripeStatistics(
-        stripe=stripe,
-        pi=pi,
-        mean_pv=mean_pv,
-        mean_vbar=mean_vbar,
-        n_samples=ensemble.n_samples,
-    )
+    sweep = [step[3:] for step in _backward_sweep(
+        ensemble.h_hat, stripe_txs, psi, w, total_power, stripe, ensemble.weights)]
+    mean_pv, mean_vbar, pi = (np.array(x) for x in zip(*sweep[::-1]))
+    pi = np.concatenate([pi, np.zeros_like(pi[:1])])  # Pi_M = 0 at the chain end
+    return StripeStatistics(stripe, pi, mean_pv, mean_vbar, ensemble.n_samples)
 
 
-def no_sharing_statistics(ensemble, psi, w, total_power):
-    """Pi_l = E[W^1/2 Hhat_l T_l] for every TX -> (L, K, K)."""
-    K = ensemble.num_users
-    out = np.zeros((ensemble.num_txs, K, K), dtype=complex)
-    for l in range(ensemble.num_txs):
-        _, p = _filters_and_responses(ensemble, l, psi[l], w, total_power)
-        out[l] = np.einsum("s,sij->ij", ensemble.weights, p)
-    return out
+def bidirectional_coupling(ensemble, stripe_txs, psi, w, total_power, stripe=0):
+    """Statistical chain response E[Pbar_{q,0}] of the full-stripe-CSI sweep.
+
+    This is the bidirectional counterpart of Pi_{q,0}: the cross-stripe
+    coupling matrix entering the coefficient system.  It differs from the
+    unidirectional Pi_{q,0} whenever the fading is non-degenerate, because
+    the sweep uses realization-dependent update matrices.
+    """
+    for *_, pbar in _backward_sweep(ensemble.h_hat, stripe_txs, psi, w, total_power, stripe):
+        pass  # down to Pbar_{q,0}
+    return np.einsum("s,sij->ij", ensemble.weights, pbar)
 
 
 def _solve_coefficient_columns(pi_by_unit, serving_units, num_units, K):
@@ -199,10 +265,8 @@ def _solve_coefficient_columns(pi_by_unit, serving_units, num_units, K):
 def solve_statistical_precoders_uni(association, stripe_stats):
     """Coefficients c_{q,k} coupling the serving stripes of each user."""
     pi0 = {st.stripe: st.pi[0] for st in stripe_stats}
-    num_stripes = max(pi0) + 1
-    K = association.num_users
     return _solve_coefficient_columns(
-        pi0, association.serving_stripes, num_stripes, K
+        pi0, association.serving_stripes, max(pi0) + 1, association.num_users
     )
 
 
@@ -210,14 +274,6 @@ def solve_statistical_precoders_bi(association, coupling):
     """Coefficients for the full-stripe-CSI scheme from E[Pbar_{q,0}] matrices."""
     return _solve_coefficient_columns(
         coupling, association.serving_stripes, len(coupling), association.num_users
-    )
-
-
-def solve_statistical_precoders_no_sharing(association, pi_by_tx):
-    """Coefficients c_{l,k} coupling the serving TXs of each user."""
-    K = association.num_users
-    return _solve_coefficient_columns(
-        pi_by_tx, association.serving_txs, len(pi_by_tx), K
     )
 
 
@@ -232,101 +288,19 @@ def tmmse_unidirectional(ensemble, stripe_stats, coeffs, stripes, psi, w, total_
     and the statistical Pi matrices, so position m uses exactly the
     unidirectionally shared information (Hhat_{q,1}, ..., Hhat_{q,m}).
     """
-    S, K = ensemble.n_samples, ensemble.num_users
-    n = ensemble.n_antennas
-    eye = np.eye(K)
-    out = np.zeros((S, ensemble.num_txs * n, K), dtype=complex)
-    for st in stripe_stats:
-        txs = stripes[st.stripe]
-        c_q = coeffs[st.stripe]
-        if not np.any(c_q):
-            continue
-        prefix = np.broadcast_to(eye, (S, K, K)).astype(complex)
-        for m, l in enumerate(txs, start=1):
-            t, p = _filters_and_responses(ensemble, l, psi[l], w, total_power)
-            v = _solve_sweep(
-                eye - st.pi[m] @ p,
-                np.broadcast_to(eye - st.pi[m], p.shape),
-                st.stripe,
-                m - 1,
-            )
-            out[:, l * n : (l + 1) * n, :] = t @ v @ prefix @ c_q
-            if m < len(txs):
-                prefix = (eye - p @ v) @ prefix
-    return out
-
-
-def _bidirectional_sweep(ensemble, txs, psi, w, total_power, stripe):
-    """Backward per-realization sweep of one stripe.
-
-    Returns the local filters, responses, update matrices V, and the
-    realization-dependent chain response Pbar_{q,0} (S, K, K), which plays
-    the role the statistical Pi plays in the unidirectional scheme.
-    """
-    S, K = ensemble.n_samples, ensemble.num_users
-    eye = np.eye(K)
-    filters, responses = [], []
-    for l in txs:
-        t, p = _filters_and_responses(ensemble, l, psi[l], w, total_power)
-        filters.append(t)
-        responses.append(p)
-    v_list = [None] * len(txs)
-    pbar = np.zeros((S, K, K), dtype=complex)
-    for m in range(len(txs), 0, -1):
-        p = responses[m - 1]
-        v = _solve_sweep(eye - pbar @ p, eye - pbar, stripe, m - 1)
-        v_list[m - 1] = v
-        pv = p @ v
-        pbar = pv + pbar @ (eye - pv)
-    return filters, responses, v_list, pbar
-
-
-def bidirectional_coupling(ensemble, stripe_txs, psi, w, total_power, stripe=0):
-    """Statistical chain response E[Pbar_{q,0}] of the full-stripe-CSI sweep.
-
-    This is the bidirectional counterpart of Pi_{q,0}: the cross-stripe
-    coupling matrix entering the coefficient system.  It differs from the
-    unidirectional Pi_{q,0} whenever the fading is non-degenerate, because
-    the sweep uses realization-dependent update matrices.
-    """
-    _, _, _, pbar = _bidirectional_sweep(ensemble, stripe_txs, psi, w, total_power, stripe)
-    return np.einsum("s,sij->ij", ensemble.weights, pbar)
+    return _team_stack(ensemble, stripes, coeffs, lambda q: _uni_hops(
+        ensemble.h_hat, stripes[q], stripe_stats[q], psi, w, total_power))
 
 
 def tmmse_bidirectional(ensemble, coeffs, stripes, psi, w, total_power):
     """Full-stripe-CSI precoders: the statistical Pi of the downstream chain is
     replaced by its per-realization value Pbar, computed in a backward sweep;
     the coupling coefficients c stay statistical (solved from E[Pbar_{q,0}])."""
-    S, K = ensemble.n_samples, ensemble.num_users
-    n = ensemble.n_antennas
-    eye = np.eye(K)
-    out = np.zeros((S, ensemble.num_txs * n, K), dtype=complex)
-    for q, txs in enumerate(stripes):
-        c_q = coeffs[q]
-        if not np.any(c_q):
-            continue
-        filters, responses, v_list, _ = _bidirectional_sweep(
-            ensemble, txs, psi, w, total_power, q
-        )
-        prefix = np.broadcast_to(eye, (S, K, K)).astype(complex)
-        for m, l in enumerate(txs, start=1):
-            out[:, l * n : (l + 1) * n, :] = filters[m - 1] @ v_list[m - 1] @ prefix @ c_q
-            if m < len(txs):
-                prefix = (eye - responses[m - 1] @ v_list[m - 1]) @ prefix
-    return out
+    def hops(q):
+        sweep = _backward_sweep(ensemble.h_hat, stripes[q], psi, w, total_power, q)
+        return [step[:3] for step in sweep][::-1]
 
-
-def tmmse_no_sharing(ensemble, coeffs, psi, w, total_power):
-    """Purely local precoders t_{l} = T_l c_l with statistical coupling."""
-    S, K = ensemble.n_samples, ensemble.num_users
-    n = ensemble.n_antennas
-    out = np.zeros((S, ensemble.num_txs * n, K), dtype=complex)
-    for l in range(ensemble.num_txs):
-        if not np.any(coeffs[l]):
-            continue
-        t, _ = _filters_and_responses(ensemble, l, psi[l], w, total_power)
-        out[:, l * n : (l + 1) * n, :] = t @ coeffs[l]
-    return out
+    return _team_stack(ensemble, stripes, coeffs, hops)
 
 
 def centralized_mmse(ensemble, psi, w, total_power, association=None, user_centric=False):
@@ -336,7 +310,6 @@ def centralized_mmse(ensemble, psi, w, total_power, association=None, user_centr
     By default the support spans all TXs (sum-power benchmark); with
     user_centric=True the entries outside each user's serving set are zeroed.
     """
-    S, K = ensemble.n_samples, ensemble.num_users
     n = ensemble.n_antennas
     nl = ensemble.num_txs * n
     psi_full = np.zeros((nl, nl), dtype=complex)
@@ -369,7 +342,7 @@ def local_mmse_coefficients(ensemble, association, psi, w, total_power):
     wts = ensemble.weights
     f_all = np.zeros((S, L, n, K), dtype=complex)
     for l in range(L):
-        f_all[:, l], _ = _filters_and_responses(ensemble, l, psi[l], w, total_power)
+        f_all[:, l] = local_filter(ensemble.h_hat_block(l), psi[l], w, total_power)
     coeffs = np.zeros((L, K), dtype=complex)
     h_blocks = ensemble.h.reshape(S, K, L, n)
     for k in range(K):
@@ -394,14 +367,12 @@ def local_mmse_coefficients(ensemble, association, psi, w, total_power):
 
 def local_mmse_baseline(ensemble, coefficients, psi, w, total_power):
     """Apply the restricted scheme t_{l,k} = c_{l,k} T_l e_k per realization."""
-    S, K = ensemble.n_samples, ensemble.num_users
     n = ensemble.n_antennas
-    out = np.zeros((S, ensemble.num_txs * n, K), dtype=complex)
+    out = np.zeros((ensemble.n_samples, ensemble.num_txs * n, ensemble.num_users), complex)
     for l in range(ensemble.num_txs):
-        if not np.any(coefficients[l]):
-            continue
-        t, _ = _filters_and_responses(ensemble, l, psi[l], w, total_power)
-        out[:, l * n : (l + 1) * n, :] = t * coefficients[l][None, None, :]
+        if np.any(coefficients[l]):
+            t = local_filter(ensemble.h_hat_block(l), psi[l], w, total_power)
+            out[:, l * n : (l + 1) * n, :] = t * coefficients[l][None, None, :]
     return out
 
 
@@ -409,18 +380,8 @@ def local_mmse_baseline(ensemble, coefficients, psi, w, total_power):
 # sequential fronthaul protocol
 # --------------------------------------------------------------------------
 
-def stripe_forward_pass(
-    h_hat,
-    stripe_txs,
-    stripe_stats,
-    coeffs_q,
-    served_users,
-    messages,
-    powers,
-    psi,
-    w,
-    total_power,
-):
+def stripe_forward_pass(h_hat, stripe_txs, stripe_stats, coeffs_q, served_users, messages,
+                        powers, psi, w, total_power):
     """One realization of the master-to-chain-end protocol of a single stripe.
 
     The master unit statistically precodes the messages of the users its
@@ -429,91 +390,133 @@ def stripe_forward_pass(
     Returns the per-TX transmit vectors and the per-hop payload size (K
     complex values).
     """
+    _check_psi(psi)
     K = len(w)
     u = np.zeros(K, dtype=complex)
     for k in served_users:
         u += np.sqrt(powers[k]) * coeffs_q[:, k] * messages[k]
-    eye = np.eye(K)
-    n = psi.shape[-1]
-    xs = []
-    for m, l in enumerate(stripe_txs, start=1):
-        hl = tx_block(h_hat, l, n)
-        t = local_filter(hl, psi[l], w, total_power)
-        p = np.sqrt(w)[:, None] * (hl @ t)
-        v = _solve_sweep(eye - stripe_stats.pi[m] @ p, eye - stripe_stats.pi[m],
-                         stripe_stats.stripe, m - 1)
-        vu = v @ u
-        xs.append(t @ vu)
-        u = u - p @ vu  # Vbar u, the K-complex payload forwarded to TX m+1
-    return xs, K
+    hops = _uni_hops(h_hat, stripe_txs, stripe_stats, psi, w, total_power)
+    return list(_forward_product(hops, u)), K
 
 
 # --------------------------------------------------------------------------
-# scheme registry
+# scheme registry: one state type per scheme family, each with its own
+# apply and its --dump-stats matrices (coupling matrices, then coefficients)
 # --------------------------------------------------------------------------
 
 @dataclass
-class SchemeState:
-    """Statistical state fitted on the statistics pool, applied on any pool."""
+class CentralizedState:
+    """Full CSIT sharing: nothing statistical to fit."""
 
     scheme: str
-    stripe_stats: list = None
-    stripe_coeffs: np.ndarray = None  # (Q, K, K)
-    stripe_coupling: np.ndarray = None  # (Q, K, K), bidirectional E[Pbar_0]
-    pi_by_tx: np.ndarray = None  # (L, K, K)
-    tx_coeffs: np.ndarray = None  # (L, K, K)
-    local_coefficients: np.ndarray = None  # (L, K)
+
+    def apply(self, ensemble, psi, w, total_power):
+        return centralized_mmse(ensemble, psi, w, total_power)
+
+    def dump_matrices(self):
+        return []
+
+
+@dataclass
+class LocalMmseState:
+    """Restricted per-TX scheme with scalar large-scale coefficients."""
+
+    scheme: str
+    coefficients: np.ndarray  # (L, K)
+
+    def apply(self, ensemble, psi, w, total_power):
+        return local_mmse_baseline(ensemble, self.coefficients, psi, w, total_power)
+
+    def dump_matrices(self):
+        return []
+
+
+@dataclass
+class UniState:
+    """Unidirectional sharing on the given stripes; no sharing is this state
+    on one-TX stripes, one per TX."""
+
+    scheme: str
+    stripes: list  # TX lists of the coupling units
+    stripe_stats: list  # StripeStatistics per unit
+    stripe_coeffs: np.ndarray  # (units, K, K)
+
+    def apply(self, ensemble, psi, w, total_power):
+        return tmmse_unidirectional(
+            ensemble, self.stripe_stats, self.stripe_coeffs, self.stripes, psi, w, total_power
+        )
+
+    def dump_matrices(self):
+        return [st.pi[0] for st in self.stripe_stats] + list(self.stripe_coeffs)
+
+
+@dataclass
+class BiState:
+    """Bidirectional sharing: statistical coupling E[Pbar_{q,0}] and coefficients."""
+
+    scheme: str
+    stripes: list
+    stripe_coupling: np.ndarray  # (Q, K, K)
+    stripe_coeffs: np.ndarray  # (Q, K, K)
+
+    def apply(self, ensemble, psi, w, total_power):
+        return tmmse_bidirectional(
+            ensemble, self.stripe_coeffs, self.stripes, psi, w, total_power
+        )
+
+    def dump_matrices(self):
+        return list(self.stripe_coupling) + list(self.stripe_coeffs)
+
+
+def _fit_uni(scheme, ensemble, association, stripes, psi, w, total_power):
+    stats = [
+        estimate_stripe_statistics(ensemble, txs, psi, w, total_power, stripe=q)
+        for q, txs in enumerate(stripes)
+    ]
+    coeffs = solve_statistical_precoders_uni(association, stats)
+    return UniState(scheme, stripes, stats, coeffs)
+
+
+def _fit_no_share(scheme, ensemble, association, stripes, psi, w, total_power):
+    # one-TX stripes: the coupling units are the serving TXs of each user
+    singletons = dataclasses.replace(association, serving_stripes=association.serving_txs)
+    units = [[l] for l in range(ensemble.num_txs)]
+    return _fit_uni(scheme, ensemble, singletons, units, psi, w, total_power)
+
+
+def _fit_bi(scheme, ensemble, association, stripes, psi, w, total_power):
+    coupling = np.stack([
+        bidirectional_coupling(ensemble, txs, psi, w, total_power, stripe=q)
+        for q, txs in enumerate(stripes)
+    ])
+    coeffs = solve_statistical_precoders_bi(association, coupling)
+    return BiState(scheme, stripes, coupling, coeffs)
+
+
+_FITS = {
+    "centralized": lambda scheme, *_: CentralizedState(scheme),
+    "bi": _fit_bi,
+    "uni": _fit_uni,
+    "no-share": _fit_no_share,
+    "local-mmse": lambda scheme, ens, association, stripes, psi, w, total_power: (
+        LocalMmseState(scheme, local_mmse_coefficients(ens, association, psi, w, total_power))
+    ),
+}
+SCHEMES = tuple(_FITS)
 
 
 def fit_scheme(scheme, ensemble, association, stripes, psi, w, total_power):
     """Statistical stage of the named scheme on the statistics pool."""
-    if scheme == "centralized":
-        return SchemeState(scheme=scheme)
-    if scheme == "uni":
-        stats = [
-            estimate_stripe_statistics(ensemble, txs, psi, w, total_power, stripe=q)
-            for q, txs in enumerate(stripes)
-        ]
-        coeffs = solve_statistical_precoders_uni(association, stats)
-        return SchemeState(scheme=scheme, stripe_stats=stats, stripe_coeffs=coeffs)
-    if scheme == "bi":
-        coupling = np.stack(
-            [
-                bidirectional_coupling(ensemble, txs, psi, w, total_power, stripe=q)
-                for q, txs in enumerate(stripes)
-            ]
-        )
-        coeffs = solve_statistical_precoders_bi(association, coupling)
-        return SchemeState(scheme=scheme, stripe_coupling=coupling, stripe_coeffs=coeffs)
-    if scheme == "no-share":
-        pi = no_sharing_statistics(ensemble, psi, w, total_power)
-        coeffs = solve_statistical_precoders_no_sharing(association, pi)
-        return SchemeState(scheme=scheme, pi_by_tx=pi, tx_coeffs=coeffs)
-    if scheme == "local-mmse":
-        coefs = local_mmse_coefficients(ensemble, association, psi, w, total_power)
-        return SchemeState(scheme=scheme, local_coefficients=coefs)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if scheme not in _FITS:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    _check_psi(psi)
+    return _FITS[scheme](scheme, ensemble, association, stripes, psi, w, total_power)
 
 
 def apply_scheme(state, ensemble, association, stripes, psi, w, total_power):
-    """Per-realization precoders (S, N*L, K) for a fitted scheme."""
-    if state.scheme == "centralized":
-        return centralized_mmse(ensemble, psi, w, total_power)
-    if state.scheme == "uni":
-        return tmmse_unidirectional(
-            ensemble, state.stripe_stats, state.stripe_coeffs, stripes, psi, w, total_power
-        )
-    if state.scheme == "bi":
-        return tmmse_bidirectional(
-            ensemble, state.stripe_coeffs, stripes, psi, w, total_power
-        )
-    if state.scheme == "no-share":
-        return tmmse_no_sharing(ensemble, state.tx_coeffs, psi, w, total_power)
-    if state.scheme == "local-mmse":
-        return local_mmse_baseline(
-            ensemble, state.local_coefficients, psi, w, total_power
-        )
-    raise ValueError(f"unknown scheme {state.scheme!r}")
+    """Per-realization precoders (S, N*L, K) of a state, on the stripes it was fitted on."""
+    _check_psi(psi)
+    return state.apply(ensemble, psi, w, total_power)
 
 
 # --------------------------------------------------------------------------

@@ -57,6 +57,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(schemes=("zf",)).validate()
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"carrier_ghz": 0.0}, "carrier_ghz"),
+            ({"carrier_ghz": "4.9"}, "carrier_ghz"),
+            ({"noise_figure_db": "7"}, "noise_figure_db"),
+            ({"height_m": -3.0}, "height_m"),
+            ({"drops": "2"}, "drops"),
+            ({"drops": 2.0}, "drops"),
+            ({"num_users": True}, "num_users"),
+            ({"ricean_kappa": None}, "ricean_kappa"),
+            ({"bandwidth_hz": float("nan")}, "bandwidth_hz"),
+            ({"sum_power_mw": "12"}, "sum_power_mw"),
+            ({"area_m": [30.0, "20"]}, "area_m"),
+            ({"area_m": [30.0, False]}, "area_m"),
+            ({"num_users": 2, "weights": [0.5, "0.5"]}, "weights"),
+        ],
+    )
+    def test_bad_field_rejected_at_load(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig.from_dict(overrides)
+
     def test_sum_power_override(self):
         cfg = small_config(sum_power_mw=18.0)
         np.testing.assert_allclose(cfg.tx_budgets(), np.full(6, 3.0))
@@ -122,14 +144,22 @@ class TestRun:
         assert text[0] == "l,k,distance_m,PL_dB,rho2"
         assert len(text) == 1 + cfg.num_txs * cfg.num_users
 
-    def test_stats_dump(self, tmp_path):
+    @pytest.mark.parametrize("scheme", ["uni", "bi", "no-share"])
+    def test_stats_dump(self, tmp_path, scheme):
         from tmmse.precoding import read_matrix_dump
 
-        cfg = small_config(drops=1, schemes=("uni",), dump_stats=True)
+        cfg = small_config(drops=1, schemes=(scheme,), dump_stats=True)
         run(cfg, out_dir=str(tmp_path / "out"))
-        mats = read_matrix_dump(tmp_path / "out" / "stats_drop0_uni.bin")
-        assert len(mats) == cfg.num_stripes * 2  # Pi0 per stripe + coefficients
-        assert mats[0].shape == (3, 3)
+        mats = read_matrix_dump(tmp_path / "out" / f"stats_drop0_{scheme}.bin")
+        # coupling matrix per unit (stripe, or TX for no-share) + coefficients
+        units = cfg.num_txs if scheme == "no-share" else cfg.num_stripes
+        assert len(mats) == units * 2
+        assert all(m.shape == (3, 3) for m in mats)
+
+    def test_no_stats_dump_without_team_coupling(self, tmp_path):
+        cfg = small_config(drops=1, schemes=("centralized", "local-mmse"), dump_stats=True)
+        run(cfg, out_dir=str(tmp_path / "out"))
+        assert not list((tmp_path / "out").glob("stats_*.bin"))
 
 
 class TestCdf:

@@ -13,13 +13,14 @@ from tmmse.oracle import mse_exact, verify_stationarity
 from tmmse.precoding import (
     SingularSweepError,
     StripeStatistics,
+    apply_scheme,
     centralized_mmse,
     estimate_stripe_statistics,
     fit_scheme,
     local_filter,
     local_mmse_coefficients,
     read_matrix_dump,
-    solve_statistical_precoders_no_sharing,
+    solve_statistical_precoders_bi,
     solve_statistical_precoders_uni,
     stripe_forward_pass,
     tmmse_bidirectional,
@@ -54,14 +55,39 @@ class TestLocalFilter:
         expected, *_ = np.linalg.lstsq(a, b, rcond=None)
         np.testing.assert_allclose(t, expected, atol=1e-10)
 
+
+class TestPsiValidation:
+    """Psi is checked once per entry-point call, not inside local_filter."""
+
+    @staticmethod
+    def entry_points(h_hat, psi, w, total_power):
+        # one TX serving both users; the state is fitted on a valid Psi
+        n = h_hat.shape[-1]
+        h = h_hat[None].astype(complex)
+        ens = Ensemble(h=h, h_hat=h.copy(), weights=np.ones(1), n_antennas=n)
+        assoc = association_from_stripes([(0,), (0,)], 1, 1)
+        stripes = [[0]]
+        state = fit_scheme("uni", ens, assoc, stripes, np.zeros((1, n, n)), w, total_power)
+        bad = psi[None]
+        return [
+            lambda: fit_scheme("uni", ens, assoc, stripes, bad, w, total_power),
+            lambda: apply_scheme(state, ens, assoc, stripes, bad, w, total_power),
+            lambda: stripe_forward_pass(
+                h_hat, stripes[0], state.stripe_stats[0], state.stripe_coeffs[0],
+                (0, 1), np.ones(2), np.ones(2), bad, w, total_power,
+            ),
+        ]
+
     def test_non_psd_psi_rejected(self):
-        with pytest.raises(ValueError):
-            local_filter(np.ones((2, 1)), np.array([[-1.0]]), np.full(2, 0.5), 1.0)
+        for call in self.entry_points(np.ones((2, 1)), np.array([[-1.0]]), np.full(2, 0.5), 1.0):
+            with pytest.raises(ValueError):
+                call()
 
     def test_non_hermitian_psi_rejected(self):
         psi = np.array([[0.1, 0.5], [0.0, 0.1]])
-        with pytest.raises(ValueError):
-            local_filter(np.ones((2, 2)), psi, np.full(2, 0.5), 1.0)
+        for call in self.entry_points(np.ones((2, 2)), psi, np.full(2, 0.5), 1.0):
+            with pytest.raises(ValueError):
+                call()
 
 
 class TestStripeStatistics:
@@ -172,7 +198,7 @@ class TestCoefficientSystems:
     def test_zero_coupling_identity(self):
         pi = np.zeros((2, 3, 3), complex)
         assoc = association_from_stripes([(0, 1)] * 3, 2, 1)
-        coeffs = solve_statistical_precoders_no_sharing(assoc, pi)
+        coeffs = solve_statistical_precoders_bi(assoc, pi)
         np.testing.assert_allclose(coeffs[0], np.eye(3), atol=1e-12)
         np.testing.assert_allclose(coeffs[1], np.eye(3), atol=1e-12)
 
@@ -180,7 +206,7 @@ class TestCoefficientSystems:
         K = 3
         pi = 0.3 * (rng.standard_normal((2, K, K)) + 1j * rng.standard_normal((2, K, K)))
         assoc = association_from_stripes([(0, 1)] * K, 2, 1)
-        coeffs = solve_statistical_precoders_no_sharing(assoc, pi)
+        coeffs = solve_statistical_precoders_bi(assoc, pi)
         for k in range(K):
             a = np.block([[np.eye(K), pi[1]], [pi[0], np.eye(K)]])
             rhs = np.concatenate([np.eye(K)[:, k]] * 2)
@@ -193,7 +219,7 @@ class TestCoefficientSystems:
         K = 3
         pi = 0.3 * (rng.standard_normal((2, K, K)) + 1j * rng.standard_normal((2, K, K)))
         assoc = association_from_stripes([(0, 1)] * K, 2, 1)
-        coeffs = solve_statistical_precoders_no_sharing(assoc, pi)
+        coeffs = solve_statistical_precoders_bi(assoc, pi)
         for k in range(K):
             a = np.block([[np.eye(K), pi[0]], [pi[1], np.eye(K)]])  # order (1, 0)
             rhs = np.concatenate([np.eye(K)[:, k]] * 2)
