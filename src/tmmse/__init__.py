@@ -41,6 +41,7 @@ from .evaluation import (
 from .oracle import FiniteTeamProblem, mse_exact, solve_team_exact, verify_stationarity
 from .precoding import (
     SCHEMES,
+    SingularCoefficientSystem,
     SingularSweepError,
     StripeStatistics,
     apply_scheme,

@@ -450,7 +450,10 @@ def resolve_config(args):
     ):
         value = flag if flag is not None else _env(env_name)
         if value is not None:
-            updates[key] = parse(value)
+            try:
+                updates[key] = parse(value)
+            except ValueError as exc:
+                raise ValueError(f"{ENV_PREFIX}{env_name}={value!r}: bad {key}: {exc}") from None
     for flag, env_name, key in (
         (args.strict, "STRICT", "strict"),
         (args.clamp_negative_powers, "CLAMP_NEGATIVE_POWERS", "clamp_negative_powers"),
@@ -479,7 +482,3 @@ def main(argv=None):
         f"{len(result.failures)} failures -> {result.out_dir}"
     )
     return 0 if not result.failures else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -127,29 +127,25 @@ def duality_power_allocation(moments, gamma, clamp_negative=False):
     active = [k for k in range(K) if gamma[k] > 0]  # zero target -> zero power
     p = np.zeros(K)
     clamped = []
-    if not active:
-        return p, clamped
-    while True:
+    while active:
         idx = np.array(active, dtype=int)
         m = np.diag(moments.a[idx] - gamma[idx] * moments.v[idx])
         off = -gamma[idx, None] * moments.b[np.ix_(idx, idx)]
         off[np.diag_indices(len(idx))] = 0.0
         system = m + np.real(off)
-        cond = np.linalg.cond(system) if len(idx) else 1.0
-        if not np.isfinite(cond) or (len(idx) and 1.0 / cond < 1e-14):
+        cond = np.linalg.cond(system)
+        if not np.isfinite(cond) or 1.0 / cond < 1e-14:
             raise InfeasiblePowerError(active, f"singular duality system (cond={cond:.3e})")
-        sol = np.linalg.solve(system, gamma[idx]) if len(idx) else np.zeros(0)
+        sol = np.linalg.solve(system, gamma[idx])
         neg = [active[i] for i in range(len(idx)) if sol[i] < 0]
         if not neg:
-            p[:] = 0.0
             p[idx] = sol
             return p, clamped
         if not clamp_negative:
             raise InfeasiblePowerError(neg)
         clamped.extend(neg)
         active = [k for k in active if k not in neg]
-        if not active:
-            return np.zeros(K), clamped
+    return p, clamped
 
 
 def per_tx_scaling(expected_tx_power, tx_budgets):
@@ -170,7 +166,6 @@ def hardening_rates(moments, p, nu2=1.0, units="bits"):
     p = np.asarray(p, dtype=float)
     if (p < 0).any() or nu2 < 1.0:
         raise ValueError("need p >= 0 and nu2 >= 1")
-    K = moments.num_users
     interference = moments.b.real @ p - p * moments.b.real.diagonal() + p * moments.v
     sinr = p * moments.a / (interference + nu2)
     log = np.log2 if units == "bits" else np.log

@@ -101,12 +101,17 @@ def _filters_and_responses(h_hat, l, psi, w, total_power):
 # the stripe recursion
 # --------------------------------------------------------------------------
 
+def _rcond(a):
+    """Batched reciprocal condition numbers sigma_min / sigma_max."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    return sv[..., -1] / (sv[..., 0] + 1e-300)  # a zero matrix gets 0, not nan
+
+
 def _update(d, p, stripe, position):
     """V = (I - D P)^-1 (I - D), batched, with a reciprocal-condition guard."""
     eye = np.eye(p.shape[-1])
     a = eye - d @ p
-    sv = np.linalg.svd(a, compute_uv=False)
-    rcond = sv[..., -1] / sv[..., 0]
+    rcond = _rcond(a)
     if np.any(rcond < RCOND_FLOOR):
         bad = int(np.argmin(rcond))
         raise SingularSweepError(stripe, position, bad, float(np.min(rcond)))
@@ -192,9 +197,10 @@ class StripeStatistics:
     """Backward-recursion statistics of one stripe.
 
     pi[m] is the interference-response matrix seen upstream of position m
-    (0-based: pi[0] is the master-unit matrix entering the coefficient
-    system; pi[M] = 0 is the chain end).  mean_pv[m] and mean_vbar[m] hold
-    E[P V] and E[Vbar] of position m+1 for diagnostics.
+    (0-based: pi[0] is the master-unit matrix, the stripe's Pi_u in the
+    closed-form coupling coefficients; pi[M] = 0 is the chain end).
+    mean_pv[m] and mean_vbar[m] hold E[P V] and E[Vbar] of position m+1 for
+    diagnostics.
     """
 
     stripe: int
@@ -231,50 +237,52 @@ def bidirectional_coupling(ensemble, stripe_txs, psi, w, total_power, stripe=0):
     return np.einsum("s,sij->ij", ensemble.weights, pbar)
 
 
-def _solve_coefficient_columns(pi_by_unit, serving_units, num_units, K):
-    """Coupling system c_u + sum_{j != u} Pi_j c_j = e_k per user.
+def _coefficient_guard(rcond, failed):
+    """Raise for the first failed user, reporting cond = 1 / its reciprocal condition."""
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise SingularCoefficientSystem(k, np.inf if rcond[k] == 0 else 1.0 / rcond[k])
 
-    Returns (num_units, K, K) with column k of unit u holding c_{u,k};
-    columns of non-serving units are zero.  The assembled block system is
-    square and provably nonsingular for valid statistics; ill conditioning
-    or a large residual therefore signals broken inputs and raises.
+
+def _solve_coefficient_columns(pi, serving_units):
+    """Coupling system c_u + sum_{j != u} Pi_j c_j = e_k over the units u in U_k serving user k.
+
+    Closed form: c_{u,k} = A_u y_k with A_u = (I - Pi_u)^-1 and
+    y_k = (I + G_k)^-1 e_k, G_k = sum_{j in U_k} Pi_j A_j.  pi is (units, K, K);
+    column k of unit u of the result is c_{u,k}, exactly zero where u does not
+    serve k.  The block system's determinant is prod_u det(I - Pi_u) det(I + G_k),
+    so an ill-conditioned factor or a large residual signals broken statistics.
     """
-    coeffs = np.zeros((num_units, K, K), dtype=complex)
+    K = pi.shape[-1]
+    mask = np.zeros((len(pi), K), dtype=bool)
+    mask[np.concatenate(serving_units).astype(int),
+         np.repeat(np.arange(K), [len(u) for u in serving_units])] = True
     eye = np.eye(K)
-    for k in range(K):
-        units = list(serving_units[k])
-        n = len(units)
-        a = np.zeros((n * K, n * K), dtype=complex)
-        for row in range(n):
-            for col, j in enumerate(units):
-                blk = eye if row == col else pi_by_unit[j]
-                a[row * K : (row + 1) * K, col * K : (col + 1) * K] = blk
-        rhs = np.tile(eye[:, k], n)
-        cond = np.linalg.cond(a)
-        if not np.isfinite(cond) or 1.0 / cond < RCOND_FLOOR:
-            raise SingularCoefficientSystem(k, float(cond))
-        x = np.linalg.solve(a, rhs)
-        resid = np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs)
-        if resid > COEFF_RESIDUAL_TOL:
-            raise SingularCoefficientSystem(k, float(cond))
-        for row, u in enumerate(units):
-            coeffs[u][:, k] = x[row * K : (row + 1) * K]
+    pi = np.where(mask.any(axis=1)[:, None, None], pi, 0)  # a unit serving nobody drops out
+    rcond = np.where(mask, _rcond(eye - pi)[:, None], np.inf).min(axis=0)
+    _coefficient_guard(rcond, rcond < RCOND_FLOOR)
+    a = np.linalg.inv(eye - pi)
+    g = eye + np.einsum("uk,uij->kij", mask, pi @ a)  # I + G_k per user
+    rcond = np.minimum(rcond, _rcond(g))
+    _coefficient_guard(rcond, rcond < RCOND_FLOOR)
+    y = np.linalg.solve(g, eye[..., None])[..., 0]  # row k is y_k
+    coeffs = np.where(mask[:, None, :], a @ y.T, 0)
+    pc = pi @ coeffs
+    resid = np.where(mask[:, None, :], coeffs - pc + pc.sum(axis=0) - eye, 0)
+    resid = np.sqrt((np.abs(resid) ** 2).sum(axis=(0, 1)) / np.maximum(mask.sum(axis=0), 1))
+    _coefficient_guard(rcond, resid > COEFF_RESIDUAL_TOL)
     return coeffs
 
 
 def solve_statistical_precoders_uni(association, stripe_stats):
-    """Coefficients c_{q,k} coupling the serving stripes of each user."""
-    pi0 = {st.stripe: st.pi[0] for st in stripe_stats}
-    return _solve_coefficient_columns(
-        pi0, association.serving_stripes, max(pi0) + 1, association.num_users
-    )
+    """Coefficients c_{q,k} from Pi_{q,0}; stripe_stats[q] holds stripe q's statistics."""
+    pi0 = np.stack([st.pi[0] for st in stripe_stats])
+    return _solve_coefficient_columns(pi0, association.serving_stripes)
 
 
 def solve_statistical_precoders_bi(association, coupling):
     """Coefficients for the full-stripe-CSI scheme from E[Pbar_{q,0}] matrices."""
-    return _solve_coefficient_columns(
-        coupling, association.serving_stripes, len(coupling), association.num_users
-    )
+    return _solve_coefficient_columns(np.asarray(coupling), association.serving_stripes)
 
 
 # --------------------------------------------------------------------------
@@ -303,13 +311,10 @@ def tmmse_bidirectional(ensemble, coeffs, stripes, psi, w, total_power):
     return _team_stack(ensemble, stripes, coeffs, hops)
 
 
-def centralized_mmse(ensemble, psi, w, total_power, association=None, user_centric=False):
+def centralized_mmse(ensemble, psi, w, total_power):
     """Full message and CSIT sharing reference: the conditional-MMSE solution on
-    the stacked estimate with block-diagonal error covariance.
-
-    By default the support spans all TXs (sum-power benchmark); with
-    user_centric=True the entries outside each user's serving set are zeroed.
-    """
+    the stacked estimate with block-diagonal error covariance, supported on
+    all TXs (the sum-power benchmark)."""
     n = ensemble.n_antennas
     nl = ensemble.num_txs * n
     psi_full = np.zeros((nl, nl), dtype=complex)
@@ -318,13 +323,7 @@ def centralized_mmse(ensemble, psi, w, total_power, association=None, user_centr
     a = herm(ensemble.h_hat) * w[None, None, :] @ ensemble.h_hat
     a += psi_full + np.eye(nl) / total_power
     b = herm(ensemble.h_hat) * np.sqrt(w)[None, None, :]
-    t = np.linalg.solve(a, b)
-    if user_centric:
-        if association is None:
-            raise ValueError("user-centric mode needs an association map")
-        keep = np.repeat(association.mask(), n, axis=0)  # (N*L, K)
-        t = t * keep[None, :, :]
-    return t
+    return np.linalg.solve(a, b)
 
 
 def local_mmse_coefficients(ensemble, association, psi, w, total_power):
@@ -353,8 +352,7 @@ def local_mmse_coefficients(ensemble, association, psi, w, total_power):
         reg = np.einsum("s,sln->l", wts, np.abs(f) ** 2) / total_power
         rhs = np.sqrt(w[k]) * np.einsum("s,sa->a", wts, np.conj(s_eff[:, k, :]))
         system = gram + np.diag(reg)
-        cond = np.linalg.cond(system)
-        if not np.isfinite(cond) or 1.0 / cond < RCOND_FLOOR:
+        if _rcond(system) < RCOND_FLOOR:
             warnings.warn(
                 f"singular local-MMSE normal equations for user {k}; using unit coefficients"
             )

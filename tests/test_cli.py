@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -212,6 +215,16 @@ class TestFlagsAndEnv:
         assert cfg.strict is True
         assert cfg.power_modes == ("sum",)
 
+    @pytest.mark.parametrize(
+        "name, value, field",
+        [("DROPS", "abc", "drops"), ("SEED", "1.5", "base_seed"),
+         ("SAMPLES_STATS", "", "statistics_samples")],
+    )
+    def test_bad_env_value_names_variable_and_field(self, monkeypatch, name, value, field):
+        monkeypatch.setenv(f"TMMSE_{name}", value)
+        with pytest.raises(ValueError, match=f"TMMSE_{name}.*{field}"):
+            resolve_config(build_parser().parse_args([]))
+
     def test_scheme_list_parsing(self):
         args = build_parser().parse_args(["--schemes", "uni, bi"])
         cfg = resolve_config(args)
@@ -231,3 +244,11 @@ class TestFlagsAndEnv:
         assert code == 0
         assert (tmp_path / "out" / "cdf.csv").exists()
         assert "1 drops" in capsys.readouterr().out
+
+    def test_python_m_tmmse_help(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run([sys.executable, "-m", "tmmse", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert "usage: tmmse" in done.stdout

@@ -11,6 +11,7 @@ from tests.conftest import (
 from tmmse.channel import Ensemble, from_local_supports
 from tmmse.oracle import mse_exact, verify_stationarity
 from tmmse.precoding import (
+    SingularCoefficientSystem,
     SingularSweepError,
     StripeStatistics,
     apply_scheme,
@@ -226,6 +227,37 @@ class TestCoefficientSystems:
             x = np.linalg.solve(a, rhs)
             np.testing.assert_allclose(coeffs[1][:, k], x[:K], atol=1e-10)
             np.testing.assert_allclose(coeffs[0][:, k], x[K:], atol=1e-10)
+
+    def test_per_user_serving_sets(self, rng):
+        # four units; users served by different subsets of sizes 1..3
+        K = 4
+        serving = [(2,), (0, 3), (1, 2, 3), (0, 1)]
+        pi = 0.3 * (rng.standard_normal((4, K, K)) + 1j * rng.standard_normal((4, K, K)))
+        assoc = association_from_stripes(serving, 4, 1)
+        coeffs = solve_statistical_precoders_bi(assoc, pi)
+        for k, units in enumerate(serving):
+            a = np.block([[np.eye(K) if i == j else pi[j] for j in units] for i in units])
+            x = np.linalg.solve(a, np.tile(np.eye(K)[:, k], len(units)))
+            for row, u in enumerate(units):
+                np.testing.assert_allclose(coeffs[u][:, k], x[row * K : (row + 1) * K], atol=1e-10)
+            for u in set(range(4)) - set(units):
+                assert (coeffs[u][:, k] == 0).all()
+
+    def test_singular_coupling_sum_raises(self):
+        # Pi_0 = Pi_1 = -I: I + sum_j Pi_j (I - Pi_j)^-1 = 0, the block system is singular
+        pi = np.stack([-np.eye(2, dtype=complex)] * 2)
+        assoc = association_from_stripes([(0, 1)] * 2, 2, 1)
+        with pytest.raises(SingularCoefficientSystem) as err:
+            solve_statistical_precoders_bi(assoc, pi)
+        assert err.value.user in (0, 1)
+
+    def test_singular_unit_factor_raises(self):
+        # Pi_0 = I makes I - Pi_0 singular for the user unit 0 serves
+        pi = np.stack([np.eye(2, dtype=complex), np.zeros((2, 2), complex)])
+        assoc = association_from_stripes([(1,), (0, 1)], 2, 1)
+        with pytest.raises(SingularCoefficientSystem) as err:
+            solve_statistical_precoders_bi(assoc, pi)
+        assert err.value.user == 1
 
 
 class TestLeftProductConvention:
@@ -493,14 +525,6 @@ class TestCentralized:
         t = centralized_mmse(ens, np.zeros((1, 1, 1)), np.ones(1), 2.0)
         expected = np.conj(h[0, 0, 0]) / (abs(h[0, 0, 0]) ** 2 + 0.5)
         np.testing.assert_allclose(t[0, 0, 0], expected)
-
-    def test_user_centric_zeroing(self, rng):
-        model, stripes, assoc, w, power = random_stripe_setup(rng, 2, 2, 2, "centralized")
-        ens = exact_ensemble(model)
-        psi = model.psi_stack(w)
-        t = centralized_mmse(ens, psi, w, power, association=assoc, user_centric=True)
-        mask = np.repeat(assoc.mask(), model.n_antennas, axis=0)
-        assert np.abs(t * (~mask)[None, :, :]).max() == 0.0
 
 
 class TestMatrixDump:
