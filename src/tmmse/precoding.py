@@ -15,9 +15,17 @@ and bidirectional sharing differ only in the downstream response D, the
 statistical Pi or the per-realization Pbar; no sharing is unidirectional
 sharing on stripes of one TX.
 
+The recursion runs in capacitance form.  A TX's response P = A T, with
+A = W^1/2 Hhat_l (K, N) and T its local filter (N, K), has rank <= N, and
+P is never formed: each hop needs only T V = C^-1 T (I - D) with the N x N
+capacitance C = I_N - T D A, so it takes one N x N solve in place of a
+K x K one.  The singularity guard on I - D P is evaluated exactly on its
+restriction to the 2N-dimensional span(D A, T^H), outside which the system
+is the identity.
+
 Matrix conventions: channels are (K, N*L) with users as rows; precoder
 stacks are (S, N*L, K) with user columns; products of the stripe update
-matrices are LEFT products, prod_{n=1}^{m} A_n = A_m ... A_1, empty product
+matrices are LEFT products, prod_{n=1}^{m} X_n = X_m ... X_1, empty product
 the identity.
 """
 
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import herm, tx_block
+from .channel import herm
 
 RCOND_FLOOR = 1e-12
 COEFF_RESIDUAL_TOL = 1e-10
@@ -73,11 +81,12 @@ def _check_psi(psi):
 def local_filter(h_hat, psi, w, total_power):
     """Regularized local MMSE filter T = (Hhat^H W Hhat + Psi + I/P)^-1 Hhat^H W^1/2.
 
-    h_hat is (..., K, N); psi is the (N, N) error covariance; returns
-    (..., N, K).  Psi must be Hermitian positive semidefinite, which
-    fit_scheme, apply_scheme and stripe_forward_pass check once per call;
-    the system matrix is then Hermitian positive definite for any finite
-    total power, so a plain linear solve is used (no inversion).
+    h_hat is (..., K, N); psi is the (N, N) error covariance, or a stack of
+    them broadcast against the leading axes of h_hat; returns (..., N, K).
+    Psi must be Hermitian positive semidefinite, which fit_scheme,
+    apply_scheme and stripe_forward_pass check once per call; the system
+    matrix is then Hermitian positive definite for any finite total power,
+    so a plain linear solve is used (no inversion).
     """
     h_hat = np.asarray(h_hat, dtype=complex)
     w = np.asarray(w, dtype=float)
@@ -90,11 +99,29 @@ def local_filter(h_hat, psi, w, total_power):
     return np.linalg.solve(a, b)
 
 
-def _filters_and_responses(h_hat, l, psi, w, total_power):
-    """T_l (..., N, K) and P_l = W^1/2 Hhat_l T_l (..., K, K) from estimates (..., K, N*L)."""
-    hl = tx_block(h_hat, l, psi.shape[-1])
-    t = local_filter(hl, psi[l], w, total_power)
-    return t, np.sqrt(w)[:, None] * (hl @ t)
+def _filters_and_channels(h_hat, txs, psi, w, total_power):
+    """Local filters T (..., N, K) and channels A = W^1/2 Hhat (..., K, N) of TX txs.
+
+    h_hat is (..., K, N*L).  txs is one TX index, or a list of them whose
+    filters come from one batched call, stacked on an axis just before the
+    matrix axes: T (..., M, N, K), A (..., M, K, N).  The response of a TX
+    is P = A T, of rank <= N; it is never formed.
+    """
+    n = psi.shape[-1]
+    blocks = np.moveaxis(h_hat.reshape(*h_hat.shape[:-1], -1, n), -2, -3)  # (..., L, K, N)
+    h = blocks[..., txs, :, :]
+    return local_filter(h, psi[txs], w, total_power), np.sqrt(w)[:, None] * h
+
+
+def _mean(weights, x, y=None):
+    """Ensemble mean over the leading sample axis: sum_s weights_s x_s as one
+    tensordot, or with y the mean of the products x_s y_s of (S, i, n) and
+    (S, n, j) stacks as one (i, S*n) x (S*n, j) GEMM."""
+    if y is None:
+        return np.tensordot(weights, x, 1)
+    s, i, n = x.shape
+    wx = np.moveaxis(weights[:, None, None] * x, 0, 1).reshape(i, s * n)
+    return wx @ y.reshape(s * n, -1)
 
 
 # --------------------------------------------------------------------------
@@ -107,78 +134,115 @@ def _rcond(a):
     return sv[..., -1] / (sv[..., 0] + 1e-300)  # a zero matrix gets 0, not nan
 
 
-def _update(d, p, stripe, position):
-    """V = (I - D P)^-1 (I - D), batched, with a reciprocal-condition guard."""
-    eye = np.eye(p.shape[-1])
-    a = eye - d @ p
-    rcond = _rcond(a)
-    if np.any(rcond < RCOND_FLOOR):
-        bad = int(np.argmin(rcond))
-        raise SingularSweepError(stripe, position, bad, float(np.min(rcond)))
-    return np.linalg.solve(a, np.broadcast_to(eye - d, p.shape))
+def _sweep_rcond(da, t):
+    """Batched rcond of the sweep system I - D P = I - (D A) T, P never formed.
+
+    The system is the identity on the complement of span(D A, T^H).  For
+    K > 2N, with Q (K, 2N) an orthonormal basis of a space holding that span
+    (a QR of the stacked columns), its singular values are those of the
+    2N x 2N restriction I - (Q^H D A)(T Q) plus K - 2N ones.  The restriction
+    is a rank-N change of the identity, so by interlacing N of its singular
+    values are >= 1 and N are <= 1: the ones move neither extreme, and its
+    rcond is the system's.  For K <= 2N the K x K system is formed.
+    """
+    K, N = da.shape[-2:]
+    if K > 2 * N:
+        q = np.linalg.qr(np.concatenate([da, herm(t)], axis=-1))[0]
+        da, t = herm(q) @ da, t @ q
+    return _rcond(np.eye(da.shape[-2]) - da @ t)
+
+
+def _solve_hops(t, a, d, stripe, positions):
+    """T V = C^-1 T (I - D) with the N x N capacitance C = I_N - T D A.
+
+    This is the update V = (I - D P)^-1 (I - D) seen through T: push-through
+    gives T (I - D A T)^-1 = (I - T D A)^-1 T, so one N x N solve per hop
+    replaces the K x K one.  By Sylvester's identity det C = det(I - D P);
+    the guard still measures I - D P (see _sweep_rcond) and raises
+    SingularSweepError at the first of the stripe's positions whose rcond
+    falls below RCOND_FLOOR, naming its worst sample.  The arrays carry the
+    positions on the axis before the matrix axes, or no such axis for a
+    single position.  Returns (T V, D A).
+    """
+    da = d @ a
+    rcond = np.reshape(_sweep_rcond(da, t), (-1, len(positions)))
+    failed = (rcond < RCOND_FLOOR).any(axis=0)
+    if failed.any():
+        i = int(np.argmax(failed))
+        raise SingularSweepError(
+            stripe, positions[i], int(np.argmin(rcond[:, i])), float(rcond[:, i].min()))
+    c = np.eye(t.shape[-2]) - t @ da
+    return np.linalg.solve(c, t - t @ d), da
 
 
 def _backward_sweep(h_hat, txs, psi, w, total_power, stripe, weights=None):
-    """Backward recursion over the positions m = M..1 of one stripe:
+    """Backward recursion over the positions m = M..1 of one stripe, in
+    capacitance form (P_m = A_m T_m and V_m never formed):
 
-        V_m = (I - D_m P_m)^-1 (I - D_m),
-        D_{m-1} = R(P_m V_m) + D_m R(I - P_m V_m).
+        T_m V_m = C_m^-1 T_m (I - D_m),  C_m = I_N - T_m D_m A_m,
+        D_{m-1} = D_m + (I - D_m) R(A_m T_m V_m).
 
-    The chain end needs no solve: V_M = I, D_{M-1} = R(P_M) and
-    R(I - P_M) = I - D_{M-1} (D_M = 0 takes it out of the recursion).  R is the
-    ensemble mean under the given weights for unidirectional sharing (D is
-    the statistical Pi) and the identity without them for bidirectional
-    sharing (D is the per-realization Pbar).  Yields (T_m, P_m, V_m,
-    R(P_m V_m), R(I - P_m V_m), D_{m-1}) from m = M down, with None for V_M.
+    The chain end needs no solve: V_M = I, D_{M-1} = R(A_M T_M) (D_M = 0).
+    R is the ensemble mean under the given weights for unidirectional
+    sharing (D is the statistical Pi, and R(A T V) is one GEMM over the
+    pool) and the identity without them for bidirectional sharing (D is the
+    per-realization Pbar, updated as D + ((I - D) A) T V).  Yields
+    (A_m, T_m V_m, R(A_m T_m V_m) for weights else None, D_{m-1}) from
+    m = M down, with None for A_M: nothing is forwarded past the chain end.
     """
-    def reduce(x):
-        return x if weights is None else np.einsum("s,sij->ij", weights, x)
-
     eye = np.eye(len(w))
     d = None
     for m in range(len(txs), 0, -1):
-        t, p = _filters_and_responses(h_hat, txs[m - 1], psi, w, total_power)
-        if d is None:
-            v = None
-            d = r_pv = reduce(p)
-            r_vbar = eye - d
+        t, a = _filters_and_channels(h_hat, txs[m - 1], psi, w, total_power)
+        tv, da = (t, None) if d is None else _solve_hops(t, a, d, stripe, [m - 1])
+        if weights is not None:
+            r = _mean(weights, a, tv)
+            d = r if d is None else d + (eye - d) @ r
         else:
-            v = _update(d, p, stripe, m - 1)
-            pv = p @ v
-            r_pv, r_vbar = reduce(pv), reduce(eye - pv)
-            d = r_pv + d @ r_vbar
-        yield t, p, v, r_pv, r_vbar, d
+            r = None
+            d = a @ tv if d is None else d + (a - da) @ tv
+        yield (a if m < len(txs) else None), tv, r, d
 
 
 def _forward_product(hops, u):
     """Message-form forward product along one stripe.
 
-    Each hop (T_m, P_m, V_m) transmits x_m = T_m V_m u and forwards
-    u <- u - P_m V_m u = Vbar_m u downstream; V = None is the identity of
-    the chain end, past which nothing is forwarded.  u is c_q (K, K) for
-    the precoders of every user, or one realization's precoded message
-    vector in the fronthaul protocol.  Yields the x_m.
+    Each hop (A_m, T_m V_m) transmits x_m = T_m V_m u and forwards
+    u <- Vbar_m u = u - P_m V_m u = u - A_m x_m downstream, so no K x K
+    matrix is formed; A = None marks the chain end, past which nothing is
+    forwarded.  u is c_q (K, K) for the precoders of every user, or one
+    realization's precoded message vector in the fronthaul protocol.
+    Yields the x_m.
     """
-    for t, p, v in hops:
-        if v is None:
-            yield t @ u
-        else:
-            vu = v @ u
-            yield t @ vu
-            u = u - p @ vu
+    for a, tv in hops:
+        x = tv @ u
+        yield x
+        if a is not None:
+            u = u - a @ x
 
 
 def _uni_hops(h_hat, txs, stats, psi, w, total_power):
-    """(T_m, P_m, V_m) of unidirectional sharing, V_m from the statistical Pi_m."""
-    for m, l in enumerate(txs, start=1):
-        t, p = _filters_and_responses(h_hat, l, psi, w, total_power)
-        v = _update(stats.pi[m], p, stats.stripe, m - 1) if m < len(txs) else None
-        yield t, p, v
+    """(A_m, T_m V_m) of unidirectional sharing, V_m from the statistical Pi_m.
+
+    Once Pi is known the positions are independent: the filters of the
+    whole stripe come from one batched call, and the positions before the
+    chain end are guarded and solved together (the chain end, Pi_M = 0,
+    takes neither: T_M V_M = T_M).
+    """
+    t, a = _filters_and_channels(h_hat, list(txs), psi, w, total_power)
+    tv = t
+    if len(txs) > 1:
+        head, _ = _solve_hops(t[..., :-1, :, :], a[..., :-1, :, :], stats.pi[1:-1],
+                              stats.stripe, range(len(txs) - 1))
+        tv = np.concatenate([head, t[..., -1:, :, :]], axis=-3)
+    a = list(np.moveaxis(a, -3, 0))
+    a[-1] = None
+    return zip(a, np.moveaxis(tv, -3, 0))
 
 
 def _team_stack(ensemble, stripes, coeffs, hops):
     """Precoder stack (S, N*L, K) of the forward products from c_q of every
-    stripe with nonzero coefficients; hops(q) gives the stripe's (T, P, V)."""
+    stripe with nonzero coefficients; hops(q) gives the stripe's (A, T V)."""
     n = ensemble.n_antennas
     out = np.zeros((ensemble.n_samples, ensemble.num_txs * n, ensemble.num_users), complex)
     for q, txs in enumerate(stripes):
@@ -199,8 +263,8 @@ class StripeStatistics:
     pi[m] is the interference-response matrix seen upstream of position m
     (0-based: pi[0] is the master-unit matrix, the stripe's Pi_u in the
     closed-form coupling coefficients; pi[M] = 0 is the chain end).
-    mean_pv[m] and mean_vbar[m] hold E[P V] and E[Vbar] of position m+1 for
-    diagnostics.
+    mean_pv[m] and mean_vbar[m] = I - mean_pv[m] hold E[P V] and E[Vbar] of
+    position m+1 for diagnostics.
     """
 
     stripe: int
@@ -217,11 +281,11 @@ def estimate_stripe_statistics(ensemble, stripe_txs, psi, w, total_power, stripe
     support, Monte Carlo averages otherwise.  The pool must be independent
     of the evaluation pool to keep rate estimates unbiased.
     """
-    sweep = [step[3:] for step in _backward_sweep(
+    sweep = [step[2:] for step in _backward_sweep(
         ensemble.h_hat, stripe_txs, psi, w, total_power, stripe, ensemble.weights)]
-    mean_pv, mean_vbar, pi = (np.array(x) for x in zip(*sweep[::-1]))
+    mean_pv, pi = (np.array(x) for x in zip(*sweep[::-1]))
     pi = np.concatenate([pi, np.zeros_like(pi[:1])])  # Pi_M = 0 at the chain end
-    return StripeStatistics(stripe, pi, mean_pv, mean_vbar, ensemble.n_samples)
+    return StripeStatistics(stripe, pi, mean_pv, np.eye(len(w)) - mean_pv, ensemble.n_samples)
 
 
 def bidirectional_coupling(ensemble, stripe_txs, psi, w, total_power, stripe=0):
@@ -234,7 +298,7 @@ def bidirectional_coupling(ensemble, stripe_txs, psi, w, total_power, stripe=0):
     """
     for *_, pbar in _backward_sweep(ensemble.h_hat, stripe_txs, psi, w, total_power, stripe):
         pass  # down to Pbar_{q,0}
-    return np.einsum("s,sij->ij", ensemble.weights, pbar)
+    return _mean(ensemble.weights, pbar)
 
 
 def _coefficient_guard(rcond, failed):
@@ -306,7 +370,7 @@ def tmmse_bidirectional(ensemble, coeffs, stripes, psi, w, total_power):
     the coupling coefficients c stay statistical (solved from E[Pbar_{q,0}])."""
     def hops(q):
         sweep = _backward_sweep(ensemble.h_hat, stripes[q], psi, w, total_power, q)
-        return [step[:3] for step in sweep][::-1]
+        return [step[:2] for step in sweep][::-1]
 
     return _team_stack(ensemble, stripes, coeffs, hops)
 
@@ -348,9 +412,9 @@ def local_mmse_coefficients(ensemble, association, psi, w, total_power):
         txs = list(association.serving_txs[k])
         f = f_all[:, txs][..., k]  # (S, n_serving, N)
         s_eff = np.einsum("siln,sln->sil", h_blocks[:, :, txs, :], f)  # (S, K, n_serving)
-        gram = np.einsum("s,i,sia,sib->ab", wts, w, np.conj(s_eff), s_eff)
-        reg = np.einsum("s,sln->l", wts, np.abs(f) ** 2) / total_power
-        rhs = np.sqrt(w[k]) * np.einsum("s,sa->a", wts, np.conj(s_eff[:, k, :]))
+        gram = _mean(wts, herm(s_eff) * w, s_eff)  # one GEMM of the (S*K, |L_k|) stack
+        reg = _mean(wts, np.abs(f) ** 2).sum(axis=-1) / total_power
+        rhs = np.sqrt(w[k]) * _mean(wts, np.conj(s_eff[:, k, :]))
         system = gram + np.diag(reg)
         if _rcond(system) < RCOND_FLOOR:
             warnings.warn(

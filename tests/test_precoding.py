@@ -11,6 +11,7 @@ from tests.conftest import (
 from tmmse.channel import Ensemble, from_local_supports
 from tmmse.oracle import mse_exact, verify_stationarity
 from tmmse.precoding import (
+    RCOND_FLOOR,
     SingularCoefficientSystem,
     SingularSweepError,
     StripeStatistics,
@@ -27,6 +28,8 @@ from tmmse.precoding import (
     tmmse_bidirectional,
     tmmse_unidirectional,
     write_matrix_dump,
+    _rcond,
+    _sweep_rcond,
 )
 from tmmse.topology import association_from_stripes
 
@@ -182,6 +185,67 @@ class TestStripeStatistics:
         with pytest.raises(SingularSweepError) as err:
             tmmse_unidirectional(ens, [doctored], coeffs, stripes, psi, w, power)
         assert err.value.stripe == 0 and err.value.position == 0 and err.value.sample == 0
+
+    def test_singular_sweep_reports_batched_coordinates(self, rng):
+        # K = 3 > 2N: the guard runs on the 2N-dimensional restriction, and all
+        # positions of a stripe are checked in one batched call; positions 1
+        # (sample 2) and 2 (sample 1) of stripe 1 are singular, position 1 is
+        # the first the forward product meets
+        S, K, M = 4, 3, 4
+        h = rng.standard_normal((S, K, 2 * M)) + 1j * rng.standard_normal((S, K, 2 * M))
+        ens = Ensemble(h=h, h_hat=h.copy(), weights=np.full(S, 1 / S), n_antennas=1)
+        w, power = np.full(K, 1 / K), 2.0
+        psi = np.zeros((2 * M, 1, 1))
+        stripes = [list(range(M)), list(range(M, 2 * M))]
+        pi = np.zeros((M + 1, K, K), complex)
+        for position, sample in ((1, 2), (2, 1)):
+            hl = ens.h_hat_block(stripes[1][position])
+            p = np.sqrt(w)[:, None] * (hl[sample] @ local_filter(hl[sample], psi[0], w, power))
+            pi[position + 1] = np.eye(K) / np.trace(p)
+        zeros = np.zeros((M, K, K), complex)
+        stats = [StripeStatistics(q, pi if q else np.zeros_like(pi), zeros, zeros, S)
+                 for q in range(2)]
+        coeffs = np.stack([np.eye(K, dtype=complex)] * 2)
+        with pytest.raises(SingularSweepError) as err:
+            tmmse_unidirectional(ens, stats, coeffs, stripes, psi, w, power)
+        assert (err.value.stripe, err.value.position, err.value.sample) == (1, 1, 2)
+        assert err.value.rcond < RCOND_FLOOR
+        # one realization: the fronthaul protocol meets the same position
+        for s, position in ((2, 1), (1, 2)):
+            with pytest.raises(SingularSweepError) as err:
+                stripe_forward_pass(ens.h_hat[s], stripes[1], stats[1], coeffs[1], range(K),
+                                    np.ones(K), np.ones(K), psi, w, power)
+            assert (err.value.stripe, err.value.position, err.value.sample) == (1, position, 0)
+        xs, _ = stripe_forward_pass(ens.h_hat[0], stripes[1], stats[1], coeffs[1], range(K),
+                                    np.ones(K), np.ones(K), psi, w, power)
+        assert len(xs) == M
+
+
+class TestSweepGuard:
+    """The capacitance-form guard reports the rcond of the K x K system I - D A T."""
+
+    @pytest.mark.parametrize("K,N", [(10, 1), (6, 4), (5, 2), (1, 1)])
+    def test_matches_dense_rcond(self, rng, K, N):
+        S = 16
+        a = rng.standard_normal((S, K, N)) + 1j * rng.standard_normal((S, K, N))
+        t = rng.standard_normal((S, N, K)) + 1j * rng.standard_normal((S, N, K))
+        for d in (
+            0.3 * (rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))),
+            0.3 * (rng.standard_normal((S, K, K)) + 1j * rng.standard_normal((S, K, K))),
+            np.zeros((K, K), complex),
+        ):
+            dense = _rcond(np.eye(K) - d @ a @ t)
+            np.testing.assert_allclose(_sweep_rcond(d @ a, t), dense, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("K", [10, 5, 2])
+    def test_exactly_singular(self, rng, K):
+        # rank-one P has its nonzero eigenvalue at tr(P): D = I / tr(P) is singular
+        # (K = 1 is left out: a 1 x 1 system has rcond 1 unless it is exactly 0)
+        a = rng.standard_normal((K, 1)) + 1j * rng.standard_normal((K, 1))
+        t = rng.standard_normal((1, K)) + 1j * rng.standard_normal((1, K))
+        d = np.eye(K) / np.trace(a @ t)
+        assert _sweep_rcond(d @ a, t) < RCOND_FLOOR
+        assert _rcond(np.eye(K) - d @ a @ t) < RCOND_FLOOR
 
 
 class TestCoefficientSystems:
