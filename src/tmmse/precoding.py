@@ -9,6 +9,10 @@ update matrices).  All per-realization computations are batched over the
 leading sample axis of an :class:`~tmmse.channel.Ensemble`, so exactness on
 finite-support models falls out of the ensemble weights.
 
+One regularized MMSE filter, local_filter, serves every scheme: it gives
+the local filters T_l, and the centralized precoder is the same filter on
+the stacked estimate.
+
 Every team scheme runs one stripe recursion (a backward sweep for the
 update matrices V, a forward product for the precoders).  Unidirectional
 and bidirectional sharing differ only in the downstream response D, the
@@ -79,24 +83,35 @@ def _check_psi(psi):
 
 
 def local_filter(h_hat, psi, w, total_power):
-    """Regularized local MMSE filter T = (Hhat^H W Hhat + Psi + I/P)^-1 Hhat^H W^1/2.
+    """Regularized MMSE filter T = (Hhat^H W Hhat + Psi + I/P)^-1 Hhat^H W^1/2.
 
     h_hat is (..., K, N); psi is the (N, N) error covariance, or a stack of
     them broadcast against the leading axes of h_hat; returns (..., N, K).
-    Psi must be Hermitian positive semidefinite, which fit_scheme,
-    apply_scheme and stripe_forward_pass check once per call; the system
-    matrix is then Hermitian positive definite for any finite total power,
-    so a plain linear solve is used (no inversion).
+    Psi must be Hermitian PSD, as fit_scheme, apply_scheme and
+    stripe_forward_pass check once per call.  The smaller of two equal
+    systems is solved: for N <= K the N x N one above; for N > K the K x K
+    push-through T = B^-1 Hhat^H W^1/2 (I_K + W^1/2 Hhat B^-1 Hhat^H W^1/2)^-1
+    with B = Psi + I/P, which is the same for every sample, has eigenvalues
+    >= 1/P, and is inverted once per call.
     """
     h_hat = np.asarray(h_hat, dtype=complex)
     w = np.asarray(w, dtype=float)
     if total_power <= 0:
         raise ValueError("total power must be positive")
-    n = h_hat.shape[-1]
+    K, n = h_hat.shape[-2:]
+    if n > K:
+        a = np.sqrt(w)[:, None] * h_hat  # W^1/2 Hhat
+        ab = a @ np.linalg.inv(psi + np.eye(n) / total_power)  # W^1/2 Hhat B^-1
+        return herm(np.linalg.solve(np.eye(K) + ab @ herm(a), ab))  # both Hermitian
     wh = w[:, None] * h_hat  # W Hhat
     a = herm(h_hat) @ wh + psi + np.eye(n) / total_power
     b = herm(h_hat) * np.sqrt(w)  # Hhat^H W^1/2, broadcast over trailing K axis
     return np.linalg.solve(a, b)
+
+
+def _tx_blocks(h_hat, n):
+    """(..., L, K, N) view of the per-TX column blocks of h_hat (..., K, N*L)."""
+    return np.moveaxis(h_hat.reshape(*h_hat.shape[:-1], -1, n), -2, -3)
 
 
 def _filters_and_channels(h_hat, txs, psi, w, total_power):
@@ -107,9 +122,7 @@ def _filters_and_channels(h_hat, txs, psi, w, total_power):
     matrix axes: T (..., M, N, K), A (..., M, K, N).  The response of a TX
     is P = A T, of rank <= N; it is never formed.
     """
-    n = psi.shape[-1]
-    blocks = np.moveaxis(h_hat.reshape(*h_hat.shape[:-1], -1, n), -2, -3)  # (..., L, K, N)
-    h = blocks[..., txs, :, :]
+    h = _tx_blocks(h_hat, psi.shape[-1])[..., txs, :, :]
     return local_filter(h, psi[txs], w, total_power), np.sqrt(w)[:, None] * h
 
 
@@ -263,14 +276,12 @@ class StripeStatistics:
     pi[m] is the interference-response matrix seen upstream of position m
     (0-based: pi[0] is the master-unit matrix, the stripe's Pi_u in the
     closed-form coupling coefficients; pi[M] = 0 is the chain end).
-    mean_pv[m] and mean_vbar[m] = I - mean_pv[m] hold E[P V] and E[Vbar] of
-    position m+1 for diagnostics.
+    mean_pv[m] holds E[P V] of position m+1 for diagnostics.
     """
 
     stripe: int
     pi: np.ndarray  # (M+1, K, K)
     mean_pv: np.ndarray  # (M, K, K)
-    mean_vbar: np.ndarray  # (M, K, K)
     n_samples: int
 
 
@@ -285,7 +296,7 @@ def estimate_stripe_statistics(ensemble, stripe_txs, psi, w, total_power, stripe
         ensemble.h_hat, stripe_txs, psi, w, total_power, stripe, ensemble.weights)]
     mean_pv, pi = (np.array(x) for x in zip(*sweep[::-1]))
     pi = np.concatenate([pi, np.zeros_like(pi[:1])])  # Pi_M = 0 at the chain end
-    return StripeStatistics(stripe, pi, mean_pv, np.eye(len(w)) - mean_pv, ensemble.n_samples)
+    return StripeStatistics(stripe, pi, mean_pv, ensemble.n_samples)
 
 
 def bidirectional_coupling(ensemble, stripe_txs, psi, w, total_power, stripe=0):
@@ -376,18 +387,13 @@ def tmmse_bidirectional(ensemble, coeffs, stripes, psi, w, total_power):
 
 
 def centralized_mmse(ensemble, psi, w, total_power):
-    """Full message and CSIT sharing reference: the conditional-MMSE solution on
-    the stacked estimate with block-diagonal error covariance, supported on
-    all TXs (the sum-power benchmark)."""
-    n = ensemble.n_antennas
-    nl = ensemble.num_txs * n
-    psi_full = np.zeros((nl, nl), dtype=complex)
-    for l in range(ensemble.num_txs):
-        psi_full[l * n : (l + 1) * n, l * n : (l + 1) * n] = psi[l]
-    a = herm(ensemble.h_hat) * w[None, None, :] @ ensemble.h_hat
-    a += psi_full + np.eye(nl) / total_power
-    b = herm(ensemble.h_hat) * np.sqrt(w)[None, None, :]
-    return np.linalg.solve(a, b)
+    """Full message and CSIT sharing reference (the sum-power benchmark):
+    local_filter on the stacked (S, K, N*L) estimate with block-diagonal error
+    covariance, so for N*L > K no per-sample (N*L)^2 system is formed."""
+    n, L = ensemble.n_antennas, ensemble.num_txs
+    psi_full = np.zeros((L, n, L, n), dtype=complex)
+    psi_full[range(L), :, range(L)] = psi  # block l on the diagonal
+    return local_filter(ensemble.h_hat, psi_full.reshape(L * n, L * n), w, total_power)
 
 
 def local_mmse_coefficients(ensemble, association, psi, w, total_power):
@@ -400,12 +406,9 @@ def local_mmse_coefficients(ensemble, association, psi, w, total_power):
     warning rather than failing the whole run.
     """
     S, K = ensemble.n_samples, ensemble.num_users
-    n = ensemble.n_antennas
-    L = ensemble.num_txs
+    n, L = ensemble.n_antennas, ensemble.num_txs
     wts = ensemble.weights
-    f_all = np.zeros((S, L, n, K), dtype=complex)
-    for l in range(L):
-        f_all[:, l] = local_filter(ensemble.h_hat_block(l), psi[l], w, total_power)
+    f_all = local_filter(_tx_blocks(ensemble.h_hat, n), psi, w, total_power)  # (S, L, N, K)
     coeffs = np.zeros((L, K), dtype=complex)
     h_blocks = ensemble.h.reshape(S, K, L, n)
     for k in range(K):
@@ -429,13 +432,8 @@ def local_mmse_coefficients(ensemble, association, psi, w, total_power):
 
 def local_mmse_baseline(ensemble, coefficients, psi, w, total_power):
     """Apply the restricted scheme t_{l,k} = c_{l,k} T_l e_k per realization."""
-    n = ensemble.n_antennas
-    out = np.zeros((ensemble.n_samples, ensemble.num_txs * n, ensemble.num_users), complex)
-    for l in range(ensemble.num_txs):
-        if np.any(coefficients[l]):
-            t = local_filter(ensemble.h_hat_block(l), psi[l], w, total_power)
-            out[:, l * n : (l + 1) * n, :] = t * coefficients[l][None, None, :]
-    return out
+    t = local_filter(_tx_blocks(ensemble.h_hat, ensemble.n_antennas), psi, w, total_power)
+    return (t * coefficients[:, None, :]).reshape(ensemble.n_samples, -1, ensemble.num_users)
 
 
 # --------------------------------------------------------------------------

@@ -4,12 +4,14 @@ import pytest
 from tests.conftest import (
     assert_class_constant,
     closed_form_stack,
+    random_error_support,
     random_stripe_setup,
+    random_support,
     sign_symmetric_model,
     team_problem,
 )
 from tmmse.channel import Ensemble, from_local_supports
-from tmmse.oracle import mse_exact, verify_stationarity
+from tmmse.oracle import mse_exact, solve_team_exact, verify_stationarity
 from tmmse.precoding import (
     RCOND_FLOOR,
     SingularCoefficientSystem,
@@ -49,15 +51,23 @@ class TestLocalFilter:
         assert (t == 0).all()
 
     def test_matches_independent_dense_solve(self, rng):
+        # N <= K takes the normal equations; N > K (a batch of 4 samples, with
+        # a non-diagonal Hermitian PSD Psi) takes the K x K push-through form
         h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        w = np.array([0.5, 0.3, 0.2])
-        psi = np.diag([0.1, 0.2]).astype(complex)
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        h_wide = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
         total_power = 4.0
-        t = local_filter(h, psi, w, total_power)
-        a = h.conj().T @ np.diag(w) @ h + psi + np.eye(2) / total_power
-        b = h.conj().T @ np.diag(np.sqrt(w))
-        expected, *_ = np.linalg.lstsq(a, b, rcond=None)
-        np.testing.assert_allclose(t, expected, atol=1e-10)
+        for h, psi, w in (
+            (h, np.diag([0.1, 0.2]).astype(complex), np.array([0.5, 0.3, 0.2])),
+            (h_wide, 0.2 * x @ x.conj().T, np.array([0.6, 0.4])),
+        ):
+            t = local_filter(h, psi, w, total_power)
+            n = h.shape[-1]
+            for hs, ts in zip(h.reshape(-1, *h.shape[-2:]), t.reshape(-1, n, len(w))):
+                a = hs.conj().T @ np.diag(w) @ hs + psi + np.eye(n) / total_power
+                b = hs.conj().T @ np.diag(np.sqrt(w))
+                expected, *_ = np.linalg.lstsq(a, b, rcond=None)
+                np.testing.assert_allclose(ts, expected, atol=1e-10)
 
 
 class TestPsiValidation:
@@ -177,7 +187,6 @@ class TestStripeStatistics:
             stripe=0,
             pi=np.stack([np.zeros_like(p[0]), bad_pi, np.zeros_like(p[0])]),
             mean_pv=np.zeros((2, 2, 2), complex),
-            mean_vbar=np.zeros((2, 2, 2), complex),
             n_samples=1,
         )
         coeffs = np.zeros((1, 2, 2), complex)
@@ -203,7 +212,7 @@ class TestStripeStatistics:
             p = np.sqrt(w)[:, None] * (hl[sample] @ local_filter(hl[sample], psi[0], w, power))
             pi[position + 1] = np.eye(K) / np.trace(p)
         zeros = np.zeros((M, K, K), complex)
-        stats = [StripeStatistics(q, pi if q else np.zeros_like(pi), zeros, zeros, S)
+        stats = [StripeStatistics(q, pi if q else np.zeros_like(pi), zeros, S)
                  for q in range(2)]
         coeffs = np.stack([np.eye(K, dtype=complex)] * 2)
         with pytest.raises(SingularSweepError) as err:
@@ -589,6 +598,27 @@ class TestCentralized:
         t = centralized_mmse(ens, np.zeros((1, 1, 1)), np.ones(1), 2.0)
         expected = np.conj(h[0, 0, 0]) / (abs(h[0, 0, 0]) ** 2 + 0.5)
         np.testing.assert_allclose(t[0, 0, 0], expected)
+
+    @pytest.mark.parametrize("L,K,N", [(2, 3, 1), (4, 2, 1), (1, 3, 2), (2, 2, 2), (2, 1, 2)])
+    def test_matches_oracle_with_estimation_errors(self, rng, L, K, N):
+        # centralized structure, full association, zero-mean error supports on
+        # every TX (Psi != 0); N*L <= K takes local_filter's normal equations,
+        # N*L > K its K x K push-through form
+        for _ in range(4):
+            est = [random_support(rng, int(rng.integers(1, 3)), K, N) for _ in range(L)]
+            err = [random_error_support(rng, 2, K, N) for _ in range(L)]
+            model = from_local_supports(est, err, "centralized", [list(range(L))],
+                                        n_antennas=N, max_points=256)
+            w = rng.random(K) + 0.3
+            w /= w.sum()
+            power = float(rng.uniform(1.0, 8.0))
+            psi = model.psi_stack(w)
+            assert np.abs(psi).max() > 1e-3
+            problem = team_problem(model, association_from_stripes([(0,)] * K, 1, L), w, power)
+            stack = centralized_mmse(model.ensemble(), psi, w, power)
+            for k in range(K):
+                np.testing.assert_allclose(stack[:, :, k], solve_team_exact(problem, k),
+                                           atol=1e-10)
 
 
 class TestMatrixDump:
