@@ -10,7 +10,6 @@ finite-support team-decision oracle used to verify the closed forms.
 __version__ = "0.1.0"
 
 from .channel import (
-    ChannelSample,
     ChannelStatistics,
     Ensemble,
     FiniteSupportModel,
@@ -23,7 +22,6 @@ from .channel import (
     from_local_supports,
     noise_power_dbm,
     path_loss_db,
-    sample_channel,
 )
 from .cli import ScenarioConfig, emit_cdf, run
 from .evaluation import (

@@ -120,7 +120,7 @@ class LocalCsiModel:
     n_antennas: int
 
     def estimate(self, h):
-        """Apply the rule to a full channel matrix (K, N*L)."""
+        """Apply the rule to full channel matrices (..., K, N*L)."""
         n = self.n_antennas
         known = np.repeat(self.known, n, axis=1)
         mean = np.repeat(self.mean, n, axis=1)
@@ -198,32 +198,6 @@ def gains_table(statistics):
     return rows
 
 
-@dataclass(frozen=True)
-class ChannelSample:
-    """One joint fading realization with its per-TX estimates."""
-
-    h: np.ndarray  # (K, N*L)
-    h_hat: np.ndarray  # (K, N*L)
-    drop_index: int
-    realization_index: int
-
-
-def sample_channel(statistics, csi_model, rng, drop_index=0, realization_index=0):
-    """Draw one realization: independent CN(mean, scatter) entries, replicated
-    per antenna, then the local CSI rule."""
-    n = statistics.n_antennas
-    mean = np.repeat(statistics.mean, n, axis=1)
-    std = np.sqrt(np.repeat(statistics.scatter_var, n, axis=1) / 2.0)
-    shape = mean.shape
-    h = mean + std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return ChannelSample(
-        h=h,
-        h_hat=csi_model.estimate(h),
-        drop_index=drop_index,
-        realization_index=realization_index,
-    )
-
-
 @dataclass
 class Ensemble:
     """Weighted collection of joint realizations used for expectations.
@@ -253,30 +227,30 @@ class Ensemble:
         return tx_block(self.h_hat, l, self.n_antennas)
 
 
-def draw_ensemble(statistics, csi_model, n_samples, seed_seq, drop_index=0):
-    """Monte Carlo pool with one independent substream per realization, so the
-    draw for realization i is reproducible regardless of pool size or order."""
+def draw_ensemble(statistics, csi_model, n_samples, seed_seq):
+    """Monte Carlo pool: independent CN(mean, scatter) entries, replicated per
+    antenna, then the local CSI rule.  Realization i draws its normals from
+    the i-th substream of seed_seq, so it is reproducible regardless of pool
+    size or order; the whole pool is then formed at once."""
     if n_samples < 1:
         raise ValueError("need at least one realization")
-    K = statistics.num_users
-    nl = statistics.num_txs * statistics.n_antennas
-    h = np.empty((n_samples, K, nl), dtype=complex)
-    h_hat = np.empty_like(h)
+    n = statistics.n_antennas
+    mean = np.repeat(statistics.mean, n, axis=1)
+    std = np.sqrt(np.repeat(statistics.scatter_var, n, axis=1) / 2.0)
+    z = np.empty((n_samples, 2, *mean.shape))  # (real, imaginary) per realization
     for i, child in enumerate(seed_seq.spawn(n_samples)):
-        sample = sample_channel(
-            statistics,
-            csi_model,
-            np.random.default_rng(child),
-            drop_index=drop_index,
-            realization_index=i,
-        )
-        h[i] = sample.h
-        h_hat[i] = sample.h_hat
+        np.random.default_rng(child).standard_normal(out=z[i])
+    # in place, so the pool holds one complex array beside z, not three
+    h = 1j * z[:, 1]
+    h += z[:, 0]
+    h *= std
+    h += mean
+    del z
     return Ensemble(
         h=h,
-        h_hat=h_hat,
+        h_hat=csi_model.estimate(h),
         weights=np.full(n_samples, 1.0 / n_samples),
-        n_antennas=statistics.n_antennas,
+        n_antennas=n,
     )
 
 

@@ -6,11 +6,16 @@ substreams inside each pool.  The statistics and evaluation pools are
 therefore independent, and any (drop, realization) draw is reproducible in
 isolation.  Reruns with identical config and seed produce byte-identical
 rates.csv.
+
+A drop (run_drop) fits every scheme on the statistics pool and releases
+that pool; it then draws the evaluation pool and applies, evaluates and
+allocates each fitted scheme in turn.  run concatenates the drops.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -32,6 +37,7 @@ from .topology import assign_serving_stripes, build_grid_deployment
 SCHEMA_VERSION = 1
 ENV_PREFIX = "TMMSE_"
 POWER_MODES = ("sum", "per-tx")
+STAGES = ("channel", "statistics", "evaluation", "allocation")  # manifest timings
 
 # spawn-key phases under each (base_seed, drop)
 PHASE_POSITIONS, PHASE_SHADOW, PHASE_STATS, PHASE_EVAL = range(4)
@@ -176,101 +182,106 @@ class RunResult:
     out_dir: str = None
 
 
-def _run_drop(config, drop, deployment, rows, records, failures, timings, out_dir):
+def run_drop(config, deployment, drop, out_dir=None):
+    """One drop as a RunResult: fit every scheme on the statistics pool, release
+    it, then apply, evaluate and allocate each fitted scheme on the evaluation
+    pool.  A failing scheme, power mode or drop becomes a failure record (and
+    is re-raised under config.strict); with out_dir set, the drop's gain and
+    statistics dumps are written there.
+    """
     w = config.resolved_weights()
     total_power = config.total_power()
     budgets = config.tx_budgets()
+    result = RunResult([], [], [], dict.fromkeys(STAGES, 0.0), out_dir)
 
-    t0 = time.perf_counter()
-    rng_pos = np.random.default_rng(phase_seed(config.base_seed, drop, PHASE_POSITIONS))
-    rx_xy = rng_pos.uniform((0.0, 0.0), config.area_m, size=(config.num_users, 2))
-    dep = deployment.place_users(rx_xy)
-    assoc = assign_serving_stripes(dep, config.serving_stripes_per_user)
-    stats = build_statistics(
-        dep,
-        assoc,
-        config.ricean_kappa,
-        config.carrier_ghz,
-        config.bandwidth_hz,
-        config.noise_figure_db,
-        config.shadow_std_db,
-        np.random.default_rng(phase_seed(config.base_seed, drop, PHASE_SHADOW)),
-    )
-    csi = stats.csi_model()
-    ens_stats = draw_ensemble(
-        stats, csi, config.statistics_samples,
-        phase_seed(config.base_seed, drop, PHASE_STATS), drop,
-    )
-    ens_eval = draw_ensemble(
-        stats, csi, config.evaluation_samples,
-        phase_seed(config.base_seed, drop, PHASE_EVAL), drop,
-    )
-    psi = csi.psi_stack(w)
-    stripes = dep.stripes()
-    timings["channel"] += time.perf_counter() - t0
+    @contextlib.contextmanager
+    def timed(stage):
+        t0 = time.perf_counter()
+        yield
+        result.timings[stage] += time.perf_counter() - t0
 
-    if config.dump_gains and out_dir:
-        with open(os.path.join(out_dir, f"gains_drop{drop}.csv"), "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["l", "k", "distance_m", "PL_dB", "rho2"])
-            for row in gains_table(stats):
-                writer.writerow([row[0], row[1]] + [f"{x:.12g}" for x in row[2:]])
+    def fail(exc, stage, scheme=None):
+        result.failures.append({"drop": drop, "scheme": scheme, "stage": stage, "error": str(exc)})
+        if config.strict:
+            raise exc
 
-    for scheme in config.schemes:
-        try:
-            t0 = time.perf_counter()
-            state = fit_scheme(scheme, ens_stats, assoc, stripes, psi, w, total_power)
-            timings["statistics"] += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            precoders = apply_scheme(state, ens_eval, assoc, stripes, psi, w, total_power)
-            moments = estimate_moments(ens_eval, precoders)
-            mse = compute_mse(ens_eval, precoders, w, total_power)
-            timings["evaluation"] += time.perf_counter() - t0
-            mats = state.dump_matrices()
-            if config.dump_stats and out_dir and mats:
-                path = os.path.join(out_dir, f"stats_drop{drop}_{scheme}.bin")
-                write_matrix_dump(path, mats)
-        except Exception as exc:  # noqa: BLE001 - failures are per-run reportable
-            failures.append(
-                {"drop": drop, "scheme": scheme, "stage": "precoding", "error": str(exc)}
+    try:
+        with timed("channel"):
+            rng_pos = np.random.default_rng(phase_seed(config.base_seed, drop, PHASE_POSITIONS))
+            rx_xy = rng_pos.uniform((0.0, 0.0), config.area_m, size=(config.num_users, 2))
+            dep = deployment.place_users(rx_xy)
+            assoc = assign_serving_stripes(dep, config.serving_stripes_per_user)
+            stats = build_statistics(
+                dep, assoc, config.ricean_kappa, config.carrier_ghz, config.bandwidth_hz,
+                config.noise_figure_db, config.shadow_std_db,
+                np.random.default_rng(phase_seed(config.base_seed, drop, PHASE_SHADOW)),
             )
-            if config.strict:
-                raise
-            continue
-        for mode in config.power_modes:
+            csi = stats.csi_model()
+            psi = csi.psi_stack(w)
+            stripes = dep.stripes()
+
+        if config.dump_gains and out_dir:
+            with open(os.path.join(out_dir, f"gains_drop{drop}.csv"), "w", newline="") as f:
+                writer = csv.writer(f)
+                writer.writerow(["l", "k", "distance_m", "PL_dB", "rho2"])
+                for row in gains_table(stats):
+                    writer.writerow([row[0], row[1]] + [f"{x:.12g}" for x in row[2:]])
+
+        with timed("channel"):
+            pool = draw_ensemble(stats, csi, config.statistics_samples,
+                                 phase_seed(config.base_seed, drop, PHASE_STATS))
+        fitted = []
+        for scheme in config.schemes:
             try:
-                t0 = time.perf_counter()
-                rates, solution = allocate(
-                    moments,
-                    mse,
-                    mode,
-                    budgets,
-                    clamp_negative=config.clamp_negative_powers,
-                    units=config.rate_units,
-                )
-                timings["allocation"] += time.perf_counter() - t0
+                with timed("statistics"):
+                    fitted.append((scheme, fit_scheme(scheme, pool, assoc, stripes, psi, w,
+                                                      total_power)))
+            except Exception as exc:  # noqa: BLE001 - failures are per-run reportable
+                fail(exc, "precoding", scheme)
+        del pool  # no state holds the statistics pool: it goes before the next draw
+        with timed("channel"):
+            pool = draw_ensemble(stats, csi, config.evaluation_samples,
+                                 phase_seed(config.base_seed, drop, PHASE_EVAL))
+
+        for scheme, state in fitted:
+            try:
+                with timed("evaluation"):
+                    precoders = apply_scheme(state, pool, assoc, stripes, psi, w, total_power)
+                    moments = estimate_moments(pool, precoders)
+                    mse = compute_mse(pool, precoders, w, total_power)
+                mats = state.dump_matrices()
+                if config.dump_stats and out_dir and mats:
+                    write_matrix_dump(os.path.join(out_dir, f"stats_drop{drop}_{scheme}.bin"), mats)
             except Exception as exc:  # noqa: BLE001
-                failures.append(
-                    {"drop": drop, "scheme": scheme, "stage": f"allocation[{mode}]",
-                     "error": str(exc)}
-                )
-                if config.strict:
-                    raise
+                fail(exc, "precoding", scheme)
                 continue
-            for k in range(config.num_users):
-                rows.append((drop, k, scheme, mode, float(rates[k])))
-            solution_fields = solution.to_dict()
-            solution_fields.pop("mode")
-            records.append(
-                {
-                    "drop": drop,
-                    "scheme": scheme,
-                    "power_mode": mode,
-                    "rates": [float(r) for r in rates],
-                    "mse": [float(m) for m in mse],
-                    **solution_fields,
-                }
-            )
+            for mode in config.power_modes:
+                try:
+                    with timed("allocation"):
+                        rates, solution = allocate(
+                            moments, mse, mode, budgets,
+                            clamp_negative=config.clamp_negative_powers, units=config.rate_units,
+                        )
+                except Exception as exc:  # noqa: BLE001
+                    fail(exc, f"allocation[{mode}]", scheme)
+                    continue
+                result.rate_rows.extend(
+                    (drop, k, scheme, mode, float(r)) for k, r in enumerate(rates))
+                solution_fields = solution.to_dict()
+                solution_fields.pop("mode")
+                result.records.append(
+                    {
+                        "drop": drop,
+                        "scheme": scheme,
+                        "power_mode": mode,
+                        "rates": [float(r) for r in rates],
+                        "mse": [float(m) for m in mse],
+                        **solution_fields,
+                    }
+                )
+    except Exception as exc:  # noqa: BLE001
+        fail(exc, "drop")
+    return result
 
 
 def run(config, out_dir=None, progress=False):
@@ -301,19 +312,17 @@ def run(config, out_dir=None, progress=False):
         config.height_m,
         config.antennas_per_tx,
     )
-    rows, records, failures = [], [], []
-    timings = {"channel": 0.0, "statistics": 0.0, "evaluation": 0.0, "allocation": 0.0}
     started = time.perf_counter()
+    drops = []
     for drop in range(config.drops):
-        try:
-            _run_drop(config, drop, deployment, rows, records, failures, timings, out_dir)
-        except Exception as exc:  # noqa: BLE001
-            if config.strict:
-                raise
-            failures.append({"drop": drop, "scheme": None, "stage": "drop", "error": str(exc)})
+        drops.append(run_drop(config, deployment, drop, out_dir))
         if progress:
             print(f"drop {drop + 1}/{config.drops}", file=sys.stderr)
+    timings = {stage: sum(d.timings[stage] for d in drops) for stage in STAGES}
     timings["total"] = time.perf_counter() - started
+    rows = [row for d in drops for row in d.rate_rows]
+    records = [rec for d in drops for rec in d.records]
+    failures = [f for d in drops for f in d.failures]
 
     manifest["timings_s"] = {k: round(v, 6) for k, v in timings.items()}
     manifest["failures"] = failures

@@ -200,8 +200,8 @@ def _backward_sweep(h_hat, txs, psi, w, total_power, stripe, weights=None):
     sharing (D is the statistical Pi, and R(A T V) is one GEMM over the
     pool) and the identity without them for bidirectional sharing (D is the
     per-realization Pbar, updated as D + ((I - D) A) T V).  Yields
-    (A_m, T_m V_m, R(A_m T_m V_m) for weights else None, D_{m-1}) from
-    m = M down, with None for A_M: nothing is forwarded past the chain end.
+    (A_m, T_m V_m, D_{m-1}) from m = M down, with None for A_M: nothing is
+    forwarded past the chain end.
     """
     eye = np.eye(len(w))
     d = None
@@ -212,9 +212,8 @@ def _backward_sweep(h_hat, txs, psi, w, total_power, stripe, weights=None):
             r = _mean(weights, a, tv)
             d = r if d is None else d + (eye - d) @ r
         else:
-            r = None
             d = a @ tv if d is None else d + (a - da) @ tv
-        yield (a if m < len(txs) else None), tv, r, d
+        yield (a if m < len(txs) else None), tv, d
 
 
 def _forward_product(hops, u):
@@ -276,13 +275,10 @@ class StripeStatistics:
     pi[m] is the interference-response matrix seen upstream of position m
     (0-based: pi[0] is the master-unit matrix, the stripe's Pi_u in the
     closed-form coupling coefficients; pi[M] = 0 is the chain end).
-    mean_pv[m] holds E[P V] of position m+1 for diagnostics.
     """
 
     stripe: int
     pi: np.ndarray  # (M+1, K, K)
-    mean_pv: np.ndarray  # (M, K, K)
-    n_samples: int
 
 
 def estimate_stripe_statistics(ensemble, stripe_txs, psi, w, total_power, stripe=0):
@@ -292,11 +288,10 @@ def estimate_stripe_statistics(ensemble, stripe_txs, psi, w, total_power, stripe
     support, Monte Carlo averages otherwise.  The pool must be independent
     of the evaluation pool to keep rate estimates unbiased.
     """
-    sweep = [step[2:] for step in _backward_sweep(
+    pi = [d for *_, d in _backward_sweep(
         ensemble.h_hat, stripe_txs, psi, w, total_power, stripe, ensemble.weights)]
-    mean_pv, pi = (np.array(x) for x in zip(*sweep[::-1]))
-    pi = np.concatenate([pi, np.zeros_like(pi[:1])])  # Pi_M = 0 at the chain end
-    return StripeStatistics(stripe, pi, mean_pv, ensemble.n_samples)
+    pi = np.array(pi[::-1] + [np.zeros_like(pi[0])])  # Pi_M = 0 at the chain end
+    return StripeStatistics(stripe, pi)
 
 
 def bidirectional_coupling(ensemble, stripe_txs, psi, w, total_power, stripe=0):

@@ -162,9 +162,6 @@ class AssociationMap:
     def num_txs(self):
         return len(self.served_users)
 
-    def serves(self, l, k):
-        return l in self.serving_txs[k]
-
     def stripe_users(self, q):
         """Users served by stripe q (same set for every TX on the stripe)."""
         return tuple(k for k in range(self.num_users) if q in self.serving_stripes[k])
@@ -213,7 +210,7 @@ def association_from_stripes(serving_stripes, num_stripes, txs_per_stripe):
     )
 
 
-def assign_serving_stripes(deployment, num_serving, rx_positions=None):
+def assign_serving_stripes(deployment, num_serving):
     """Associate each user with its num_serving closest stripes.
 
     Closeness is the perpendicular planar distance from the user to the
@@ -224,7 +221,7 @@ def assign_serving_stripes(deployment, num_serving, rx_positions=None):
         raise ValueError(
             f"serving stripe count {num_serving} outside 1..{deployment.num_stripes}"
         )
-    rx = deployment.rx_positions if rx_positions is None else np.asarray(rx_positions, float)
+    rx = deployment.rx_positions
     if rx.shape[0] == 0:
         raise ValueError("deployment has no users")
     depths = deployment.stripe_depths()

@@ -10,7 +10,6 @@ from tmmse.channel import (
     from_local_supports,
     noise_power_dbm,
     path_loss_db,
-    sample_channel,
 )
 from tmmse.topology import assign_serving_stripes, build_grid_deployment
 
@@ -101,18 +100,16 @@ class TestStatistics:
 class TestSampling:
     def test_known_pairs_exact(self, small_scenario):
         _, _, stats = small_scenario
-        csi = stats.csi_model()
-        sample = sample_channel(stats, csi, np.random.default_rng(3))
+        sample = draw_ensemble(stats, stats.csi_model(), 1, np.random.SeedSequence(3))
         known = np.repeat(stats.known, stats.n_antennas, axis=1)
-        np.testing.assert_array_equal(sample.h_hat[known], sample.h[known])
+        np.testing.assert_array_equal(sample.h_hat[0][known], sample.h[0][known])
 
     def test_unknown_pairs_are_prior_mean(self, small_scenario):
         _, _, stats = small_scenario
-        csi = stats.csi_model()
-        sample = sample_channel(stats, csi, np.random.default_rng(3))
+        sample = draw_ensemble(stats, stats.csi_model(), 1, np.random.SeedSequence(3))
         known = np.repeat(stats.known, stats.n_antennas, axis=1)
         mean = np.repeat(stats.mean, stats.n_antennas, axis=1)
-        np.testing.assert_allclose(sample.h_hat[~known], mean[~known].astype(complex))
+        np.testing.assert_allclose(sample.h_hat[0][~known], mean[~known].astype(complex))
 
     def test_determinism_bit_identical(self, small_scenario):
         _, _, stats = small_scenario
@@ -121,6 +118,15 @@ class TestSampling:
         e1 = draw_ensemble(stats, csi, 8, seq())
         e2 = draw_ensemble(stats, csi, 8, seq())
         assert (e1.h == e2.h).all() and (e1.h_hat == e2.h_hat).all()
+
+    def test_realization_independent_of_pool_size(self, small_scenario):
+        # realization i draws from the i-th substream, whatever the pool size
+        _, _, stats = small_scenario
+        csi = stats.csi_model()
+        seq = lambda: np.random.SeedSequence(42, spawn_key=(0, 2))  # noqa: E731
+        small = draw_ensemble(stats, csi, 3, seq())
+        large = draw_ensemble(stats, csi, 8, seq())
+        assert (small.h == large.h[:3]).all() and (small.h_hat == large.h_hat[:3]).all()
 
     def test_moment_check_mean_and_variance(self, rng):
         # Monte Carlo moment check on a single-pair geometry, 1e5 draws

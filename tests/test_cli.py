@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
+import tmmse.cli as cli
 from tmmse.cli import (
     ScenarioConfig,
     build_parser,
@@ -14,8 +17,10 @@ from tmmse.cli import (
     read_rates_csv,
     resolve_config,
     run,
+    run_drop,
     write_cdf_csv,
 )
+from tmmse.topology import build_grid_deployment
 
 
 def small_config(**kw):
@@ -163,6 +168,87 @@ class TestRun:
         cfg = small_config(drops=1, schemes=("centralized", "local-mmse"), dump_stats=True)
         run(cfg, out_dir=str(tmp_path / "out"))
         assert not list((tmp_path / "out").glob("stats_*.bin"))
+
+
+def deployment_of(cfg):
+    return build_grid_deployment(
+        cfg.num_stripes, cfg.txs_per_stripe, cfg.area_m, cfg.height_m, cfg.antennas_per_tx
+    )
+
+
+class TestRunDrop:
+    def test_run_concatenates_drops(self, tmp_path):
+        cfg = small_config()
+        whole = run(cfg, out_dir=str(tmp_path / "out"))
+        dep = deployment_of(cfg)
+        drops = [run_drop(cfg, dep, d) for d in range(cfg.drops)]
+        for field in ("rate_rows", "records", "failures"):
+            assert getattr(whole, field) == [x for d in drops for x in getattr(d, field)]
+        assert dep.num_users == 0 and cfg == small_config()  # arguments untouched
+
+    def test_failed_fit_is_recorded_and_other_schemes_run(self, tmp_path, monkeypatch):
+        real = cli.fit_scheme
+
+        def fit(scheme, *args):
+            if scheme == "bi":
+                raise RuntimeError("bi fit failed")
+            return real(scheme, *args)
+
+        monkeypatch.setattr(cli, "fit_scheme", fit)
+        cfg = small_config()
+        result = run(cfg, out_dir=str(tmp_path / "out"))
+        assert [(f["drop"], f["scheme"], f["stage"]) for f in result.failures] == [
+            (0, "bi", "precoding"), (1, "bi", "precoding")]
+        kept = {(scheme, mode) for _, _, scheme, mode, _ in result.rate_rows}
+        assert kept == {(s, m) for s in cfg.schemes if s != "bi" for m in cfg.power_modes}
+        assert len(result.rate_rows) == cfg.drops * 4 * 2 * cfg.num_users
+        with pytest.raises(RuntimeError, match="bi fit failed"):
+            run(dataclasses.replace(cfg, strict=True), out_dir=str(tmp_path / "strict"))
+
+    def test_failed_allocation_keeps_other_mode(self, monkeypatch):
+        real = cli.allocate
+
+        def allocate(moments, mse, mode, *args, **kwargs):
+            if mode == "per-tx":
+                raise RuntimeError("per-tx allocation failed")
+            return real(moments, mse, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "allocate", allocate)
+        cfg = small_config(drops=1)
+        result = run_drop(cfg, deployment_of(cfg), 0)
+        assert sorted((f["scheme"], f["stage"]) for f in result.failures) == sorted(
+            (s, "allocation[per-tx]") for s in cfg.schemes)
+        assert {mode for _, _, _, mode, _ in result.rate_rows} == {"sum"}
+        assert len(result.rate_rows) == len(cfg.schemes) * cfg.num_users
+
+    def test_failed_drop_is_recorded(self, monkeypatch):
+        def draw(*args):
+            raise RuntimeError("no pool")
+
+        monkeypatch.setattr(cli, "draw_ensemble", draw)
+        cfg = small_config(drops=1)
+        result = run_drop(cfg, deployment_of(cfg), 0)
+        assert result.rate_rows == [] and result.failures == [
+            {"drop": 0, "scheme": None, "stage": "drop", "error": "no pool"}]
+        with pytest.raises(RuntimeError, match="no pool"):
+            run_drop(dataclasses.replace(cfg, strict=True), deployment_of(cfg), 0)
+
+    def test_statistics_pool_released_before_evaluation_draw(self, monkeypatch):
+        real = cli.draw_ensemble
+        pools, stats_pool_alive = {}, []
+
+        def draw(stats, csi, n_samples, seed_seq):
+            phase = seed_seq.spawn_key[-1]
+            if phase == cli.PHASE_EVAL:
+                stats_pool_alive.append(pools[cli.PHASE_STATS]() is not None)
+            pool = real(stats, csi, n_samples, seed_seq)
+            pools[phase] = weakref.ref(pool)
+            return pool
+
+        monkeypatch.setattr(cli, "draw_ensemble", draw)
+        cfg = small_config(drops=1)
+        result = run_drop(cfg, deployment_of(cfg), 0)
+        assert not result.failures and stats_pool_alive == [False]
 
 
 class TestCdf:

@@ -111,13 +111,13 @@ class TestStripeStatistics:
             exact_ensemble(model), stripes[0], model.psi_stack(w), w, power
         )
         assert (stats.pi[-1] == 0).all()
-        # with Pi_M = 0, V_M = I so E[P V] at the end is plain E[P]
+        # with Pi_M = 0, V_M = I, so Pi_{M-1} = E[P_M V_M] is plain E[P_M]
         ens = exact_ensemble(model)
         l = stripes[0][-1]
         hl = ens.h_hat_block(l)
         t = local_filter(hl, model.psi_stack(w)[l], w, power)
         p_mean = np.einsum("s,sij->ij", ens.weights, np.sqrt(w)[None, :, None] * (hl @ t))
-        np.testing.assert_allclose(stats.mean_pv[-1], p_mean, atol=1e-12)
+        np.testing.assert_allclose(stats.pi[-2], p_mean, atol=1e-12)
 
     def test_deterministic_recursion(self, rng):
         # one-point support: expectations are plain products, checked by hand
@@ -186,8 +186,6 @@ class TestStripeStatistics:
         doctored = StripeStatistics(
             stripe=0,
             pi=np.stack([np.zeros_like(p[0]), bad_pi, np.zeros_like(p[0])]),
-            mean_pv=np.zeros((2, 2, 2), complex),
-            n_samples=1,
         )
         coeffs = np.zeros((1, 2, 2), complex)
         coeffs[0] = np.eye(2)
@@ -211,9 +209,7 @@ class TestStripeStatistics:
             hl = ens.h_hat_block(stripes[1][position])
             p = np.sqrt(w)[:, None] * (hl[sample] @ local_filter(hl[sample], psi[0], w, power))
             pi[position + 1] = np.eye(K) / np.trace(p)
-        zeros = np.zeros((M, K, K), complex)
-        stats = [StripeStatistics(q, pi if q else np.zeros_like(pi), zeros, S)
-                 for q in range(2)]
+        stats = [StripeStatistics(q, pi if q else np.zeros_like(pi)) for q in range(2)]
         coeffs = np.stack([np.eye(K, dtype=complex)] * 2)
         with pytest.raises(SingularSweepError) as err:
             tmmse_unidirectional(ens, stats, coeffs, stripes, psi, w, power)
