@@ -185,9 +185,9 @@ class RunResult:
 def run_drop(config, deployment, drop, out_dir=None):
     """One drop as a RunResult: fit every scheme on the statistics pool, release
     it, then apply, evaluate and allocate each fitted scheme on the evaluation
-    pool.  A failing scheme, power mode or drop becomes a failure record (and
-    is re-raised under config.strict); with out_dir set, the drop's gain and
-    statistics dumps are written there.
+    pool.  A failing scheme, power mode, statistics dump or drop becomes a
+    failure record (and is re-raised under config.strict); with out_dir set,
+    the drop's gain and statistics dumps are written there.
     """
     w = config.resolved_weights()
     total_power = config.total_power()
@@ -249,9 +249,6 @@ def run_drop(config, deployment, drop, out_dir=None):
                     precoders = apply_scheme(state, pool, assoc, stripes, psi, w, total_power)
                     moments = estimate_moments(pool, precoders)
                     mse = compute_mse(pool, precoders, w, total_power)
-                mats = state.dump_matrices()
-                if config.dump_stats and out_dir and mats:
-                    write_matrix_dump(os.path.join(out_dir, f"stats_drop{drop}_{scheme}.bin"), mats)
             except Exception as exc:  # noqa: BLE001
                 fail(exc, "precoding", scheme)
                 continue
@@ -279,6 +276,12 @@ def run_drop(config, deployment, drop, out_dir=None):
                         **solution_fields,
                     }
                 )
+            mats = state.dump_matrices()
+            if config.dump_stats and out_dir and mats:
+                try:
+                    write_matrix_dump(os.path.join(out_dir, f"stats_drop{drop}_{scheme}.bin"), mats)
+                except Exception as exc:  # noqa: BLE001 - a failed dump keeps the rates
+                    fail(exc, "dump", scheme)
     except Exception as exc:  # noqa: BLE001
         fail(exc, "drop")
     return result

@@ -25,7 +25,10 @@ P is never formed: each hop needs only T V = C^-1 T (I - D) with the N x N
 capacitance C = I_N - T D A, so it takes one N x N solve in place of a
 K x K one.  The singularity guard on I - D P is evaluated exactly on its
 restriction to the 2N-dimensional span(D A, T^H), outside which the system
-is the identity.
+is the identity.  With single-antenna TXs (N = 1) and K > 2 users no hop
+calls LAPACK: the guard is a closed form in the determinant and Frobenius
+norm of the rank-one change I - D A T, and the filter and capacitance
+solves are divisions by scalars.
 
 Matrix conventions: channels are (K, N*L) with users as rows; precoder
 stacks are (S, N*L, K) with user columns; products of the stripe update
@@ -74,12 +77,20 @@ class SingularCoefficientSystem(RuntimeError):
         )
 
 
-def _check_psi(psi):
-    """Reject an error-covariance stack (..., N, N) that is not Hermitian PSD."""
+def _check_inputs(psi, total_power):
+    """Reject an error-covariance stack (..., N, N) that is not Hermitian PSD,
+    or a total power that is not positive."""
+    if total_power <= 0:
+        raise ValueError("total power must be positive")
     if not np.allclose(psi, herm(psi), atol=1e-10):
         raise ValueError("Psi must be Hermitian")
     if np.linalg.eigvalsh(psi).min() < -1e-10:
         raise ValueError("Psi must be positive semidefinite")
+
+
+def _solve_small(a, b):
+    """Solve the stacked N x N systems a x = b; at N = 1 one broadcast division."""
+    return b / a if a.shape[-1] == 1 else np.linalg.solve(a, b)
 
 
 def local_filter(h_hat, psi, w, total_power):
@@ -87,17 +98,17 @@ def local_filter(h_hat, psi, w, total_power):
 
     h_hat is (..., K, N); psi is the (N, N) error covariance, or a stack of
     them broadcast against the leading axes of h_hat; returns (..., N, K).
-    Psi must be Hermitian PSD, as fit_scheme, apply_scheme and
+    Psi must be Hermitian PSD and P > 0, as fit_scheme, apply_scheme and
     stripe_forward_pass check once per call.  The smaller of two equal
-    systems is solved: for N <= K the N x N one above; for N > K the K x K
-    push-through T = B^-1 Hhat^H W^1/2 (I_K + W^1/2 Hhat B^-1 Hhat^H W^1/2)^-1
+    systems is solved: for N <= K the N x N one above, which at N = 1 is the
+    division T = conj(hhat) w^1/2 / (sum_k w_k |hhat_k|^2 + psi + 1/P); for
+    N > K the K x K push-through
+    T = B^-1 Hhat^H W^1/2 (I_K + W^1/2 Hhat B^-1 Hhat^H W^1/2)^-1
     with B = Psi + I/P, which is the same for every sample, has eigenvalues
     >= 1/P, and is inverted once per call.
     """
     h_hat = np.asarray(h_hat, dtype=complex)
     w = np.asarray(w, dtype=float)
-    if total_power <= 0:
-        raise ValueError("total power must be positive")
     K, n = h_hat.shape[-2:]
     if n > K:
         a = np.sqrt(w)[:, None] * h_hat  # W^1/2 Hhat
@@ -106,7 +117,7 @@ def local_filter(h_hat, psi, w, total_power):
     wh = w[:, None] * h_hat  # W Hhat
     a = herm(h_hat) @ wh + psi + np.eye(n) / total_power
     b = herm(h_hat) * np.sqrt(w)  # Hhat^H W^1/2, broadcast over trailing K axis
-    return np.linalg.solve(a, b)
+    return _solve_small(a, b)
 
 
 def _tx_blocks(h_hat, n):
@@ -156,9 +167,20 @@ def _sweep_rcond(da, t):
     2N x 2N restriction I - (Q^H D A)(T Q) plus K - 2N ones.  The restriction
     is a rank-N change of the identity, so by interlacing N of its singular
     values are >= 1 and N are <= 1: the ones move neither extreme, and its
-    rcond is the system's.  For K <= 2N the K x K system is formed.
+    rcond is the system's.  At N = 1 and K > 2 no LAPACK call is needed: the
+    system is I - x y^H with x = D A and y^H = T, and the squares
+    lam+ >= 1 >= lam- of its two other singular values have product |g|^2,
+    g = 1 - y^H x (the determinant), and sum s = 2 - 2 Re(y^H x) + |x|^2 |y|^2,
+    so rcond = |g| / lam+ with lam+ = (s + sqrt(s^2 - 4 |g|^2)) / 2, the root
+    that takes no cancellation.  For K <= 2N the K x K system is formed.
     """
     K, N = da.shape[-2:]
+    if N == 1 and K > 2:
+        x, yh = da[..., 0], t[..., 0, :]
+        yhx = (yh * x).sum(axis=-1)
+        g = np.abs(1 - yhx)
+        s = 2 - 2 * yhx.real + (np.abs(x) ** 2).sum(axis=-1) * (np.abs(yh) ** 2).sum(axis=-1)
+        return g / ((s + np.sqrt(np.maximum(s * s - 4 * g * g, 0))) / 2)
     if K > 2 * N:
         q = np.linalg.qr(np.concatenate([da, herm(t)], axis=-1))[0]
         da, t = herm(q) @ da, t @ q
@@ -170,10 +192,11 @@ def _solve_hops(t, a, d, stripe, positions):
 
     This is the update V = (I - D P)^-1 (I - D) seen through T: push-through
     gives T (I - D A T)^-1 = (I - T D A)^-1 T, so one N x N solve per hop
-    replaces the K x K one.  By Sylvester's identity det C = det(I - D P);
-    the guard still measures I - D P (see _sweep_rcond) and raises
-    SingularSweepError at the first of the stripe's positions whose rcond
-    falls below RCOND_FLOOR, naming its worst sample.  The arrays carry the
+    replaces the K x K one; at N = 1, C is a scalar and the solve a
+    division.  By Sylvester's identity det C = det(I - D P); the guard still
+    measures I - D P (see _sweep_rcond) and raises SingularSweepError at the
+    first of the stripe's positions whose rcond falls below RCOND_FLOOR,
+    naming its worst sample.  The arrays carry the
     positions on the axis before the matrix axes, or no such axis for a
     single position.  Returns (T V, D A).
     """
@@ -185,7 +208,7 @@ def _solve_hops(t, a, d, stripe, positions):
         raise SingularSweepError(
             stripe, positions[i], int(np.argmin(rcond[:, i])), float(rcond[:, i].min()))
     c = np.eye(t.shape[-2]) - t @ da
-    return np.linalg.solve(c, t - t @ d), da
+    return _solve_small(c, t - t @ d), da
 
 
 def _backward_sweep(h_hat, txs, psi, w, total_power, stripe, weights=None):
@@ -445,7 +468,7 @@ def stripe_forward_pass(h_hat, stripe_txs, stripe_stats, coeffs_q, served_users,
     Returns the per-TX transmit vectors and the per-hop payload size (K
     complex values).
     """
-    _check_psi(psi)
+    _check_inputs(psi, total_power)
     K = len(w)
     u = np.zeros(K, dtype=complex)
     for k in served_users:
@@ -564,13 +587,13 @@ def fit_scheme(scheme, ensemble, association, stripes, psi, w, total_power):
     """Statistical stage of the named scheme on the statistics pool."""
     if scheme not in _FITS:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    _check_psi(psi)
+    _check_inputs(psi, total_power)
     return _FITS[scheme](scheme, ensemble, association, stripes, psi, w, total_power)
 
 
 def apply_scheme(state, ensemble, association, stripes, psi, w, total_power):
     """Per-realization precoders (S, N*L, K) of a state, on the stripes it was fitted on."""
-    _check_psi(psi)
+    _check_inputs(psi, total_power)
     return state.apply(ensemble, psi, w, total_power)
 
 

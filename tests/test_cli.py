@@ -221,6 +221,21 @@ class TestRunDrop:
         assert {mode for _, _, _, mode, _ in result.rate_rows} == {"sum"}
         assert len(result.rate_rows) == len(cfg.schemes) * cfg.num_users
 
+    def test_failed_stats_dump_keeps_rates(self, tmp_path, monkeypatch):
+        def dump(path, matrices):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_matrix_dump", dump)
+        cfg = small_config(drops=1, schemes=("uni",), dump_stats=True)
+        result = run_drop(cfg, deployment_of(cfg), 0, out_dir=str(tmp_path))
+        assert [(f["scheme"], f["stage"]) for f in result.failures] == [("uni", "dump")]
+        kept = {(scheme, mode) for _, _, scheme, mode, _ in result.rate_rows}
+        assert kept == {("uni", mode) for mode in cfg.power_modes}
+        assert len(result.rate_rows) == len(cfg.power_modes) * cfg.num_users
+        with pytest.raises(OSError, match="disk full"):
+            run_drop(dataclasses.replace(cfg, strict=True), deployment_of(cfg), 0,
+                     out_dir=str(tmp_path))
+
     def test_failed_drop_is_recorded(self, monkeypatch):
         def draw(*args):
             raise RuntimeError("no pool")

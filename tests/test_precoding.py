@@ -52,14 +52,17 @@ class TestLocalFilter:
 
     def test_matches_independent_dense_solve(self, rng):
         # N <= K takes the normal equations; N > K (a batch of 4 samples, with
-        # a non-diagonal Hermitian PSD Psi) takes the K x K push-through form
+        # a non-diagonal Hermitian PSD Psi) takes the K x K push-through form;
+        # N = 1 (a batch of 5 samples, K = 4, Psi > 0) takes one division
         h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         h_wide = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+        h_single = rng.standard_normal((5, 4, 1)) + 1j * rng.standard_normal((5, 4, 1))
         total_power = 4.0
         for h, psi, w in (
             (h, np.diag([0.1, 0.2]).astype(complex), np.array([0.5, 0.3, 0.2])),
             (h_wide, 0.2 * x @ x.conj().T, np.array([0.6, 0.4])),
+            (h_single, np.array([[0.3 + 0j]]), np.array([0.4, 0.3, 0.2, 0.1])),
         ):
             t = local_filter(h, psi, w, total_power)
             n = h.shape[-1]
@@ -71,17 +74,18 @@ class TestLocalFilter:
 
 
 class TestPsiValidation:
-    """Psi is checked once per entry-point call, not inside local_filter."""
+    """Psi and the total power are checked once per entry-point call, not
+    inside local_filter."""
 
     @staticmethod
     def entry_points(h_hat, psi, w, total_power):
-        # one TX serving both users; the state is fitted on a valid Psi
+        # one TX serving both users; the state is fitted on a valid Psi and power
         n = h_hat.shape[-1]
         h = h_hat[None].astype(complex)
         ens = Ensemble(h=h, h_hat=h.copy(), weights=np.ones(1), n_antennas=n)
         assoc = association_from_stripes([(0,), (0,)], 1, 1)
         stripes = [[0]]
-        state = fit_scheme("uni", ens, assoc, stripes, np.zeros((1, n, n)), w, total_power)
+        state = fit_scheme("uni", ens, assoc, stripes, np.zeros((1, n, n)), w, 1.0)
         bad = psi[None]
         return [
             lambda: fit_scheme("uni", ens, assoc, stripes, bad, w, total_power),
@@ -101,6 +105,13 @@ class TestPsiValidation:
         psi = np.array([[0.1, 0.5], [0.0, 0.1]])
         for call in self.entry_points(np.ones((2, 2)), psi, np.full(2, 0.5), 1.0):
             with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize("total_power", [0.0, -1.0])
+    def test_non_positive_power_rejected(self, total_power):
+        calls = self.entry_points(np.ones((2, 1)), np.zeros((1, 1)), np.full(2, 0.5), total_power)
+        for call in calls:
+            with pytest.raises(ValueError, match="total power"):
                 call()
 
 
@@ -229,7 +240,7 @@ class TestStripeStatistics:
 class TestSweepGuard:
     """The capacitance-form guard reports the rcond of the K x K system I - D A T."""
 
-    @pytest.mark.parametrize("K,N", [(10, 1), (6, 4), (5, 2), (1, 1)])
+    @pytest.mark.parametrize("K,N", [(10, 1), (3, 1), (2, 1), (6, 4), (5, 2), (1, 1)])
     def test_matches_dense_rcond(self, rng, K, N):
         S = 16
         a = rng.standard_normal((S, K, N)) + 1j * rng.standard_normal((S, K, N))
@@ -241,6 +252,9 @@ class TestSweepGuard:
         ):
             dense = _rcond(np.eye(K) - d @ a @ t)
             np.testing.assert_allclose(_sweep_rcond(d @ a, t), dense, rtol=1e-10, atol=0)
+            if K <= 2 * N:  # the K x K system itself is formed
+                formed = _rcond(np.eye(K) - (d @ a) @ t)
+                np.testing.assert_array_equal(_sweep_rcond(d @ a, t), formed)
 
     @pytest.mark.parametrize("K", [10, 5, 2])
     def test_exactly_singular(self, rng, K):
@@ -251,6 +265,21 @@ class TestSweepGuard:
         d = np.eye(K) / np.trace(a @ t)
         assert _sweep_rcond(d @ a, t) < RCOND_FLOOR
         assert _rcond(np.eye(K) - d @ a @ t) < RCOND_FLOOR
+
+    def test_near_singular_matches_dense(self, rng):
+        # D = (1 - eps) I / tr(A T) puts the determinant 1 - T D A at eps: the
+        # N = 1 closed form tracks the dense rcond down to the singular system
+        K = 10
+        a = rng.standard_normal((K, 1)) + 1j * rng.standard_normal((K, 1))
+        t = rng.standard_normal((1, K)) + 1j * rng.standard_normal((1, K))
+        for eps in (1e-6, 0.0):
+            d = (1 - eps) * np.eye(K) / np.trace(a @ t)
+            closed, dense = _sweep_rcond(d @ a, t), _rcond(np.eye(K) - d @ a @ t)
+            if eps:
+                np.testing.assert_allclose(closed, dense, rtol=1e-8, atol=0)
+                assert closed > RCOND_FLOOR
+            else:
+                assert closed < RCOND_FLOOR and dense < RCOND_FLOOR
 
 
 class TestCoefficientSystems:
