@@ -28,9 +28,9 @@ def herm(x):
     return np.conj(np.swapaxes(x, -1, -2))
 
 
-def tx_block(arr, l, n_antennas):
-    """Columns of a (..., K, N*L) array belonging to TX l."""
-    return arr[..., l * n_antennas : (l + 1) * n_antennas]
+def tx_blocks(arr, n):
+    """(..., L, K, N) view of the per-TX column blocks of arr (..., K, N*L)."""
+    return np.moveaxis(arr.reshape(*arr.shape[:-1], -1, n), -2, -3)
 
 
 # --------------------------------------------------------------------------
@@ -79,7 +79,6 @@ class ChannelStatistics:
     mean: np.ndarray
     scatter_var: np.ndarray
     known: np.ndarray
-    kappa: float
     n_antennas: int
     distances: np.ndarray
     pl_db: np.ndarray
@@ -174,7 +173,6 @@ def build_statistics(
         mean=mean,
         scatter_var=scatter,
         known=known,
-        kappa=float(kappa),
         n_antennas=deployment.antennas_per_tx,
         distances=dist,
         pl_db=np.asarray(pl, float),
@@ -224,7 +222,7 @@ class Ensemble:
         return self.h.shape[2] // self.n_antennas
 
     def h_hat_block(self, l):
-        return tx_block(self.h_hat, l, self.n_antennas)
+        return tx_blocks(self.h_hat, self.n_antennas)[..., l, :, :]
 
 
 def draw_ensemble(statistics, csi_model, n_samples, seed_seq):
@@ -304,13 +302,8 @@ class FiniteSupportModel:
     def psi_stack(self, w):
         """Exact Psi_l = E[(H_l - Hhat_l)^H W (H_l - Hhat_l)] -> (L, N, N)."""
         w = np.asarray(w, float)
-        n = self.n_antennas
-        out = np.empty((self.num_txs, n, n), dtype=complex)
-        err = self.h - self.h_hat
-        for l in range(self.num_txs):
-            e = tx_block(err, l, n)
-            out[l] = np.einsum("s,ski,k,skj->ij", self.probs, np.conj(e), w, e)
-        return out
+        e = tx_blocks(self.h - self.h_hat, self.n_antennas)  # (S, L, K, N)
+        return np.einsum("s,slki,k,slkj->lij", self.probs, np.conj(e), w, e)
 
     def classes(self, l):
         """Member realization indices per information class of TX l."""
@@ -396,6 +389,7 @@ def from_local_supports(
     )
     h = np.zeros((n_points, K, L * n_antennas), dtype=complex)
     h_hat = np.zeros_like(h)
+    blocks, hat_blocks = tx_blocks(h, n_antennas), tx_blocks(h_hat, n_antennas)  # (S, L, K, N)
     probs = np.ones(n_points)
     est_idx = np.zeros((L, n_points), dtype=int)
     for s, combo in enumerate(combos):
@@ -403,9 +397,8 @@ def from_local_supports(
             ei, xi = combo[l], combo[L + l]
             est_val, est_p = est_supports[l][ei]
             err_val, err_p = err_supports[l][xi]
-            blk = slice(l * n_antennas, (l + 1) * n_antennas)
-            h_hat[s, :, blk] = est_val
-            h[s, :, blk] = np.asarray(est_val, complex) + np.asarray(err_val, complex)
+            hat_blocks[s, l] = est_val
+            blocks[s, l] = np.asarray(est_val, complex) + np.asarray(err_val, complex)
             probs[s] *= est_p * err_p
             est_idx[l, s] = ei
 

@@ -46,7 +46,6 @@ class MomentEstimates:
     b: np.ndarray  # (K, K)
     per_tx_power: np.ndarray  # (L, K)
     tk_power: np.ndarray  # (K,)
-    n_samples: int
     se_mean: np.ndarray  # (K,)
     se_b: np.ndarray  # (K, K)
 
@@ -84,7 +83,6 @@ def estimate_moments(ensemble, precoders):
         b=b,
         per_tx_power=per_tx,
         tk_power=per_tx.sum(axis=0),
-        n_samples=ensemble.n_samples,
         se_mean=se_mean,
         se_b=se_b,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FiniteSupportModel, herm, tx_block
+from .channel import FiniteSupportModel, herm, tx_blocks
 from .precoding import local_filter
 
 
@@ -70,6 +70,7 @@ def solve_team_exact(problem, k, shuffle_rng=None):
         order = shuffle_rng.permutation(len(unknowns))
         unknowns = [unknowns[i] for i in order]
     index = {u: i for i, u in enumerate(unknowns)}
+    h = tx_blocks(model.h, n)  # (S, L, K, N)
     dim = len(unknowns) * n
     a = np.zeros((dim, dim), dtype=complex)
     rhs = np.zeros(dim, dtype=complex)
@@ -80,15 +81,15 @@ def solve_team_exact(problem, k, shuffle_rng=None):
         pc = probs[members].sum()
         for s in members:
             ps = probs[s] / pc
-            hl = tx_block(model.h[s], l, n)  # (K, N)
+            hl = h[s, l]
             a[i : i + n, i : i + n] += ps * (herm(hl) @ (w[:, None] * hl) + np.eye(n) / problem.total_power)
             for j in serving:
                 if j == l:
                     continue
-                hj = tx_block(model.h[s], j, n)
+                hj = h[s, j]
                 col = index[(j, int(model.labels[j, s]))] * n
                 a[i : i + n, col : col + n] += ps * (herm(hl) @ (w[:, None] * hj))
-            rhs[i : i + n] += ps * sw_k * np.conj(model.h[s][k, l * n : (l + 1) * n])
+            rhs[i : i + n] += ps * sw_k * np.conj(hl[k])
     if dim == 0:
         return np.zeros((model.n_points, model.num_txs * n), dtype=complex)
     cond = np.linalg.cond(a)
@@ -118,6 +119,7 @@ def verify_stationarity(problem, candidate, k):
     w = np.asarray(problem.w, float)
     sqrt_w = np.sqrt(w)
     psi = problem.psi_stack()
+    h_hat = tx_blocks(model.h_hat, n)  # (S, L, K, N)
     serving = list(problem.serving_txs[k])
     e_k = np.zeros(model.num_users)
     e_k[k] = 1.0
@@ -130,11 +132,11 @@ def verify_stationarity(problem, candidate, k):
             for j in others:
                 acc = np.zeros(model.num_users, dtype=complex)
                 for s in members:
-                    hj = tx_block(model.h_hat[s], j, n)
-                    acc += (model.probs[s] / pc) * (hj @ candidate[s, j * n : (j + 1) * n])
+                    t_j = candidate[s, j * n : (j + 1) * n]
+                    acc += (model.probs[s] / pc) * (h_hat[s, j] @ t_j)
                 inner -= sqrt_w * acc
             for s in members:
-                t_l = local_filter(tx_block(model.h_hat[s], l, n), psi[l], w, problem.total_power)
+                t_l = local_filter(h_hat[s, l], psi[l], w, problem.total_power)
                 resid = np.linalg.norm(candidate[s, l * n : (l + 1) * n] - t_l @ inner)
                 worst = max(worst, float(resid))
     return worst

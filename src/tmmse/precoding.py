@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import herm
+from .channel import herm, tx_blocks
 
 RCOND_FLOOR = 1e-12
 COEFF_RESIDUAL_TOL = 1e-10
@@ -114,15 +114,10 @@ def local_filter(h_hat, psi, w, total_power):
         a = np.sqrt(w)[:, None] * h_hat  # W^1/2 Hhat
         ab = a @ np.linalg.inv(psi + np.eye(n) / total_power)  # W^1/2 Hhat B^-1
         return herm(np.linalg.solve(np.eye(K) + ab @ herm(a), ab))  # both Hermitian
-    wh = w[:, None] * h_hat  # W Hhat
-    a = herm(h_hat) @ wh + psi + np.eye(n) / total_power
-    b = herm(h_hat) * np.sqrt(w)  # Hhat^H W^1/2, broadcast over trailing K axis
-    return _solve_small(a, b)
-
-
-def _tx_blocks(h_hat, n):
-    """(..., L, K, N) view of the per-TX column blocks of h_hat (..., K, N*L)."""
-    return np.moveaxis(h_hat.reshape(*h_hat.shape[:-1], -1, n), -2, -3)
+    hh = herm(h_hat)  # formed once, for the normal matrix and the right-hand side
+    a = hh @ (w[:, None] * h_hat) + psi + np.eye(n) / total_power
+    hh *= np.sqrt(w)  # Hhat^H W^1/2, broadcast over trailing K axis
+    return _solve_small(a, hh)
 
 
 def _filters_and_channels(h_hat, txs, psi, w, total_power):
@@ -133,7 +128,7 @@ def _filters_and_channels(h_hat, txs, psi, w, total_power):
     matrix axes: T (..., M, N, K), A (..., M, K, N).  The response of a TX
     is P = A T, of rank <= N; it is never formed.
     """
-    h = _tx_blocks(h_hat, psi.shape[-1])[..., txs, :, :]
+    h = tx_blocks(h_hat, psi.shape[-1])[..., txs, :, :]
     return local_filter(h, psi[txs], w, total_power), np.sqrt(w)[:, None] * h
 
 
@@ -423,16 +418,16 @@ def local_mmse_coefficients(ensemble, association, psi, w, total_power):
     per-TX channels.  Singular normal equations fall back to c = 1 with a
     warning rather than failing the whole run.
     """
-    S, K = ensemble.n_samples, ensemble.num_users
+    K = ensemble.num_users
     n, L = ensemble.n_antennas, ensemble.num_txs
     wts = ensemble.weights
-    f_all = local_filter(_tx_blocks(ensemble.h_hat, n), psi, w, total_power)  # (S, L, N, K)
+    f_all = local_filter(tx_blocks(ensemble.h_hat, n), psi, w, total_power)  # (S, L, N, K)
     coeffs = np.zeros((L, K), dtype=complex)
-    h_blocks = ensemble.h.reshape(S, K, L, n)
+    h_blocks = tx_blocks(ensemble.h, n)  # (S, L, K, N)
     for k in range(K):
         txs = list(association.serving_txs[k])
         f = f_all[:, txs][..., k]  # (S, n_serving, N)
-        s_eff = np.einsum("siln,sln->sil", h_blocks[:, :, txs, :], f)  # (S, K, n_serving)
+        s_eff = np.einsum("slin,sln->sil", h_blocks[:, txs], f)  # (S, K, n_serving)
         gram = _mean(wts, herm(s_eff) * w, s_eff)  # one GEMM of the (S*K, |L_k|) stack
         reg = _mean(wts, np.abs(f) ** 2).sum(axis=-1) / total_power
         rhs = np.sqrt(w[k]) * _mean(wts, np.conj(s_eff[:, k, :]))
@@ -450,7 +445,7 @@ def local_mmse_coefficients(ensemble, association, psi, w, total_power):
 
 def local_mmse_baseline(ensemble, coefficients, psi, w, total_power):
     """Apply the restricted scheme t_{l,k} = c_{l,k} T_l e_k per realization."""
-    t = local_filter(_tx_blocks(ensemble.h_hat, ensemble.n_antennas), psi, w, total_power)
+    t = local_filter(tx_blocks(ensemble.h_hat, ensemble.n_antennas), psi, w, total_power)
     return (t * coefficients[:, None, :]).reshape(ensemble.n_samples, -1, ensemble.num_users)
 
 

@@ -89,29 +89,6 @@ class Deployment:
             raise ValueError(f"users outside service area: {np.where(~inside)[0].tolist()}")
         return dataclasses.replace(self, rx_positions=rx)
 
-    def to_dict(self):
-        return {
-            "num_stripes": self.num_stripes,
-            "txs_per_stripe": self.txs_per_stripe,
-            "antennas_per_tx": self.antennas_per_tx,
-            "area_m": list(self.area),
-            "height_m": self.height,
-            "tx_positions": self.tx_positions.tolist(),
-            "rx_positions": self.rx_positions.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            num_stripes=int(d["num_stripes"]),
-            txs_per_stripe=int(d["txs_per_stripe"]),
-            antennas_per_tx=int(d["antennas_per_tx"]),
-            area=tuple(float(x) for x in d["area_m"]),
-            height=float(d["height_m"]),
-            tx_positions=np.asarray(d["tx_positions"], dtype=float),
-            rx_positions=np.asarray(d["rx_positions"], dtype=float),
-        )
-
 
 def build_grid_deployment(num_stripes, txs_per_stripe, area, height, antennas_per_tx=1):
     """Centered uniform grid of TXs: Q parallel stripes of M TXs over the area.
@@ -172,21 +149,6 @@ class AssociationMap:
         for k, txs in enumerate(self.serving_txs):
             out[list(txs), k] = True
         return out
-
-    def to_dict(self):
-        return {
-            "serving_stripes": [list(s) for s in self.serving_stripes],
-            "serving_txs": [list(s) for s in self.serving_txs],
-            "served_users": [list(s) for s in self.served_users],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            serving_stripes=tuple(tuple(s) for s in d["serving_stripes"]),
-            serving_txs=tuple(tuple(s) for s in d["serving_txs"]),
-            served_users=tuple(tuple(s) for s in d["served_users"]),
-        )
 
 
 def association_from_stripes(serving_stripes, num_stripes, txs_per_stripe):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tmmse.channel import (
+    Ensemble,
     InformationStructure,
     build_statistics,
     channel_gain,
@@ -10,6 +11,7 @@ from tmmse.channel import (
     from_local_supports,
     noise_power_dbm,
     path_loss_db,
+    tx_blocks,
 )
 from tmmse.topology import assign_serving_stripes, build_grid_deployment
 
@@ -198,13 +200,14 @@ class TestFiniteSupport:
     def test_psi_exact_cross_check(self, rng):
         from tests.conftest import random_stripe_setup
 
-        model, _, _, w, _ = random_stripe_setup(rng, 1, 2, 2, "no-share")
-        psi = model.psi_stack(w)
-        err = model.h - model.h_hat
-        for l in range(model.num_txs):
-            e = err[:, :, l : l + 1]
-            direct = np.einsum("s,ski,k,skj->ij", model.probs, np.conj(e), w, e)
-            np.testing.assert_allclose(psi[l], direct, atol=1e-12)
+        for n in (1, 2):
+            model, _, _, w, _ = random_stripe_setup(rng, 1, 2, 2, "no-share", n_antennas=n)
+            psi = model.psi_stack(w)
+            err = model.h - model.h_hat
+            for l in range(model.num_txs):
+                e = err[:, :, l * n : (l + 1) * n]
+                direct = np.einsum("s,ski,k,skj->ij", model.probs, np.conj(e), w, e)
+                np.testing.assert_allclose(psi[l], direct, atol=1e-12)
 
     def test_information_structure_labels_nest(self, rng):
         from tests.conftest import random_stripe_setup
@@ -224,3 +227,25 @@ class TestFiniteSupport:
     def test_structure_enum_round_trip(self):
         for s in InformationStructure:
             assert InformationStructure(s.value) is s
+
+
+class TestTxBlocks:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("lead", [(), (5,)], ids=["2d", "3d"])
+    def test_view_of_column_blocks(self, rng, n, lead):
+        L, K = 3, 2
+        arr = rng.standard_normal((*lead, K, n * L)) + 1j * rng.standard_normal((*lead, K, n * L))
+        blocks = tx_blocks(arr, n)
+        assert blocks.shape == (*lead, L, K, n)
+        for l in range(L):
+            np.testing.assert_array_equal(blocks[..., l, :, :], arr[..., l * n : (l + 1) * n])
+            assert np.shares_memory(blocks[..., l, :, :], arr)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_ensemble_h_hat_block(self, rng, n):
+        S, K, L = 4, 3, 2
+        h = rng.standard_normal((S, K, n * L)) + 1j * rng.standard_normal((S, K, n * L))
+        ens = Ensemble(h=h, h_hat=h.copy(), weights=np.full(S, 1 / S), n_antennas=n)
+        for l in range(L):
+            np.testing.assert_array_equal(ens.h_hat_block(l), ens.h_hat[..., l * n : (l + 1) * n])
+            assert np.shares_memory(ens.h_hat_block(l), ens.h_hat)

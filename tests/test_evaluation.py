@@ -32,7 +32,6 @@ def make_moments(a, v, b, per_tx=None, num_txs=1):
         b=b,
         per_tx_power=np.asarray(per_tx, float),
         tk_power=np.asarray(per_tx, float).sum(axis=0),
-        n_samples=1,
         se_mean=np.zeros(K),
         se_b=np.zeros((K, K)),
     )

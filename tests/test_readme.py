@@ -1,9 +1,12 @@
-"""The README's library sketch runs as written."""
+"""The README's library sketch runs as written, and the names it documents exist."""
 
+import importlib
 import re
 from pathlib import Path
 
 import numpy as np
+
+from tmmse import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +18,22 @@ def test_library_sketch_runs():
     exec(compile(code, f"{README.name} (Library sketch)", "exec"), namespace)
     rates = np.asarray(namespace["rates"])
     assert rates.size and np.isfinite(rates).all() and (rates > 0).all()
+
+
+def test_flags_list_matches_parser():
+    flags_text = README.read_text().split("Flags:", 1)[1].split("Every flag", 1)[0]
+    documented = re.findall(r"`(--[a-z][a-z-]*)", flags_text)
+    options = [
+        opt for action in cli.build_parser()._actions
+        for opt in action.option_strings if opt.startswith("--") and opt != "--help"
+    ]
+    assert documented == options
+
+
+def test_documented_module_names_resolve():
+    pattern = r"\b(?:tmmse\.)?((?:cli|precoding|oracle)\.[A-Za-z_]\w*)"
+    names = set(re.findall(pattern, README.read_text()))
+    assert len(names) >= 4  # the pattern still finds the README's references
+    for name in sorted(names):
+        module, attr = name.split(".")
+        assert hasattr(importlib.import_module(f"tmmse.{module}"), attr), name

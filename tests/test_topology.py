@@ -65,14 +65,6 @@ class TestGridDeployment:
         with pytest.raises(ValueError):
             dep.place_users([[5.0, 1.0]])
 
-    def test_serialization_round_trip(self):
-        dep = build_grid_deployment(3, 4, (30, 20), 7).place_users([[1, 1], [20, 15]])
-        from tmmse.topology import Deployment
-
-        again = Deployment.from_dict(dep.to_dict())
-        np.testing.assert_allclose(again.tx_positions, dep.tx_positions)
-        np.testing.assert_allclose(again.rx_positions, dep.rx_positions)
-
 
 class TestAssignment:
     @pytest.fixture
@@ -138,11 +130,3 @@ class TestAssignment:
     def test_nonempty_serving_sets(self):
         with pytest.raises(ValueError):
             association_from_stripes([()], 2, 3)
-
-    def test_association_round_trip(self, grid):
-        from tmmse.topology import AssociationMap
-
-        dep = grid.place_users([[10.0, 5.0], [90.0, 44.0]])
-        assoc = assign_serving_stripes(dep, 2)
-        again = AssociationMap.from_dict(assoc.to_dict())
-        assert again == assoc
