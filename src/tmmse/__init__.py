@@ -13,7 +13,6 @@ from .channel import (
     ChannelStatistics,
     Ensemble,
     FiniteSupportModel,
-    InformationStructure,
     LocalCsiModel,
     build_statistics,
     channel_gain,
@@ -48,7 +47,6 @@ from .precoding import (
     estimate_stripe_statistics,
     fit_scheme,
     local_filter,
-    local_mmse_baseline,
     local_mmse_coefficients,
     solve_statistical_precoders_bi,
     solve_statistical_precoders_uni,
@@ -61,7 +59,5 @@ from .topology import (
     Deployment,
     assign_serving_stripes,
     build_grid_deployment,
-    map_index,
     stripe_layout,
-    tx_index,
 )

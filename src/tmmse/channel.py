@@ -13,11 +13,15 @@ Two channel model flavors feed the precoding stage:
   Carlo model derived from deployment geometry;
 * :class:`FiniteSupportModel` -- a discrete joint distribution on which all
   expectations are exact finite sums (the substrate of the team oracle).
+
+A finite model's information classes follow a CSI sharing pattern, one
+entry of SHARING_PATTERNS: the TX at position pos of its stripe sees the
+estimate indices of stripe[pos] (no-share), stripe[:pos+1] (uni), the whole
+stripe (bi) or every TX (centralized).
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 
@@ -163,16 +167,11 @@ def build_statistics(
     rho2 = channel_gain(pl, noise)
     mean = np.sqrt(kappa / (kappa + 1.0) * rho2)
     scatter = rho2 / (kappa + 1.0)
-    known = np.zeros((K, L), dtype=bool)
-    stripes = deployment.stripes()
-    for k in range(K):
-        for q in association.serving_stripes[k]:
-            known[k, stripes[q]] = True
     return ChannelStatistics(
         rho2=rho2,
         mean=mean,
         scatter_var=scatter,
-        known=known,
+        known=association.mask().T,
         n_antennas=deployment.antennas_per_tx,
         distances=dist,
         pl_db=np.asarray(pl, float),
@@ -253,16 +252,22 @@ def draw_ensemble(statistics, csi_model, n_samples, seed_seq):
 
 
 # --------------------------------------------------------------------------
-# information structures and finite-support models
+# sharing patterns and finite-support models
 # --------------------------------------------------------------------------
 
-class InformationStructure(enum.Enum):
-    """CSIT sharing pattern along each stripe."""
+# pattern -> TXs seen by the TX at position pos of `stripe`; txs: all TXs
+SHARING_PATTERNS = {
+    "no-share": lambda stripe, pos, txs: [stripe[pos]],
+    "uni": lambda stripe, pos, txs: stripe[: pos + 1],
+    "bi": lambda stripe, pos, txs: stripe,
+    "centralized": lambda stripe, pos, txs: txs,
+}
 
-    NO_SHARING = "no-share"
-    UNIDIRECTIONAL = "uni"
-    BIDIRECTIONAL = "bi"
-    CENTRALIZED = "centralized"
+
+def _first_seen_labels(keys):
+    """Label each key by the rank of its value's first appearance."""
+    seen = {}
+    return [seen.setdefault(key, len(seen)) for key in keys]
 
 
 @dataclass
@@ -342,9 +347,7 @@ def finite_support_statistics(support, csi_rule, n_antennas=1):
         sigs.append(signals)
     labels = np.zeros((L, S), dtype=int)
     for l in range(L):
-        seen = {}
-        for s in range(S):
-            labels[l, s] = seen.setdefault(sigs[s][l], len(seen))
+        labels[l] = _first_seen_labels(sig[l] for sig in sigs)
     return FiniteSupportModel(
         h=hs, h_hat=h_hats, probs=probs, labels=labels, n_antennas=n_antennas
     )
@@ -363,9 +366,12 @@ def from_local_supports(
     est_supports[l] / err_supports[l] are lists of ((K, N) value, prob).
     Error supports must have zero mean so the local-estimation assumptions
     hold; the joint support is the full product, with information labels
-    derived from estimate indices per the requested sharing structure.
+    derived from estimate indices per SHARING_PATTERNS[structure].
     `max_points` guards against runaway product sizes.
     """
+    if structure not in SHARING_PATTERNS:
+        raise ValueError(f"unknown sharing pattern {structure!r}; "
+                         f"expected one of {tuple(SHARING_PATTERNS)}")
     L = len(est_supports)
     if len(err_supports) != L:
         raise ValueError("need one error support per TX")
@@ -403,21 +409,10 @@ def from_local_supports(
             est_idx[l, s] = ei
 
     labels = np.zeros((L, n_points), dtype=int)
-    structure = InformationStructure(structure)
     for stripe in stripes:
         for pos, l in enumerate(stripe):
-            if structure is InformationStructure.NO_SHARING:
-                keys = est_idx[l]
-            elif structure is InformationStructure.UNIDIRECTIONAL:
-                keys = [tuple(est_idx[j, s] for j in stripe[: pos + 1]) for s in range(n_points)]
-            elif structure is InformationStructure.BIDIRECTIONAL:
-                keys = [tuple(est_idx[j, s] for j in stripe) for s in range(n_points)]
-            else:  # CENTRALIZED: everything shared
-                keys = [tuple(est_idx[:, s]) for s in range(n_points)]
-            seen = {}
-            for s in range(n_points):
-                key = keys[s] if not isinstance(keys, np.ndarray) else int(keys[s])
-                labels[l, s] = seen.setdefault(key, len(seen))
+            visible = est_idx[list(SHARING_PATTERNS[structure](stripe, pos, range(L)))]
+            labels[l] = _first_seen_labels(map(tuple, visible.T.tolist()))
     return FiniteSupportModel(
         h=h, h_hat=h_hat, probs=probs, labels=labels, n_antennas=n_antennas
     )

@@ -38,6 +38,7 @@ SCHEMA_VERSION = 1
 ENV_PREFIX = "TMMSE_"
 POWER_MODES = ("sum", "per-tx")
 STAGES = ("channel", "statistics", "evaluation", "allocation")  # manifest timings
+RATE_COLUMNS = {"bits": "rate_bpcu", "nats": "rate_npcu"}  # rate_units -> CSV column
 
 # spawn-key phases under each (base_seed, drop)
 PHASE_POSITIONS, PHASE_SHADOW, PHASE_STATS, PHASE_EVAL = range(4)
@@ -131,7 +132,7 @@ class ScenarioConfig:
         for m in self.power_modes:
             if m not in POWER_MODES:
                 raise ValueError(f"unknown power mode {m!r}")
-        if self.rate_units not in ("bits", "nats"):
+        if self.rate_units not in RATE_COLUMNS:
             raise ValueError("rate_units must be 'bits' or 'nats'")
         return self
 
@@ -221,11 +222,8 @@ def run_drop(config, deployment, drop, out_dir=None):
             stripes = dep.stripes()
 
         if config.dump_gains and out_dir:
-            with open(os.path.join(out_dir, f"gains_drop{drop}.csv"), "w", newline="") as f:
-                writer = csv.writer(f)
-                writer.writerow(["l", "k", "distance_m", "PL_dB", "rho2"])
-                for row in gains_table(stats):
-                    writer.writerow([row[0], row[1]] + [f"{x:.12g}" for x in row[2:]])
+            _write_csv(os.path.join(out_dir, f"gains_drop{drop}.csv"),
+                       ["l", "k", "distance_m", "PL_dB", "rho2"], gains_table(stats))
 
         with timed("channel"):
             pool = draw_ensemble(stats, csi, config.statistics_samples,
@@ -330,7 +328,8 @@ def run(config, out_dir=None, progress=False):
     manifest["timings_s"] = {k: round(v, 6) for k, v in timings.items()}
     manifest["failures"] = failures
     if out_dir:
-        _write_rates_csv(os.path.join(out_dir, "rates.csv"), rows)
+        _write_csv(os.path.join(out_dir, "rates.csv"),
+                   ["drop", "user", "scheme", "power_mode", RATE_COLUMNS[config.rate_units]], rows)
         _write_json(
             os.path.join(out_dir, "report.json"),
             {"schema_version": SCHEMA_VERSION, "records": records},
@@ -346,12 +345,13 @@ def _write_json(path, obj):
         f.write("\n")
 
 
-def _write_rates_csv(path, rows):
+def _write_csv(path, header, rows):
+    """CSV with a header row; floats are written with 12 significant digits."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["drop", "user", "scheme", "power_mode", "rate_bpcu"])
-        for drop, user, scheme, mode, rate in rows:
-            writer.writerow([drop, user, scheme, mode, f"{rate:.12g}"])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{x:.12g}" if isinstance(x, float) else x for x in row])
 
 
 def emit_cdf(rows):
@@ -374,6 +374,8 @@ def read_rates_csv(path):
     rows = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
+        column = next((c for c in RATE_COLUMNS.values() if c in (reader.fieldnames or ())),
+                      RATE_COLUMNS["bits"])  # either unit's column
         for rec in reader:
             rows.append(
                 (
@@ -381,18 +383,14 @@ def read_rates_csv(path):
                     int(rec["user"]),
                     rec["scheme"],
                     rec["power_mode"],
-                    float(rec["rate_bpcu"]),
+                    float(rec[column]),
                 )
             )
     return rows
 
 
-def write_cdf_csv(path, cdf_rows):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["scheme", "power_mode", "rate_bpcu", "cdf"])
-        for scheme, mode, rate, level in cdf_rows:
-            writer.writerow([scheme, mode, f"{rate:.12g}", f"{level:.12g}"])
+def write_cdf_csv(path, cdf_rows, rate_units="bits"):
+    _write_csv(path, ["scheme", "power_mode", RATE_COLUMNS[rate_units], "cdf"], cdf_rows)
 
 
 # --------------------------------------------------------------------------
@@ -487,7 +485,8 @@ def main(argv=None):
     result = run(config, progress=args.progress)
     want_cdf = args.emit_cdf if args.emit_cdf is not None else _env_flag("EMIT_CDF")
     if want_cdf and result.rate_rows:
-        write_cdf_csv(os.path.join(result.out_dir, "cdf.csv"), emit_cdf(result.rate_rows))
+        write_cdf_csv(os.path.join(result.out_dir, "cdf.csv"), emit_cdf(result.rate_rows),
+                      config.rate_units)
     n_rates = len(result.rate_rows)
     print(
         f"completed {config.drops} drops, {n_rates} rate records, "

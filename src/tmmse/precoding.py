@@ -443,12 +443,6 @@ def local_mmse_coefficients(ensemble, association, psi, w, total_power):
     return coeffs
 
 
-def local_mmse_baseline(ensemble, coefficients, psi, w, total_power):
-    """Apply the restricted scheme t_{l,k} = c_{l,k} T_l e_k per realization."""
-    t = local_filter(tx_blocks(ensemble.h_hat, ensemble.n_antennas), psi, w, total_power)
-    return (t * coefficients[:, None, :]).reshape(ensemble.n_samples, -1, ensemble.num_users)
-
-
 # --------------------------------------------------------------------------
 # sequential fronthaul protocol
 # --------------------------------------------------------------------------
@@ -498,7 +492,10 @@ class LocalMmseState:
     coefficients: np.ndarray  # (L, K)
 
     def apply(self, ensemble, psi, w, total_power):
-        return local_mmse_baseline(ensemble, self.coefficients, psi, w, total_power)
+        """t_{l,k} = c_{l,k} T_l e_k per realization."""
+        t = local_filter(tx_blocks(ensemble.h_hat, ensemble.n_antennas), psi, w, total_power)
+        s, k = ensemble.n_samples, ensemble.num_users
+        return (t * self.coefficients[:, None, :]).reshape(s, -1, k)
 
     def dump_matrices(self):
         return []

@@ -1,11 +1,11 @@
 """Radio-stripe deployment geometry and user-centric association structure.
 
 Stripes are serial chains of transmitters (TXs) mounted at ceiling height,
-running parallel to the width (x) axis of a rectangular service area.
-Stripe q sits at depth y = (q - 1/2) * depth / Q; TX m of a stripe sits at
-x = (m - 1/2) * width / M.  The flat TX index follows the per-stripe
-ordering l = (q - 1) * M + m (1-based convention); all arrays in this
-package index TXs, stripes, and users 0-based.
+parallel to the width (x) axis of a rectangular service area.  Indices are
+0-based: TX m of stripe q (m = 0, the master unit, first) has the flat index
+l = q * M + m (stripe_layout).  build_grid_deployment places that TX at
+x = (m + 1/2) * width / M, y = (q + 1/2) * depth / Q; a stripe's depth is
+read from its TXs' positions.
 """
 
 from __future__ import annotations
@@ -14,24 +14,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def map_index(l, num_stripes, txs_per_stripe):
-    """Map a 1-based flat TX index l to the 1-based pair (stripe q, position m)."""
-    total = num_stripes * txs_per_stripe
-    if not 1 <= l <= total:
-        raise ValueError(f"TX index {l} outside 1..{total}")
-    q, m = divmod(l - 1, txs_per_stripe)
-    return q + 1, m + 1
-
-
-def tx_index(q, m, num_stripes, txs_per_stripe):
-    """Inverse of :func:`map_index`: 1-based (q, m) -> 1-based flat index l."""
-    if not 1 <= q <= num_stripes:
-        raise ValueError(f"stripe index {q} outside 1..{num_stripes}")
-    if not 1 <= m <= txs_per_stripe:
-        raise ValueError(f"position index {m} outside 1..{txs_per_stripe}")
-    return (q - 1) * txs_per_stripe + m
 
 
 def stripe_layout(num_stripes, txs_per_stripe):
@@ -54,7 +36,6 @@ class Deployment:
     txs_per_stripe: int
     antennas_per_tx: int
     area: tuple  # (width, depth) in meters
-    height: float  # TX-RX height difference in meters
     tx_positions: np.ndarray
     rx_positions: np.ndarray
 
@@ -65,11 +46,6 @@ class Deployment:
     @property
     def num_users(self):
         return int(self.rx_positions.shape[0])
-
-    def stripe_depths(self):
-        """y coordinate of each stripe line."""
-        depth = self.area[1]
-        return (np.arange(self.num_stripes) + 0.5) * depth / self.num_stripes
 
     def stripes(self):
         return stripe_layout(self.num_stripes, self.txs_per_stripe)
@@ -103,16 +79,13 @@ def build_grid_deployment(num_stripes, txs_per_stripe, area, height, antennas_pe
         raise ValueError("area dimensions must be positive")
     ys = (np.arange(num_stripes) + 0.5) * depth / num_stripes
     xs = (np.arange(txs_per_stripe) + 0.5) * width / txs_per_stripe
-    tx = np.zeros((num_stripes * txs_per_stripe, 3))
-    for q in range(num_stripes):
-        for m in range(txs_per_stripe):
-            tx[q * txs_per_stripe + m] = (xs[m], ys[q], height)
+    tx = np.column_stack([np.tile(xs, num_stripes), np.repeat(ys, txs_per_stripe),
+                          np.full(num_stripes * txs_per_stripe, float(height))])
     return Deployment(
         num_stripes=num_stripes,
         txs_per_stripe=txs_per_stripe,
         antennas_per_tx=antennas_per_tx,
         area=(width, depth),
-        height=float(height),
         tx_positions=tx,
         rx_positions=np.zeros((0, 3)),
     )
@@ -176,8 +149,9 @@ def assign_serving_stripes(deployment, num_serving):
     """Associate each user with its num_serving closest stripes.
 
     Closeness is the perpendicular planar distance from the user to the
-    stripe line; equidistant stripes are broken toward the lower stripe
-    index so association is deterministic.
+    stripe line, at the depth (y) of the stripe's master TX; equidistant
+    stripes are broken toward the lower stripe index so association is
+    deterministic.
     """
     if not 1 <= num_serving <= deployment.num_stripes:
         raise ValueError(
@@ -186,7 +160,7 @@ def assign_serving_stripes(deployment, num_serving):
     rx = deployment.rx_positions
     if rx.shape[0] == 0:
         raise ValueError("deployment has no users")
-    depths = deployment.stripe_depths()
+    depths = deployment.tx_positions[[stripe[0] for stripe in deployment.stripes()], 1]
     serving = []
     for k in range(rx.shape[0]):
         d = np.abs(rx[k, 1] - depths)

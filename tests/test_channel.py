@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tmmse.channel import (
+    SHARING_PATTERNS,
     Ensemble,
-    InformationStructure,
     build_statistics,
     channel_gain,
     draw_ensemble,
@@ -96,7 +96,7 @@ class TestStatistics:
 
     def test_distances_include_height(self, small_scenario):
         dep, _, stats = small_scenario
-        assert (stats.distances >= dep.height).all()
+        assert (stats.distances >= dep.tx_positions[:, 2]).all()  # (K, L) against TX heights
 
 
 class TestSampling:
@@ -224,9 +224,14 @@ class TestFiniteSupport:
         pairs_uni = set(zip(uni.labels[last], bi.labels[last]))
         assert len(pairs_uni) == len(set(uni.labels[last]))
 
-    def test_structure_enum_round_trip(self):
-        for s in InformationStructure:
-            assert InformationStructure(s.value) is s
+    def test_unknown_sharing_pattern_lists_allowed_names(self):
+        est = [[(np.ones((1, 1), complex), 1.0)]]
+        err = [[(np.zeros((1, 1), complex), 1.0)]]
+        with pytest.raises(ValueError, match="full") as info:
+            from_local_supports(est, err, "full", [[0]])
+        for name in ("no-share", "uni", "bi", "centralized"):
+            assert repr(name) in str(info.value)
+        assert set(SHARING_PATTERNS) == {"no-share", "uni", "bi", "centralized"}
 
 
 class TestTxBlocks:

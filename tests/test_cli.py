@@ -145,6 +145,21 @@ class TestRun:
             assert row[:4] == orig[:4]
             assert row[4] == pytest.approx(orig[4], rel=1e-11)
 
+    def test_nats_rate_column(self, tmp_path):
+        cfg = small_config(drops=1, schemes=("uni",), rate_units="nats",
+                           output_dir=str(tmp_path / "out"))
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert main(["--config", str(cfg_path), "--emit-cdf"]) == 0
+        rates_csv = tmp_path / "out" / "rates.csv"
+        assert rates_csv.read_text().splitlines()[0] == "drop,user,scheme,power_mode,rate_npcu"
+        cdf_header = (tmp_path / "out" / "cdf.csv").read_text().splitlines()[0]
+        assert cdf_header == "scheme,power_mode,rate_npcu,cdf"
+        rows = run(cfg, out_dir=str(tmp_path / "again")).rate_rows
+        back = read_rates_csv(rates_csv)
+        assert [r[:4] for r in back] == [r[:4] for r in rows]
+        np.testing.assert_allclose([r[4] for r in back], [r[4] for r in rows], rtol=1e-11)
+
     def test_gain_dump(self, tmp_path):
         cfg = small_config(drops=1, schemes=("centralized",), dump_gains=True)
         run(cfg, out_dir=str(tmp_path / "out"))
@@ -295,7 +310,50 @@ class TestCdf:
         assert path.read_text().splitlines()[1] == "uni,sum,1.25,0.5"
 
 
+# every option but --progress and --help reads TMMSE_<FLAG>, dashes as underscores
+ENV_OPTIONS = [
+    opt for action in build_parser()._actions for opt in action.option_strings
+    if opt.startswith("--") and opt not in ("--help", "--progress")
+]
+ENV_VALUES = {  # option -> (variable value, config field, resolved value)
+    "--seed": ("123", "base_seed", 123),
+    "--drops": ("5", "drops", 5),
+    "--samples-stats": ("70", "statistics_samples", 70),
+    "--samples-eval": ("80", "evaluation_samples", 80),
+    "--schemes": ("uni,bi", "schemes", ("uni", "bi")),
+    "--power-mode": ("per-tx", "power_modes", ("per-tx",)),
+    "--out": ("elsewhere", "output_dir", "elsewhere"),
+    "--strict": ("1", "strict", True),
+    "--clamp-negative-powers": ("yes", "clamp_negative_powers", True),
+    "--dump-gains": ("true", "dump_gains", True),
+    "--dump-stats": ("1", "dump_stats", True),
+}
+
+
 class TestFlagsAndEnv:
+    @pytest.mark.parametrize("option", ENV_OPTIONS)
+    def test_every_option_reads_its_environment_variable(self, option, tmp_path, monkeypatch):
+        name = "TMMSE_" + option[2:].upper().replace("-", "_")
+        cfg_path = tmp_path / "scenario.json"
+        out = tmp_path / "out"
+        cfg_path.write_text(json.dumps(small_config(
+            drops=1, schemes=("no-share",), power_modes=("sum",), output_dir=str(out),
+        ).to_dict()))
+        if option == "--config":
+            monkeypatch.setenv(name, str(cfg_path))
+            assert resolve_config(build_parser().parse_args([])).num_users == 3
+        elif option == "--emit-cdf":
+            main(["--config", str(cfg_path)])
+            assert not (out / "cdf.csv").exists()
+            monkeypatch.setenv(name, "1")
+            main(["--config", str(cfg_path)])
+            assert (out / "cdf.csv").exists()
+        else:
+            value, field, expected = ENV_VALUES[option]
+            assert getattr(ScenarioConfig(), field) != expected
+            monkeypatch.setenv(name, value)
+            assert getattr(resolve_config(build_parser().parse_args([])), field) == expected
+
     def test_flags_override_env_override_file(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "scenario.json"
         cfg_path.write_text(json.dumps(small_config(drops=7).to_dict()))

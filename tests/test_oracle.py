@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -64,16 +66,28 @@ class TestTrivialCollapses:
             np.testing.assert_allclose(stack[:, :, k], t_star, atol=1e-8)
 
     def test_multi_antenna_closed_forms_match_oracle(self, rng):
-        # N = 2 antennas per TX exercises the general block paths
-        for structure, scheme in (("no-share", "no-share"), ("uni", "uni"), ("bi", "bi")):
+        # Multi-antenna branch shapes (Q, M, K, N): (1, 2, 3, 2) the dense sweep
+        # guard; (1, 2, 2, 3) N > K, the push-through filter and LAPACK hop
+        # solves; (1, 2, 5, 2) K > 2N, the QR-restricted guard; (2, 2, 3, 2) two
+        # coupled stripes; (1, 3, 1, 2) a single user.  Centralized is left out:
+        # with a partial association the oracle solves another problem
+        # (TestCentralized covers the full one).
+        shapes = [(1, 2, 3, 2), (1, 2, 2, 3), (1, 2, 5, 2), (2, 2, 3, 2), (1, 3, 1, 2)]
+        for (num_stripes, txs_per_stripe, num_users, n), scheme in itertools.product(
+            shapes, ("no-share", "uni", "bi")
+        ):
             model, stripes, assoc, w, power = random_stripe_setup(
-                rng, 1, 2, 3, structure, n_antennas=2, max_points=16
+                rng, num_stripes, txs_per_stripe, num_users, scheme,
+                n_antennas=n, max_points=16,
             )
             problem = team_problem(model, assoc, w, power)
             stack = closed_form_stack(model, scheme, assoc, stripes, w, power)
             for k in range(model.num_users):
-                t_star = solve_team_exact(problem, k)
-                np.testing.assert_allclose(stack[:, :, k], t_star, atol=1e-8)
+                np.testing.assert_allclose(
+                    stack[:, :, k], solve_team_exact(problem, k), atol=1e-8,
+                    err_msg=f"{scheme} at (Q, M, K, N) = "
+                            f"{(num_stripes, txs_per_stripe, num_users, n)}, user {k}",
+                )
 
 
 class TestStationarityCheck:

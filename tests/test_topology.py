@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,45 +7,33 @@ from tmmse.topology import (
     assign_serving_stripes,
     association_from_stripes,
     build_grid_deployment,
-    map_index,
     stripe_layout,
-    tx_index,
 )
-
-
-class TestIndexMapping:
-    def test_first_element(self):
-        assert map_index(1, 5, 20) == (1, 1)
-
-    def test_row_major_convention(self):
-        assert map_index(21, 5, 20) == (2, 1)
-
-    def test_last_element(self):
-        assert map_index(100, 5, 20) == (5, 20)
-
-    @pytest.mark.parametrize("l", [0, 101, -3])
-    def test_out_of_range_rejected(self, l):
-        with pytest.raises(ValueError):
-            map_index(l, 5, 20)
-
-    def test_bijection(self):
-        for l in range(1, 101):
-            q, m = map_index(l, 5, 20)
-            assert tx_index(q, m, 5, 20) == l
-
-    def test_inverse_range_checks(self):
-        with pytest.raises(ValueError):
-            tx_index(6, 1, 5, 20)
-        with pytest.raises(ValueError):
-            tx_index(1, 21, 5, 20)
 
 
 class TestGridDeployment:
     def test_case_study_grid(self):
         dep = build_grid_deployment(5, 20, (100, 50), 7)
         assert dep.num_txs == 100
-        np.testing.assert_allclose(dep.stripe_depths(), [5, 15, 25, 35, 45])
+        np.testing.assert_allclose(dep.tx_positions[::20, 1], [5, 15, 25, 35, 45])
         assert (dep.tx_positions[:, 2] == 7).all()
+
+    def test_numbering_and_geometry(self):
+        # 0-based l = q * M + m, master unit first
+        assert stripe_layout(5, 20) == [[20 * q + m for m in range(20)] for q in range(5)]
+        # non-square grid: TX m of stripe q at ((m + 1/2) 10, (q + 1/2) 10, height)
+        dep = build_grid_deployment(3, 4, (40, 30), 5)
+        for q, stripe in enumerate(stripe_layout(3, 4)):
+            for m, l in enumerate(stripe):
+                np.testing.assert_allclose(dep.tx_positions[l], [(m + 0.5) * 10, (q + 0.5) * 10, 5])
+        # stripes rank by those depths (5, 15, 25): the two nearest to y = 18
+        user = [[3.0, 18.0]]
+        assert assign_serving_stripes(dep.place_users(user), 2).serving_stripes[0] == (1, 2)
+        # the depth is read from the TX positions: move stripe 0 to y = 17.5
+        tx = dep.tx_positions.copy()
+        tx[:4, 1] = 17.5
+        moved = dataclasses.replace(dep, tx_positions=tx).place_users(user)
+        assert assign_serving_stripes(moved, 2).serving_stripes[0] == (0, 1)
 
     def test_single_tx_centroid(self):
         dep = build_grid_deployment(1, 1, (10, 10), 3)
