@@ -13,11 +13,12 @@ One regularized MMSE filter, local_filter, serves every scheme: it gives
 the local filters T_l, and the centralized precoder is the same filter on
 the stacked estimate.
 
-Every team scheme runs one stripe recursion (a backward sweep for the
-update matrices V, a forward product for the precoders).  Unidirectional
-and bidirectional sharing differ only in the downstream response D, the
-statistical Pi or the per-realization Pbar; no sharing is unidirectional
-sharing on stripes of one TX.
+bi is the centralized filter on each stripe: every TX of a stripe sees the
+stripe's whole estimate, and the paper's per-realization Pbar recursion is a
+hop-by-hop elimination of that one block-diagonal-Psi MMSE system.  The
+stripe recursion (a backward sweep for the update matrices V, a forward
+product for the precoders) serves uni, with the statistical Pi as the
+downstream response, and no-share, which is uni on stripes of one TX.
 
 The recursion runs in capacitance form.  A TX's response P = A T, with
 A = W^1/2 Hhat_l (K, N) and T its local filter (N, K), has rank <= N, and
@@ -52,7 +53,10 @@ COEFF_RESIDUAL_TOL = 1e-10
 
 
 class SingularSweepError(RuntimeError):
-    """A stripe-sweep system (I - Pi P) was numerically singular."""
+    """A stripe-sweep system (I - Pi P) was numerically singular.
+
+    Only uni and no-share raise it.  bi has no sweep: its stripe filter's
+    system has eigenvalues >= 1/P (N*M <= K) or >= 1 (push-through)."""
 
     def __init__(self, stripe, position, sample, rcond):
         self.stripe = stripe
@@ -118,6 +122,22 @@ def local_filter(h_hat, psi, w, total_power):
     a = hh @ (w[:, None] * h_hat) + psi + np.eye(n) / total_power
     hh *= np.sqrt(w)  # Hhat^H W^1/2, broadcast over trailing K axis
     return _solve_small(a, hh)
+
+
+def _group_filter(h_hat, txs, psi, w, total_power):
+    """MMSE filter F (..., N*G, K) of the stacked estimate Hhat (..., K, N*G)
+    of G consecutive TXs txs, with their Psi blocks on the diagonal of its
+    error covariance.  Returns F and Hhat, a view of h_hat's columns, so
+    filtering all TXs (centralized) copies no pool."""
+    n = psi.shape[-1]
+    lo, hi = txs[0], txs[-1] + 1
+    if list(txs) != list(range(lo, hi)):
+        raise ValueError(f"TX group {list(txs)} is not a run of consecutive TXs")
+    h = h_hat[..., lo * n : hi * n]
+    g = hi - lo
+    psi_full = np.zeros((g, n, g, n), dtype=complex)
+    psi_full[range(g), :, range(g)] = psi[lo:hi]  # block l on the diagonal
+    return local_filter(h, psi_full.reshape(g * n, g * n), w, total_power), h
 
 
 def _filters_and_channels(h_hat, txs, psi, w, total_power):
@@ -193,7 +213,7 @@ def _solve_hops(t, a, d, stripe, positions):
     first of the stripe's positions whose rcond falls below RCOND_FLOOR,
     naming its worst sample.  The arrays carry the
     positions on the axis before the matrix axes, or no such axis for a
-    single position.  Returns (T V, D A).
+    single position.  Returns T V.
     """
     da = d @ a
     rcond = np.reshape(_sweep_rcond(da, t), (-1, len(positions)))
@@ -203,35 +223,7 @@ def _solve_hops(t, a, d, stripe, positions):
         raise SingularSweepError(
             stripe, positions[i], int(np.argmin(rcond[:, i])), float(rcond[:, i].min()))
     c = np.eye(t.shape[-2]) - t @ da
-    return _solve_small(c, t - t @ d), da
-
-
-def _backward_sweep(h_hat, txs, psi, w, total_power, stripe, weights=None):
-    """Backward recursion over the positions m = M..1 of one stripe, in
-    capacitance form (P_m = A_m T_m and V_m never formed):
-
-        T_m V_m = C_m^-1 T_m (I - D_m),  C_m = I_N - T_m D_m A_m,
-        D_{m-1} = D_m + (I - D_m) R(A_m T_m V_m).
-
-    The chain end needs no solve: V_M = I, D_{M-1} = R(A_M T_M) (D_M = 0).
-    R is the ensemble mean under the given weights for unidirectional
-    sharing (D is the statistical Pi, and R(A T V) is one GEMM over the
-    pool) and the identity without them for bidirectional sharing (D is the
-    per-realization Pbar, updated as D + ((I - D) A) T V).  Yields
-    (A_m, T_m V_m, D_{m-1}) from m = M down, with None for A_M: nothing is
-    forwarded past the chain end.
-    """
-    eye = np.eye(len(w))
-    d = None
-    for m in range(len(txs), 0, -1):
-        t, a = _filters_and_channels(h_hat, txs[m - 1], psi, w, total_power)
-        tv, da = (t, None) if d is None else _solve_hops(t, a, d, stripe, [m - 1])
-        if weights is not None:
-            r = _mean(weights, a, tv)
-            d = r if d is None else d + (eye - d) @ r
-        else:
-            d = a @ tv if d is None else d + (a - da) @ tv
-        yield (a if m < len(txs) else None), tv, d
+    return _solve_small(c, t - t @ d)
 
 
 def _forward_product(hops, u):
@@ -262,22 +254,22 @@ def _uni_hops(h_hat, txs, stats, psi, w, total_power):
     t, a = _filters_and_channels(h_hat, list(txs), psi, w, total_power)
     tv = t
     if len(txs) > 1:
-        head, _ = _solve_hops(t[..., :-1, :, :], a[..., :-1, :, :], stats.pi[1:-1],
-                              stats.stripe, range(len(txs) - 1))
+        head = _solve_hops(t[..., :-1, :, :], a[..., :-1, :, :], stats.pi[1:-1],
+                           stats.stripe, range(len(txs) - 1))
         tv = np.concatenate([head, t[..., -1:, :, :]], axis=-3)
     a = list(np.moveaxis(a, -3, 0))
     a[-1] = None
     return zip(a, np.moveaxis(tv, -3, 0))
 
 
-def _team_stack(ensemble, stripes, coeffs, hops):
-    """Precoder stack (S, N*L, K) of the forward products from c_q of every
-    stripe with nonzero coefficients; hops(q) gives the stripe's (A, T V)."""
+def _team_stack(ensemble, stripes, coeffs, precoders):
+    """Precoder stack (S, N*L, K) of every stripe with nonzero coefficients;
+    precoders(q) gives the (S, N, K) rows of stripe q's TXs in order."""
     n = ensemble.n_antennas
     out = np.zeros((ensemble.n_samples, ensemble.num_txs * n, ensemble.num_users), complex)
     for q, txs in enumerate(stripes):
         if np.any(coeffs[q]):
-            for l, x in zip(txs, _forward_product(hops(q), coeffs[q])):
+            for l, x in zip(txs, precoders(q)):
                 out[:, l * n : (l + 1) * n] = x
     return out
 
@@ -300,29 +292,40 @@ class StripeStatistics:
 
 
 def estimate_stripe_statistics(ensemble, stripe_txs, psi, w, total_power, stripe=0):
-    """Backward sweep m = M..1 accumulating Pi_{m-1} = E[P_m V_m] + Pi_m E[Vbar_m].
+    """Backward sweep m = M..1 accumulating Pi_{m-1} = E[P_m V_m] + Pi_m E[Vbar_m],
+    in capacitance form (P_m = A_m T_m and V_m never formed):
 
-    Expectations are weighted sums over the ensemble: exact on finite
-    support, Monte Carlo averages otherwise.  The pool must be independent
-    of the evaluation pool to keep rate estimates unbiased.
+        T_m V_m = C_m^-1 T_m (I - Pi_m),  C_m = I_N - T_m Pi_m A_m,
+        Pi_{m-1} = Pi_m + (I - Pi_m) E[A_m T_m V_m],
+
+    where E[A T V] is one GEMM over the pool.  The chain end needs no solve:
+    V_M = I and Pi_{M-1} = E[A_M T_M] (Pi_M = 0).  Expectations are weighted
+    sums over the ensemble: exact on finite support, Monte Carlo averages
+    otherwise.  The pool must be independent of the evaluation pool to keep
+    rate estimates unbiased.
     """
-    pi = [d for *_, d in _backward_sweep(
-        ensemble.h_hat, stripe_txs, psi, w, total_power, stripe, ensemble.weights)]
+    eye = np.eye(len(w))
+    pi = []
+    for m in range(len(stripe_txs), 0, -1):
+        t, a = _filters_and_channels(ensemble.h_hat, stripe_txs[m - 1], psi, w, total_power)
+        tv = _solve_hops(t, a, pi[-1], stripe, [m - 1]) if pi else t
+        r = _mean(ensemble.weights, a, tv)
+        pi.append(pi[-1] + (eye - pi[-1]) @ r if pi else r)
     pi = np.array(pi[::-1] + [np.zeros_like(pi[0])])  # Pi_M = 0 at the chain end
     return StripeStatistics(stripe, pi)
 
 
-def bidirectional_coupling(ensemble, stripe_txs, psi, w, total_power, stripe=0):
-    """Statistical chain response E[Pbar_{q,0}] of the full-stripe-CSI sweep.
+def bidirectional_coupling(ensemble, stripe_txs, psi, w, total_power):
+    """Statistical chain response E[Pbar_{q,0}] = E[W^1/2 Hhat_q F_q] of stripe q.
 
     This is the bidirectional counterpart of Pi_{q,0}: the cross-stripe
-    coupling matrix entering the coefficient system.  It differs from the
-    unidirectional Pi_{q,0} whenever the fading is non-degenerate, because
-    the sweep uses realization-dependent update matrices.
+    coupling matrix entering the coefficient system.  The per-realization
+    Pbar_{q,0} of the paper's full-stripe-CSI sweep is the response of the
+    stripe's MMSE filter F_q, so no sweep is run.  It differs from the
+    unidirectional Pi_{q,0} whenever the fading is non-degenerate.
     """
-    for *_, pbar in _backward_sweep(ensemble.h_hat, stripe_txs, psi, w, total_power, stripe):
-        pass  # down to Pbar_{q,0}
-    return _mean(ensemble.weights, pbar)
+    f, h = _group_filter(ensemble.h_hat, stripe_txs, psi, w, total_power)
+    return _mean(ensemble.weights, np.sqrt(w)[:, None] * h, f)
 
 
 def _coefficient_guard(rcond, failed):
@@ -384,29 +387,24 @@ def tmmse_unidirectional(ensemble, stripe_stats, coeffs, stripes, psi, w, total_
     and the statistical Pi matrices, so position m uses exactly the
     unidirectionally shared information (Hhat_{q,1}, ..., Hhat_{q,m}).
     """
-    return _team_stack(ensemble, stripes, coeffs, lambda q: _uni_hops(
-        ensemble.h_hat, stripes[q], stripe_stats[q], psi, w, total_power))
+    return _team_stack(ensemble, stripes, coeffs, lambda q: _forward_product(_uni_hops(
+        ensemble.h_hat, stripes[q], stripe_stats[q], psi, w, total_power), coeffs[q]))
 
 
 def tmmse_bidirectional(ensemble, coeffs, stripes, psi, w, total_power):
-    """Full-stripe-CSI precoders: the statistical Pi of the downstream chain is
-    replaced by its per-realization value Pbar, computed in a backward sweep;
-    the coupling coefficients c stay statistical (solved from E[Pbar_{q,0}])."""
-    def hops(q):
-        sweep = _backward_sweep(ensemble.h_hat, stripes[q], psi, w, total_power, q)
-        return [step[:2] for step in sweep][::-1]
-
-    return _team_stack(ensemble, stripes, coeffs, hops)
+    """Full-stripe-CSI precoders t_q = F_q c_q, F_q the MMSE filter of stripe
+    q's stacked estimate (the paper's backward sweep with the per-realization
+    Pbar in place of Pi, solved in one system); the coupling coefficients c
+    stay statistical (solved from E[Pbar_{q,0}])."""
+    return _team_stack(ensemble, stripes, coeffs, lambda q: np.split(_group_filter(
+        ensemble.h_hat, stripes[q], psi, w, total_power)[0] @ coeffs[q], len(stripes[q]), -2))
 
 
 def centralized_mmse(ensemble, psi, w, total_power):
     """Full message and CSIT sharing reference (the sum-power benchmark):
     local_filter on the stacked (S, K, N*L) estimate with block-diagonal error
     covariance, so for N*L > K no per-sample (N*L)^2 system is formed."""
-    n, L = ensemble.n_antennas, ensemble.num_txs
-    psi_full = np.zeros((L, n, L, n), dtype=complex)
-    psi_full[range(L), :, range(L)] = psi  # block l on the diagonal
-    return local_filter(ensemble.h_hat, psi_full.reshape(L * n, L * n), w, total_power)
+    return _group_filter(ensemble.h_hat, range(ensemble.num_txs), psi, w, total_power)[0]
 
 
 def local_mmse_coefficients(ensemble, association, psi, w, total_power):
@@ -556,8 +554,7 @@ def _fit_no_share(scheme, ensemble, association, stripes, psi, w, total_power):
 
 def _fit_bi(scheme, ensemble, association, stripes, psi, w, total_power):
     coupling = np.stack([
-        bidirectional_coupling(ensemble, txs, psi, w, total_power, stripe=q)
-        for q, txs in enumerate(stripes)
+        bidirectional_coupling(ensemble, txs, psi, w, total_power) for txs in stripes
     ])
     coeffs = solve_statistical_precoders_bi(association, coupling)
     return BiState(scheme, stripes, coupling, coeffs)

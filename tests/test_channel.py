@@ -13,7 +13,7 @@ from tmmse.channel import (
     path_loss_db,
     tx_blocks,
 )
-from tmmse.topology import assign_serving_stripes, build_grid_deployment
+from tmmse.topology import assign_serving_stripes, build_grid_deployment, stripe_layout
 
 
 class TestLinkBudget:
@@ -210,19 +210,26 @@ class TestFiniteSupport:
                 np.testing.assert_allclose(psi[l], direct, atol=1e-12)
 
     def test_information_structure_labels_nest(self, rng):
-        from tests.conftest import random_stripe_setup
+        from tests.conftest import random_supports
 
-        # finer structures refine coarser ones on the same support
-        rng2 = np.random.default_rng(99)
-        setups = {
-            s: random_stripe_setup(np.random.default_rng(99), 1, 3, 2, s)[0]
-            for s in ("no-share", "uni", "bi")
-        }
-        uni, bi = setups["uni"], setups["bi"]
-        # unidirectional classes at the last TX coincide with bidirectional ones
-        last = uni.num_txs - 1
-        pairs_uni = set(zip(uni.labels[last], bi.labels[last]))
-        assert len(pairs_uni) == len(set(uni.labels[last]))
+        # On one shared support, at every position of every stripe, each finer
+        # pattern's classes refine the coarser one's: samples a TX cannot tell
+        # apart under the finer pattern share a class under the coarser one.
+        # Each step is strict at some TX, so equal partitions do not pass.
+        Q, M, K = 2, 3, 2
+        stripes = stripe_layout(Q, M)
+        est, err = random_supports(rng, Q * M, K)
+        order = ("centralized", "bi", "uni", "no-share")
+        labels = {s: from_local_supports(est, err, s, stripes, max_points=256).labels
+                  for s in order}
+        for fine, coarse in zip(order, order[1:]):
+            strict = False
+            for l in range(Q * M):
+                n_fine = len(set(labels[fine][l]))
+                assert len(set(zip(labels[fine][l], labels[coarse][l]))) == n_fine, (
+                    fine, coarse, l)
+                strict |= n_fine > len(set(labels[coarse][l]))
+            assert strict, (fine, coarse)
 
     def test_unknown_sharing_pattern_lists_allowed_names(self):
         est = [[(np.ones((1, 1), complex), 1.0)]]

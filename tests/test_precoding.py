@@ -18,6 +18,7 @@ from tmmse.precoding import (
     SingularSweepError,
     StripeStatistics,
     apply_scheme,
+    bidirectional_coupling,
     centralized_mmse,
     estimate_stripe_statistics,
     fit_scheme,
@@ -420,15 +421,21 @@ class TestSchemeEquivalences:
         np.testing.assert_allclose(bi, cent, atol=1e-8)
 
     def test_injected_zero_coupling_reduces_to_plain_sweep(self, rng):
-        model, stripes, assoc, w, power = random_stripe_setup(rng, 2, 2, 2, "bi")
+        # the hand-written per-realization Pbar sweep of the paper is the
+        # reference for both bi stages; N*M <= K takes local_filter's normal
+        # equations on the stripe, N*M > K its push-through form
+        for Q, M, K, N in ((2, 2, 2, 1), (2, 3, 2, 1), (1, 2, 4, 2), (1, 2, 3, 2)):
+            self._check_plain_sweep(*random_stripe_setup(rng, Q, M, K, "bi", n_antennas=N))
+
+    @staticmethod
+    def _check_plain_sweep(model, stripes, assoc, w, power):
+        K, N = model.num_users, model.n_antennas
         psi = model.psi_stack(w)
         ens = exact_ensemble(model)
-        eye_coeffs = np.stack([np.eye(2, dtype=complex)] * 2)
-        full_assoc = association_from_stripes([(0, 1)] * 2, 2, 2)
+        eye_coeffs = np.stack([np.eye(K, dtype=complex)] * len(stripes))
         bi = tmmse_bidirectional(ens, eye_coeffs, stripes, psi, w, power)
         # with c = e_k the per-user output is the pure per-realization sweep
         for q, txs in enumerate(stripes):
-            K = model.num_users
             pbar = np.zeros((ens.n_samples, K, K), complex)
             v_list = [None] * len(txs)
             ps, ts = [], []
@@ -442,10 +449,13 @@ class TestSchemeEquivalences:
                 v_list[m - 1] = v
                 pv = ps[m - 1] @ v
                 pbar = pv + pbar @ (np.eye(K) - pv)
+            np.testing.assert_allclose(
+                bidirectional_coupling(ens, txs, psi, w, power),
+                np.einsum("s,sij->ij", ens.weights, pbar), rtol=1e-9, atol=1e-11)
             prefix = np.broadcast_to(np.eye(K), (ens.n_samples, K, K)).astype(complex)
             for m, l in enumerate(txs, start=1):
                 np.testing.assert_allclose(
-                    bi[:, l : l + 1, :], ts[m - 1] @ v_list[m - 1] @ prefix, atol=1e-9
+                    bi[:, l * N : (l + 1) * N, :], ts[m - 1] @ v_list[m - 1] @ prefix, atol=1e-9
                 )
                 if m < len(txs):
                     prefix = (np.eye(K) - ps[m - 1] @ v_list[m - 1]) @ prefix
@@ -561,35 +571,37 @@ class TestLocalMmseBaseline:
 
 
 class TestForwardPass:
-    def _setup(self, rng, num_users=3):
+    def _setup(self, rng, num_users=3, n_antennas=1):
         model, stripes, assoc, w, power = random_stripe_setup(
-            rng, 2, 3, num_users, "uni", max_points=64
+            rng, 2, 3, num_users, "uni", max_points=64, n_antennas=n_antennas
         )
         psi = model.psi_stack(w)
         ens = exact_ensemble(model)
         state = fit_scheme("uni", ens, assoc, stripes, psi, w, power)
-        stack = tmmse_unidirectional(
-            ens, state.stripe_stats, state.stripe_coeffs, stripes, psi, w, power
-        )
+        stack = apply_scheme(state, ens, assoc, stripes, psi, w, power)
         return model, stripes, assoc, w, power, psi, ens, state, stack
 
     def test_superposition_identity(self, rng):
-        model, stripes, assoc, w, power, psi, ens, state, stack = self._setup(rng)
-        powers = rng.random(model.num_users) + 0.2
-        messages = rng.standard_normal(model.num_users) + 1j * rng.standard_normal(model.num_users)
-        for s in range(0, ens.n_samples, max(ens.n_samples // 3, 1)):
-            for q, txs in enumerate(stripes):
-                xs, payload = stripe_forward_pass(
-                    ens.h_hat[s], txs, state.stripe_stats[q], state.stripe_coeffs[q],
-                    assoc.stripe_users(q), messages, powers, psi, w, power,
-                )
-                assert payload == model.num_users
-                for m, l in enumerate(txs):
-                    expected = sum(
-                        np.sqrt(powers[k]) * stack[s, l : l + 1, k] * messages[k]
-                        for k in range(model.num_users)
+        # N = 1 (closed-form guard), then N = 2 with K <= 2N (the K x K guard
+        # system is formed) and K > 2N (the guard's QR restriction)
+        for num_users, n in ((3, 1), (3, 2), (5, 2)):
+            model, stripes, assoc, w, power, psi, ens, state, stack = self._setup(
+                rng, num_users, n)
+            powers = rng.random(num_users) + 0.2
+            messages = rng.standard_normal(num_users) + 1j * rng.standard_normal(num_users)
+            for s in range(0, ens.n_samples, max(ens.n_samples // 3, 1)):
+                for q, txs in enumerate(stripes):
+                    xs, payload = stripe_forward_pass(
+                        ens.h_hat[s], txs, state.stripe_stats[q], state.stripe_coeffs[q],
+                        assoc.stripe_users(q), messages, powers, psi, w, power,
                     )
-                    np.testing.assert_allclose(xs[m], expected, atol=1e-10)
+                    assert payload == num_users
+                    for m, l in enumerate(txs):
+                        expected = sum(
+                            np.sqrt(powers[k]) * stack[s, l * n : (l + 1) * n, k] * messages[k]
+                            for k in range(num_users)
+                        )
+                        np.testing.assert_allclose(xs[m], expected, rtol=1e-10, atol=1e-13)
 
     def test_zero_messages_zero_signal(self, rng):
         model, stripes, assoc, w, power, psi, ens, state, _ = self._setup(rng)
