@@ -484,7 +484,7 @@ def main(argv=None):
     config = resolve_config(args)
     result = run(config, progress=args.progress)
     want_cdf = args.emit_cdf if args.emit_cdf is not None else _env_flag("EMIT_CDF")
-    if want_cdf and result.rate_rows:
+    if want_cdf and result.rate_rows and result.out_dir:  # no output directory, no files
         write_cdf_csv(os.path.join(result.out_dir, "cdf.csv"), emit_cdf(result.rate_rows),
                       config.rate_units)
     n_rates = len(result.rate_rows)

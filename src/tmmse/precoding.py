@@ -13,12 +13,13 @@ One regularized MMSE filter, local_filter, serves every scheme: it gives
 the local filters T_l, and the centralized precoder is the same filter on
 the stacked estimate.
 
-bi is the centralized filter on each stripe: every TX of a stripe sees the
-stripe's whole estimate, and the paper's per-realization Pbar recursion is a
-hop-by-hop elimination of that one block-diagonal-Psi MMSE system.  The
-stripe recursion (a backward sweep for the update matrices V, a forward
+bi, no-share and local MMSE are F_u c_u on units of a stripe, one TX, one
+TX with diagonal c: F_u is the MMSE filter of the unit's stacked estimate
+with its TXs' Psi blocks on the diagonal (bi's per-realization Pbar
+recursion in the paper is a hop-by-hop elimination of that one system).
+The stripe recursion (a backward sweep for the update matrices V, a forward
 product for the precoders) serves uni, with the statistical Pi as the
-downstream response, and no-share, which is uni on stripes of one TX.
+downstream response.
 
 The recursion runs in capacitance form.  A TX's response P = A T, with
 A = W^1/2 Hhat_l (K, N) and T its local filter (N, K), has rank <= N, and
@@ -55,8 +56,8 @@ COEFF_RESIDUAL_TOL = 1e-10
 class SingularSweepError(RuntimeError):
     """A stripe-sweep system (I - Pi P) was numerically singular.
 
-    Only uni and no-share raise it.  bi has no sweep: its stripe filter's
-    system has eigenvalues >= 1/P (N*M <= K) or >= 1 (push-through)."""
+    Only uni raises it.  The F_u c_u schemes have no sweep: a unit filter's
+    system has eigenvalues >= 1/P (N*size <= K) or >= 1 (push-through)."""
 
     def __init__(self, stripe, position, sample, rcond):
         self.stripe = stripe
@@ -124,20 +125,17 @@ def local_filter(h_hat, psi, w, total_power):
     return _solve_small(a, hh)
 
 
-def _group_filter(h_hat, txs, psi, w, total_power):
-    """MMSE filter F (..., N*G, K) of the stacked estimate Hhat (..., K, N*G)
-    of G consecutive TXs txs, with their Psi blocks on the diagonal of its
-    error covariance.  Returns F and Hhat, a view of h_hat's columns, so
-    filtering all TXs (centralized) copies no pool."""
+def _unit_filters(h_hat, txs, size, psi, w, total_power):
+    """MMSE filters F (..., U, N*size, K), from one local_filter call, of the
+    stacked estimates Hhat_u (..., U, K, N*size) of the units of size TXs
+    tiling the run txs, each with its TXs' Psi blocks on the diagonal.
+    Returns F and Hhat_u, a view of h_hat, so centralized copies no pool."""
     n = psi.shape[-1]
     lo, hi = txs[0], txs[-1] + 1
-    if list(txs) != list(range(lo, hi)):
-        raise ValueError(f"TX group {list(txs)} is not a run of consecutive TXs")
-    h = h_hat[..., lo * n : hi * n]
-    g = hi - lo
-    psi_full = np.zeros((g, n, g, n), dtype=complex)
-    psi_full[range(g), :, range(g)] = psi[lo:hi]  # block l on the diagonal
-    return local_filter(h, psi_full.reshape(g * n, g * n), w, total_power), h
+    h = tx_blocks(h_hat[..., lo * n : hi * n], n * size)
+    blocks = psi[lo:hi].reshape(-1, size, n, n)  # (unit, position in unit, N, N)
+    psi_units = np.einsum("ujab,jk->ujakb", blocks, np.eye(size))  # block j at (j, j)
+    return local_filter(h, psi_units.reshape(len(blocks), n * size, -1), w, total_power), h
 
 
 def _filters_and_channels(h_hat, txs, psi, w, total_power):
@@ -154,13 +152,13 @@ def _filters_and_channels(h_hat, txs, psi, w, total_power):
 
 def _mean(weights, x, y=None):
     """Ensemble mean over the leading sample axis: sum_s weights_s x_s as one
-    tensordot, or with y the mean of the products x_s y_s of (S, i, n) and
-    (S, n, j) stacks as one (i, S*n) x (S*n, j) GEMM."""
+    tensordot, or with y the mean of the products x_s y_s of (S, ..., i, n)
+    and (S, ..., n, j) stacks as one (i, S*n) x (S*n, j) GEMM per middle index."""
     if y is None:
         return np.tensordot(weights, x, 1)
-    s, i, n = x.shape
-    wx = np.moveaxis(weights[:, None, None] * x, 0, 1).reshape(i, s * n)
-    return wx @ y.reshape(s * n, -1)
+    s, (i, n), mid = len(x), x.shape[-2:], x.shape[1:-2]
+    wx = np.moveaxis(weights.reshape(-1, *[1] * (x.ndim - 1)) * x, 0, -2).reshape(*mid, i, s * n)
+    return wx @ np.moveaxis(y, 0, -3).reshape(*mid, s * n, -1)
 
 
 # --------------------------------------------------------------------------
@@ -262,18 +260,6 @@ def _uni_hops(h_hat, txs, stats, psi, w, total_power):
     return zip(a, np.moveaxis(tv, -3, 0))
 
 
-def _team_stack(ensemble, stripes, coeffs, precoders):
-    """Precoder stack (S, N*L, K) of every stripe with nonzero coefficients;
-    precoders(q) gives the (S, N, K) rows of stripe q's TXs in order."""
-    n = ensemble.n_antennas
-    out = np.zeros((ensemble.n_samples, ensemble.num_txs * n, ensemble.num_users), complex)
-    for q, txs in enumerate(stripes):
-        if np.any(coeffs[q]):
-            for l, x in zip(txs, precoders(q)):
-                out[:, l * n : (l + 1) * n] = x
-    return out
-
-
 # --------------------------------------------------------------------------
 # statistical stage
 # --------------------------------------------------------------------------
@@ -315,16 +301,13 @@ def estimate_stripe_statistics(ensemble, stripe_txs, psi, w, total_power, stripe
     return StripeStatistics(stripe, pi)
 
 
-def bidirectional_coupling(ensemble, stripe_txs, psi, w, total_power):
-    """Statistical chain response E[Pbar_{q,0}] = E[W^1/2 Hhat_q F_q] of stripe q.
-
-    This is the bidirectional counterpart of Pi_{q,0}: the cross-stripe
-    coupling matrix entering the coefficient system.  The per-realization
-    Pbar_{q,0} of the paper's full-stripe-CSI sweep is the response of the
-    stripe's MMSE filter F_q, so no sweep is run.  It differs from the
-    unidirectional Pi_{q,0} whenever the fading is non-degenerate.
-    """
-    f, h = _group_filter(ensemble.h_hat, stripe_txs, psi, w, total_power)
+def bidirectional_coupling(ensemble, stripe_txs, size, psi, w, total_power):
+    """Coupling matrices E[W^1/2 Hhat_u F_u] (U, K, K) of a stripe's units of
+    size TXs, as one batched mean.  For bi (the stripe is the unit) this is
+    E[Pbar_{q,0}]: the paper's per-realization Pbar_{q,0} is the response of
+    the stripe's MMSE filter, so no sweep is run.  For no-share (one-TX
+    units) it is Pi_0 = E[A_l T_l] of a one-TX stripe, a lone chain end."""
+    f, h = _unit_filters(ensemble.h_hat, stripe_txs, size, psi, w, total_power)
     return _mean(ensemble.weights, np.sqrt(w)[:, None] * h, f)
 
 
@@ -372,7 +355,8 @@ def solve_statistical_precoders_uni(association, stripe_stats):
 
 
 def solve_statistical_precoders_bi(association, coupling):
-    """Coefficients for the full-stripe-CSI scheme from E[Pbar_{q,0}] matrices."""
+    """Coefficients c_u of the F_u c_u schemes from bidirectional_coupling;
+    association.serving_stripes names each user's units (stripes or TXs)."""
     return _solve_coefficient_columns(np.asarray(coupling), association.serving_stripes)
 
 
@@ -387,24 +371,30 @@ def tmmse_unidirectional(ensemble, stripe_stats, coeffs, stripes, psi, w, total_
     and the statistical Pi matrices, so position m uses exactly the
     unidirectionally shared information (Hhat_{q,1}, ..., Hhat_{q,m}).
     """
-    return _team_stack(ensemble, stripes, coeffs, lambda q: _forward_product(_uni_hops(
-        ensemble.h_hat, stripes[q], stripe_stats[q], psi, w, total_power), coeffs[q]))
+    n = ensemble.n_antennas
+    out = np.zeros((ensemble.n_samples, ensemble.num_txs * n, ensemble.num_users), complex)
+    for q, txs in enumerate(stripes):
+        if np.any(coeffs[q]):
+            for l, x in zip(txs, _forward_product(_uni_hops(
+                    ensemble.h_hat, txs, stripe_stats[q], psi, w, total_power), coeffs[q])):
+                out[:, l * n : (l + 1) * n] = x
+    return out
 
 
 def tmmse_bidirectional(ensemble, coeffs, stripes, psi, w, total_power):
     """Full-stripe-CSI precoders t_q = F_q c_q, F_q the MMSE filter of stripe
     q's stacked estimate (the paper's backward sweep with the per-realization
-    Pbar in place of Pi, solved in one system); the coupling coefficients c
-    stay statistical (solved from E[Pbar_{q,0}])."""
-    return _team_stack(ensemble, stripes, coeffs, lambda q: np.split(_group_filter(
-        ensemble.h_hat, stripes[q], psi, w, total_power)[0] @ coeffs[q], len(stripes[q]), -2))
+    Pbar in place of Pi, solved in one system): the bi state's apply."""
+    size = _stripe_length(stripes, ensemble.num_txs)
+    return FilterState("bi", stripes, size, coeffs).apply(ensemble, psi, w, total_power)
 
 
 def centralized_mmse(ensemble, psi, w, total_power):
     """Full message and CSIT sharing reference (the sum-power benchmark):
     local_filter on the stacked (S, K, N*L) estimate with block-diagonal error
     covariance, so for N*L > K no per-sample (N*L)^2 system is formed."""
-    return _group_filter(ensemble.h_hat, range(ensemble.num_txs), psi, w, total_power)[0]
+    txs = range(ensemble.num_txs)
+    return _unit_filters(ensemble.h_hat, txs, len(txs), psi, w, total_power)[0][..., 0, :, :]
 
 
 def local_mmse_coefficients(ensemble, association, psi, w, total_power):
@@ -483,31 +473,44 @@ class CentralizedState:
 
 
 @dataclass
-class LocalMmseState:
-    """Restricted per-TX scheme with scalar large-scale coefficients."""
+class FilterState:
+    """Precoders F_u c_u on units of size consecutive TXs of a stripe, F_u the
+    MMSE filter of unit u's stacked estimate: bi (units are stripes), no-share
+    (one-TX units) and local MMSE (one-TX units with diagonal c_u)."""
 
     scheme: str
-    coefficients: np.ndarray  # (L, K)
+    stripes: list  # consecutive equal-length runs of TXs tiling 0..L-1
+    size: int  # TXs per unit
+    coeffs: np.ndarray  # (units, K, K), units in TX order
+    coupling: np.ndarray = None  # (units, K, K) E[W^1/2 Hhat_u F_u]; None for local MMSE
 
     def apply(self, ensemble, psi, w, total_power):
-        """t_{l,k} = c_{l,k} T_l e_k per realization."""
-        t = local_filter(tx_blocks(ensemble.h_hat, ensemble.n_antennas), psi, w, total_power)
-        s, k = ensemble.n_samples, ensemble.num_users
-        return (t * self.coefficients[:, None, :]).reshape(s, -1, k)
+        """One filter call per stripe that serves anyone; one GEMM per unit."""
+        n, k, s = ensemble.n_antennas, ensemble.num_users, ensemble.n_samples
+        out = np.zeros((s, ensemble.num_txs * n, k), complex)
+        for txs in self.stripes:
+            lo, hi = txs[0], txs[-1] + 1
+            coeffs = self.coeffs[lo // self.size : hi // self.size]
+            if np.any(coeffs):
+                f = _unit_filters(ensemble.h_hat, txs, self.size, psi, w, total_power)[0]
+                f = np.moveaxis(f, 1, 0).reshape(len(coeffs), -1, k)  # (U, S*N*size, K)
+                x = (f @ coeffs).reshape(len(coeffs), s, -1, k)
+                out[:, lo * n : hi * n].reshape(s, len(coeffs), -1, k)[:] = np.moveaxis(x, 0, 1)
+                del f, x  # so they do not live on into the next stripe's filter call
+        return out
 
     def dump_matrices(self):
-        return []
+        return [] if self.coupling is None else list(self.coupling) + list(self.coeffs)
 
 
 @dataclass
 class UniState:
-    """Unidirectional sharing on the given stripes; no sharing is this state
-    on one-TX stripes, one per TX."""
+    """Unidirectional sharing on the given stripes."""
 
     scheme: str
-    stripes: list  # TX lists of the coupling units
-    stripe_stats: list  # StripeStatistics per unit
-    stripe_coeffs: np.ndarray  # (units, K, K)
+    stripes: list
+    stripe_stats: list  # StripeStatistics per stripe
+    stripe_coeffs: np.ndarray  # (Q, K, K)
 
     def apply(self, ensemble, psi, w, total_power):
         return tmmse_unidirectional(
@@ -516,24 +519,6 @@ class UniState:
 
     def dump_matrices(self):
         return [st.pi[0] for st in self.stripe_stats] + list(self.stripe_coeffs)
-
-
-@dataclass
-class BiState:
-    """Bidirectional sharing: statistical coupling E[Pbar_{q,0}] and coefficients."""
-
-    scheme: str
-    stripes: list
-    stripe_coupling: np.ndarray  # (Q, K, K)
-    stripe_coeffs: np.ndarray  # (Q, K, K)
-
-    def apply(self, ensemble, psi, w, total_power):
-        return tmmse_bidirectional(
-            ensemble, self.stripe_coeffs, self.stripes, psi, w, total_power
-        )
-
-    def dump_matrices(self):
-        return list(self.stripe_coupling) + list(self.stripe_coeffs)
 
 
 def _fit_uni(scheme, ensemble, association, stripes, psi, w, total_power):
@@ -545,29 +530,41 @@ def _fit_uni(scheme, ensemble, association, stripes, psi, w, total_power):
     return UniState(scheme, stripes, stats, coeffs)
 
 
-def _fit_no_share(scheme, ensemble, association, stripes, psi, w, total_power):
-    # one-TX stripes: the coupling units are the serving TXs of each user
-    singletons = dataclasses.replace(association, serving_stripes=association.serving_txs)
-    units = [[l] for l in range(ensemble.num_txs)]
-    return _fit_uni(scheme, ensemble, singletons, units, psi, w, total_power)
+def _stripe_length(stripes, num_txs):
+    """TXs per stripe; raises unless the stripes are equal-length runs tiling TXs 0..L-1."""
+    stripes = [list(txs) for txs in stripes]
+    if sum(stripes, []) != list(range(num_txs)) or len({len(t) for t in stripes}) != 1:
+        raise ValueError(f"stripes {stripes} are not equal-length runs tiling 0..{num_txs - 1}")
+    return len(stripes[0])
 
 
-def _fit_bi(scheme, ensemble, association, stripes, psi, w, total_power):
-    coupling = np.stack([
-        bidirectional_coupling(ensemble, txs, psi, w, total_power) for txs in stripes
+def _fit_units(scheme, ensemble, association, stripes, psi, w, total_power, size=None):
+    """F_u c_u on units of size TXs, or whole stripes; serving_stripes names the units."""
+    size = size or len(stripes[0])
+    coupling = np.concatenate([
+        bidirectional_coupling(ensemble, txs, size, psi, w, total_power) for txs in stripes
     ])
     coeffs = solve_statistical_precoders_bi(association, coupling)
-    return BiState(scheme, stripes, coupling, coeffs)
+    return FilterState(scheme, stripes, size, coeffs, coupling)
+
+
+def _fit_no_share(scheme, ensemble, association, stripes, psi, w, total_power):
+    # one-TX units: the units serving each user are its serving TXs
+    singletons = dataclasses.replace(association, serving_stripes=association.serving_txs)
+    return _fit_units(scheme, ensemble, singletons, stripes, psi, w, total_power, size=1)
+
+
+def _fit_local_mmse(scheme, ensemble, association, stripes, psi, w, total_power):
+    c = local_mmse_coefficients(ensemble, association, psi, w, total_power)  # (L, K)
+    return FilterState(scheme, stripes, 1, c[:, None, :] * np.eye(ensemble.num_users))
 
 
 _FITS = {
     "centralized": lambda scheme, *_: CentralizedState(scheme),
-    "bi": _fit_bi,
+    "bi": _fit_units,
     "uni": _fit_uni,
     "no-share": _fit_no_share,
-    "local-mmse": lambda scheme, ens, association, stripes, psi, w, total_power: (
-        LocalMmseState(scheme, local_mmse_coefficients(ens, association, psi, w, total_power))
-    ),
+    "local-mmse": _fit_local_mmse,
 }
 SCHEMES = tuple(_FITS)
 
@@ -577,6 +574,7 @@ def fit_scheme(scheme, ensemble, association, stripes, psi, w, total_power):
     if scheme not in _FITS:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     _check_inputs(psi, total_power)
+    _stripe_length(stripes, ensemble.num_txs)
     return _FITS[scheme](scheme, ensemble, association, stripes, psi, w, total_power)
 
 

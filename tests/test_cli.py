@@ -404,6 +404,14 @@ class TestFlagsAndEnv:
         assert (tmp_path / "out" / "cdf.csv").exists()
         assert "1 drops" in capsys.readouterr().out
 
+    def test_emit_cdf_without_output_directory_writes_nothing(self, tmp_path, monkeypatch):
+        # an empty --out means no output directory: run writes no file, and
+        # neither may main write cdf.csv into the working directory
+        monkeypatch.chdir(tmp_path)
+        assert main(["--drops", "1", "--samples-stats", "16", "--samples-eval", "16",
+                     "--schemes", "uni", "--out", "", "--emit-cdf"]) == 0
+        assert not list(tmp_path.iterdir())
+
     def test_python_m_tmmse_help(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

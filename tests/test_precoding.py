@@ -1,9 +1,13 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from tests.conftest import (
     assert_class_constant,
     closed_form_stack,
+    random_association,
     random_error_support,
     random_stripe_setup,
     random_support,
@@ -33,8 +37,9 @@ from tmmse.precoding import (
     write_matrix_dump,
     _rcond,
     _sweep_rcond,
+    _unit_filters,
 )
-from tmmse.topology import association_from_stripes
+from tmmse.topology import association_from_stripes, stripe_layout
 
 
 def exact_ensemble(model):
@@ -72,6 +77,48 @@ class TestLocalFilter:
                 b = hs.conj().T @ np.diag(np.sqrt(w))
                 expected, *_ = np.linalg.lstsq(a, b, rcond=None)
                 np.testing.assert_allclose(ts, expected, atol=1e-10)
+
+
+def random_psd_stack(rng, count, n, scale=0.3):
+    """count distinct Hermitian PSD n x n matrices."""
+    x = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return scale * x @ x.conj().swapaxes(-1, -2)
+
+
+class TestUnitFilters:
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_matches_hand_built_block_diagonal_filter(self, rng, size):
+        # N = 2, K = 3: units of one TX take the normal equations (N*size <= K),
+        # of two and three TXs the push-through form (N*size > K); the units
+        # tile TXs 2..7 of 8, so the run does not start at TX 0
+        S, K, N, L = 5, 3, 2, 8
+        h_hat = rng.standard_normal((S, K, N * L)) + 1j * rng.standard_normal((S, K, N * L))
+        psi = random_psd_stack(rng, L, N)
+        w, power = np.array([0.5, 0.3, 0.2]), 2.5
+        txs = list(range(2, 8))
+        f, h = _unit_filters(h_hat, txs, size, psi, w, power)
+        assert f.shape == (S, len(txs) // size, N * size, K)
+        for u in range(len(txs) // size):
+            unit = txs[u * size : (u + 1) * size]
+            cols = slice(unit[0] * N, (unit[-1] + 1) * N)
+            psi_u = np.zeros((N * size, N * size), complex)
+            for j, l in enumerate(unit):
+                psi_u[j * N : (j + 1) * N, j * N : (j + 1) * N] = psi[l]
+            np.testing.assert_array_equal(h[:, u], h_hat[..., cols])
+            np.testing.assert_allclose(f[:, u], local_filter(h_hat[..., cols], psi_u, w, power),
+                                       rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("scheme", ["bi", "no-share", "local-mmse"])
+    @pytest.mark.parametrize("stripes", [
+        [[0, 2], [1, 3]],  # not consecutive
+        [[0], [1, 2, 3]],  # unequal lengths
+        [[0, 1]],  # does not cover every TX
+        [[2, 3], [0, 1]],  # out of order
+    ])
+    def test_fit_rejects_stripes_that_do_not_tile(self, rng, scheme, stripes):
+        model, _, assoc, w, power = random_stripe_setup(rng, 2, 2, 2, "bi")
+        with pytest.raises(ValueError, match=re.escape(str(stripes))):
+            fit_scheme(scheme, model.ensemble(), assoc, stripes, model.psi_stack(w), w, power)
 
 
 class TestPsiValidation:
@@ -450,7 +497,7 @@ class TestSchemeEquivalences:
                 pv = ps[m - 1] @ v
                 pbar = pv + pbar @ (np.eye(K) - pv)
             np.testing.assert_allclose(
-                bidirectional_coupling(ens, txs, psi, w, power),
+                bidirectional_coupling(ens, txs, len(txs), psi, w, power)[0],
                 np.einsum("s,sij->ij", ens.weights, pbar), rtol=1e-9, atol=1e-11)
             prefix = np.broadcast_to(np.eye(K), (ens.n_samples, K, K)).astype(complex)
             for m, l in enumerate(txs, start=1):
@@ -516,6 +563,41 @@ class TestStationarityAndOrdering:
             ]
             for lo, hi in zip(mses, mses[1:]):
                 assert lo <= hi + 1e-12
+
+
+class TestNoShareUnits:
+    """no-share as F_u c_u on one-TX units equals the route it replaced: the
+    stripe recursion (uni) on one-TX stripes, coupled over the serving TXs."""
+
+    @staticmethod
+    def _check(ens, assoc, stripes, psi, w, power):
+        singletons = dataclasses.replace(assoc, serving_stripes=assoc.serving_txs)
+        units = [[l] for l in range(ens.num_txs)]
+        new = fit_scheme("no-share", ens, assoc, stripes, psi, w, power)
+        ref = fit_scheme("uni", ens, singletons, units, psi, w, power)
+        pairs = list(zip(new.dump_matrices(), ref.dump_matrices(), strict=True))
+        assert len(pairs) == 2 * ens.num_txs  # coupling, then coefficients, per TX
+        pairs.append((apply_scheme(new, ens, assoc, stripes, psi, w, power),
+                      apply_scheme(ref, ens, assoc, units, psi, w, power)))
+        for a, b in pairs:
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+    @pytest.mark.parametrize("n_antennas", [1, 2])
+    def test_finite_model_with_errors(self, rng, n_antennas):
+        model, stripes, assoc, w, power = random_stripe_setup(
+            rng, 2, 2, 3, "no-share", n_antennas=n_antennas)
+        assert np.abs(model.psi_stack(w)).max() > 1e-3
+        self._check(model.ensemble(), assoc, stripes, model.psi_stack(w), w, power)
+
+    def test_monte_carlo_pool(self, rng):
+        S, K, N, Q, M = 64, 3, 2, 2, 3
+        shape = (S, K, N * Q * M)
+        h_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h = h_hat + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        ens = Ensemble(h=h, h_hat=h_hat, weights=np.full(S, 1 / S), n_antennas=N)
+        w = np.array([0.5, 0.3, 0.2])
+        self._check(ens, random_association(rng, Q, M, K), stripe_layout(Q, M),
+                    random_psd_stack(rng, Q * M, N, scale=0.05), w, 3.0)
 
 
 class TestLocalMmseBaseline:
