@@ -32,6 +32,7 @@ from .evaluation import (
     dual_sinr_targets,
     duality_power_allocation,
     estimate_moments,
+    evaluate,
     hardening_rates,
     per_tx_scaling,
 )
@@ -48,6 +49,7 @@ from .precoding import (
     fit_scheme,
     local_filter,
     local_mmse_coefficients,
+    precoder_blocks,
     solve_statistical_precoders_bi,
     solve_statistical_precoders_uni,
     stripe_forward_pass,

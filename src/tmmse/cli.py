@@ -8,8 +8,12 @@ isolation.  Reruns with identical config and seed produce byte-identical
 rates.csv.
 
 A drop (run_drop) fits every scheme on the statistics pool and releases
-that pool; it then draws the evaluation pool and applies, evaluates and
-allocates each fitted scheme in turn.  run concatenates the drops.
+that pool; it then draws the evaluation pool and evaluates and allocates
+each fitted scheme in turn.  The evaluation is streamed: a state yields its
+precoders one stripe at a time and evaluation.evaluate sums z = H t and the
+per-TX powers over the stripes, so a drop holds one pool plus a stripe's
+working set, never an (S, N*L, K) precoder stack.  run concatenates the
+drops.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ import numpy as np
 
 from . import __version__
 from .channel import build_statistics, draw_ensemble, gains_table
-from .evaluation import allocate, compute_mse, estimate_moments
-from .precoding import SCHEMES, apply_scheme, fit_scheme, write_matrix_dump
+from .evaluation import allocate, evaluate
+from .precoding import SCHEMES, fit_scheme, precoder_blocks, write_matrix_dump
 from .topology import assign_serving_stripes, build_grid_deployment
 
 SCHEMA_VERSION = 1
@@ -185,10 +189,11 @@ class RunResult:
 
 def run_drop(config, deployment, drop, out_dir=None):
     """One drop as a RunResult: fit every scheme on the statistics pool, release
-    it, then apply, evaluate and allocate each fitted scheme on the evaluation
-    pool.  A failing scheme, power mode, statistics dump or drop becomes a
-    failure record (and is re-raised under config.strict); with out_dir set,
-    the drop's gain and statistics dumps are written there.
+    it, then evaluate (streamed stripe by stripe) and allocate each fitted
+    scheme on the evaluation pool.  A failing scheme, power mode, statistics
+    dump or drop becomes a failure record (and is re-raised under
+    config.strict); with out_dir set, the drop's gain and statistics dumps are
+    written there.
     """
     w = config.resolved_weights()
     total_power = config.total_power()
@@ -244,9 +249,8 @@ def run_drop(config, deployment, drop, out_dir=None):
         for scheme, state in fitted:
             try:
                 with timed("evaluation"):
-                    precoders = apply_scheme(state, pool, assoc, stripes, psi, w, total_power)
-                    moments = estimate_moments(pool, precoders)
-                    mse = compute_mse(pool, precoders, w, total_power)
+                    blocks = precoder_blocks(state, pool, psi, w, total_power)
+                    moments, mse = evaluate(pool, blocks, w, total_power)
             except Exception as exc:  # noqa: BLE001
                 fail(exc, "precoding", scheme)
                 continue

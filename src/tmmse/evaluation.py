@@ -8,6 +8,12 @@ system that makes every hardening-bound SINR hit its dual target
 gamma_k = 1/MSE_k - 1.  A symmetric per-TX constraint is handled by the
 scaling factor nu^2 = max(1, max_l E||x_l||^2 / P_l), which enters the SINR
 denominator as extra noise.
+
+Every quantity the allocation reads is a sum over TXs or a function of
+z = H t (S, K, K): z = sum_q H_q X_q over a state's stripe blocks, the
+per-TX powers are row sums, and the MSE comes from z per sample.  evaluate
+accumulates them one stripe block at a time; estimate_moments, mse_samples
+and compute_mse are the same sums over a whole precoder stack as one block.
 """
 
 from __future__ import annotations
@@ -54,27 +60,43 @@ class MomentEstimates:
         return self.a.shape[0]
 
 
-def estimate_moments(ensemble, precoders):
-    """Weighted moments of g_k^H t_j; exact sums on finite-support ensembles."""
-    if ensemble.n_samples < 1:
+def _accumulate(ensemble, blocks):
+    """Sums over a state's stripe blocks (rows, X_q), X_q (S, rows, K):
+    z = sum_q H_q X_q (S, K, K), z[s, k, j] = g_k^H t_j, the per-TX powers
+    E||t_{l,k}||^2 (L, K) and the per-sample powers ||t_k||^2 (S, K)."""
+    s, k, n = ensemble.n_samples, ensemble.num_users, ensemble.n_antennas
+    if s < 1:
         raise ValueError("empty evaluation pool")
-    wts = ensemble.weights
-    z = ensemble.h @ precoders  # (S, K, K); z[s, k, j] = g_k^H t_j
+    z = np.zeros((s, k, k), complex)
+    per_tx = np.zeros((ensemble.num_txs, k))
+    t_power = np.zeros((s, k))
+    for rows, x in blocks:
+        z += ensemble.h[..., rows] @ x
+        p = np.abs(x) ** 2
+        t_power += np.einsum("snk->sk", p)
+        per_tx[rows.start // n : rows.stop // n] = np.einsum(
+            "s,slnk->lk", ensemble.weights, p.reshape(s, -1, n, k))
+        del x, p  # not held while the next block is made
+    return z, per_tx, t_power
+
+
+def _all_rows(precoders):
+    """A whole (S, N*L, K) stack as one block."""
+    return [(slice(0, precoders.shape[1]), precoders)]
+
+
+def _moments(weights, z, per_tx):
     diag = np.einsum("skk->sk", z)
-    mean_eff = np.einsum("s,sk->k", wts, diag)
-    b = np.einsum("s,skj->kj", wts, np.abs(z) ** 2)
+    mean_eff = np.einsum("s,sk->k", weights, diag)
+    b = np.einsum("s,skj->kj", weights, np.abs(z) ** 2)
     a = np.abs(mean_eff) ** 2
     v = np.maximum(np.real(np.diag(b)) - a, 0.0)
-    n = ensemble.n_antennas
-    L = ensemble.num_txs
-    blocks = precoders.reshape(ensemble.n_samples, L, n, -1)
-    per_tx = np.einsum("s,slnk->lk", wts, np.abs(blocks) ** 2)
-    ess = 1.0 / np.sum(wts**2)
+    ess = 1.0 / np.sum(weights**2)
     se_mean = np.sqrt(
-        np.einsum("s,sk->k", wts, np.abs(diag - mean_eff[None, :]) ** 2) / ess
+        np.einsum("s,sk->k", weights, np.abs(diag - mean_eff[None, :]) ** 2) / ess
     )
     se_b = np.sqrt(
-        np.einsum("s,skj->kj", wts, (np.abs(z) ** 2 - b[None, :, :]) ** 2) / ess
+        np.einsum("s,skj->kj", weights, (np.abs(z) ** 2 - b[None, :, :]) ** 2) / ess
     )
     return MomentEstimates(
         mean_eff=mean_eff,
@@ -88,19 +110,36 @@ def estimate_moments(ensemble, precoders):
     )
 
 
+def _mse_samples(z, t_power, w, total_power):
+    """Per-sample ||W^1/2 H t_k - e_k||^2 + ||t_k||^2 / P, taken from z itself
+    (no closed form in the moments, which would cancel)."""
+    err = np.sqrt(w)[None, :, None] * z - np.eye(z.shape[-1])[None, :, :]
+    return np.einsum("skj->sj", np.abs(err) ** 2) + t_power / total_power
+
+
+def evaluate(ensemble, blocks, w, total_power):
+    """Moments and per-user MSE of a state's precoders, streamed from its
+    stripe blocks (precoding.precoder_blocks): no (S, N*L, K) stack is held,
+    only z, the power sums and one block at a time."""
+    z, per_tx, t_power = _accumulate(ensemble, blocks)
+    moments = _moments(ensemble.weights, z, per_tx)
+    return moments, ensemble.weights @ _mse_samples(z, t_power, w, total_power)
+
+
+def estimate_moments(ensemble, precoders):
+    """Weighted moments of g_k^H t_j; exact sums on finite-support ensembles."""
+    z, per_tx, _ = _accumulate(ensemble, _all_rows(precoders))
+    return _moments(ensemble.weights, z, per_tx)
+
+
 def mse_samples(ensemble, precoders, w, total_power):
     """Per-sample MSE contributions (S, K); their weighted mean is the MSE."""
-    z = ensemble.h @ precoders  # (S, K, K)
-    err = np.sqrt(w)[None, :, None] * z - np.eye(ensemble.num_users)[None, :, :]
-    fit = np.einsum("skj->sj", np.abs(err) ** 2)
-    reg = np.einsum("snk->sk", np.abs(precoders) ** 2) / total_power
-    return fit + reg
+    z, _, t_power = _accumulate(ensemble, _all_rows(precoders))
+    return _mse_samples(z, t_power, w, total_power)
 
 
 def compute_mse(ensemble, precoders, w, total_power):
     """MSE_k = E[ ||W^1/2 H t_k - e_k||^2 + ||t_k||^2 / P ] per user."""
-    if ensemble.n_samples < 1:
-        raise ValueError("empty evaluation pool")
     return ensemble.weights @ mse_samples(ensemble, precoders, w, total_power)
 
 

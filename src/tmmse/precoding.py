@@ -9,14 +9,23 @@ update matrices).  All per-realization computations are batched over the
 leading sample axis of an :class:`~tmmse.channel.Ensemble`, so exactness on
 finite-support models falls out of the ensemble weights.
 
-One regularized MMSE filter, local_filter, serves every scheme: it gives
-the local filters T_l, and the centralized precoder is the same filter on
-the stacked estimate.
+Every state yields its precoders one stripe at a time, as (rows, X_q) with
+X_q (S, rows, K) the stripe's rows of the (S, N*L, K) stack:
+evaluation.evaluate accumulates what the rates need from these blocks, so a
+drop never holds a stack; apply_scheme writes the same blocks into one.
 
+One regularized MMSE filter, local_filter, gives the local filters T_l.
 bi, no-share and local MMSE are F_u c_u on units of a stripe, one TX, one
 TX with diagonal c: F_u is the MMSE filter of the unit's stacked estimate
 with its TXs' Psi blocks on the diagonal (bi's per-realization Pbar
 recursion in the paper is a hop-by-hop elimination of that one system).
+The centralized precoder is the MMSE filter of all N*L antennas in
+push-through form, B^-1 A^H (I + G)^-1 with A = W^1/2 Hhat, B = Psi + I/P
+block diagonal and G = sum_l A_l B_l^-1 A_l^H; G is summed stripe by stripe
+and each stripe's rows formed from the one K x K kernel (I + G)^-1.  The
+same kernel gives the coupling of a multi-TX unit with N*size > K:
+E[W^1/2 Hhat_u F_u] = I - E[(I + G_u)^-1].
+
 The stripe recursion (a backward sweep for the update matrices V, a forward
 product for the precoders) serves uni, with the statistical Pi as the
 downstream response.
@@ -129,13 +138,39 @@ def _unit_filters(h_hat, txs, size, psi, w, total_power):
     """MMSE filters F (..., U, N*size, K), from one local_filter call, of the
     stacked estimates Hhat_u (..., U, K, N*size) of the units of size TXs
     tiling the run txs, each with its TXs' Psi blocks on the diagonal.
-    Returns F and Hhat_u, a view of h_hat, so centralized copies no pool."""
+    Returns F and Hhat_u, a view of h_hat."""
     n = psi.shape[-1]
     lo, hi = txs[0], txs[-1] + 1
     h = tx_blocks(h_hat[..., lo * n : hi * n], n * size)
     blocks = psi[lo:hi].reshape(-1, size, n, n)  # (unit, position in unit, N, N)
     psi_units = np.einsum("ujab,jk->ujakb", blocks, np.eye(size))  # block j at (j, j)
     return local_filter(h, psi_units.reshape(len(blocks), n * size, -1), w, total_power), h
+
+
+def _rows(txs, n):
+    """Rows of the (S, N*L, K) precoder stack that belong to the TX run txs."""
+    return slice(txs[0] * n, (txs[-1] + 1) * n)
+
+
+def _scaled_estimate(h_hat, txs, psi, w, total_power):
+    """A = W^1/2 Hhat (..., K, N*M) of the run of M TXs txs and B^-1 A^H
+    (..., N*M, K), with B = Psi + I/P block diagonal (a row scaling at N = 1).
+    B^-1 A^H is formed as the conjugate of conj(B^-1) A^T, so no conjugated
+    copy of A is made."""
+    n = psi.shape[-1]
+    a = np.sqrt(w)[:, None] * h_hat[..., _rows(txs, n)]
+    b_inv = np.linalg.inv(psi[txs[0] : txs[-1] + 1] + np.eye(n) / total_power)
+    bah = np.einsum("lim,...klm->...lik", b_inv.conj(), a.reshape(*a.shape[:-1], -1, n))
+    return a, np.conj(bah, out=bah).reshape(*a.shape[:-2], -1, a.shape[-2])
+
+
+def _unit_gram(a, bah, units):
+    """G_u = A_u B_u^-1 A_u^H (..., U, K, K) of the U equal-width units that
+    tile the columns of A (..., K, N*M), from _scaled_estimate: the Gram
+    matrix in the K x K kernel (I + G_u)^-1 of the push-through filter
+    B_u^-1 A_u^H (I + G_u)^-1.  One batched GEMM of contiguous factors."""
+    a = np.moveaxis(a.reshape(*a.shape[:-1], units, -1), -2, -3)  # (..., U, K, W)
+    return a @ bah.reshape(*bah.shape[:-2], units, -1, bah.shape[-1])
 
 
 def _filters_and_channels(h_hat, txs, psi, w, total_power):
@@ -153,12 +188,18 @@ def _filters_and_channels(h_hat, txs, psi, w, total_power):
 def _mean(weights, x, y=None):
     """Ensemble mean over the leading sample axis: sum_s weights_s x_s as one
     tensordot, or with y the mean of the products x_s y_s of (S, ..., i, n)
-    and (S, ..., n, j) stacks as one (i, S*n) x (S*n, j) GEMM per middle index."""
+    and (S, ..., n, j) stacks as one (i, S*n) x (S*n, j) GEMM per middle index.
+    With y, weights may also be an array that broadcasts against x, such as
+    per-row scales folded into the sample weights; x is scaled into the one
+    copy that the GEMM reads."""
     if y is None:
         return np.tensordot(weights, x, 1)
     s, (i, n), mid = len(x), x.shape[-2:], x.shape[1:-2]
-    wx = np.moveaxis(weights.reshape(-1, *[1] * (x.ndim - 1)) * x, 0, -2).reshape(*mid, i, s * n)
-    return wx @ np.moveaxis(y, 0, -3).reshape(*mid, s * n, -1)
+    if weights.ndim == 1:
+        weights = weights.reshape(-1, *[1] * (x.ndim - 1))
+    wx = np.empty((*mid, i, s, n), complex)
+    np.multiply(np.moveaxis(x, 0, -2), np.moveaxis(weights, 0, -2), out=wx)
+    return wx.reshape(*mid, i, s * n) @ np.moveaxis(y, 0, -3).reshape(*mid, s * n, -1)
 
 
 # --------------------------------------------------------------------------
@@ -306,9 +347,21 @@ def bidirectional_coupling(ensemble, stripe_txs, size, psi, w, total_power):
     size TXs, as one batched mean.  For bi (the stripe is the unit) this is
     E[Pbar_{q,0}]: the paper's per-realization Pbar_{q,0} is the response of
     the stripe's MMSE filter, so no sweep is run.  For no-share (one-TX
-    units) it is Pi_0 = E[A_l T_l] of a one-TX stripe, a lone chain end."""
+    units) it is Pi_0 = E[A_l T_l] of a one-TX stripe, a lone chain end.
+
+    A multi-TX unit with N*size > K needs no filter: by push-through
+    W^1/2 Hhat_u F_u = G_u (I + G_u)^-1 = I - (I + G_u)^-1, one K x K inverse
+    per sample.  One-TX units keep the filter, whose N x N systems are
+    cheaper than a K x K inverse per TX; sqrt(w) and the sample weights are
+    folded into the one scaled copy of Hhat_u that the mean reads."""
+    K, n = ensemble.num_users, psi.shape[-1]
+    if size > 1 and n * size > K:
+        g = _unit_gram(*_scaled_estimate(ensemble.h_hat, stripe_txs, psi, w, total_power),
+                       len(stripe_txs) // size)
+        return np.eye(K) - _mean(ensemble.weights, np.linalg.inv(np.eye(K) + g))
     f, h = _unit_filters(ensemble.h_hat, stripe_txs, size, psi, w, total_power)
-    return _mean(ensemble.weights, np.sqrt(w)[:, None] * h, f)
+    scale = (ensemble.weights[:, None] * np.sqrt(w))[:, None, :, None]  # broadcasts as h
+    return _mean(scale, h, f)
 
 
 def _coefficient_guard(rcond, failed):
@@ -364,6 +417,26 @@ def solve_statistical_precoders_bi(association, coupling):
 # per-realization schemes
 # --------------------------------------------------------------------------
 
+def _stack(ensemble, blocks):
+    """The (S, N*L, K) precoder stack of a state's stripe blocks; rows that no
+    block covers (stripes that serve nobody) are zero."""
+    out = np.zeros((ensemble.n_samples, ensemble.num_txs * ensemble.n_antennas,
+                    ensemble.num_users), complex)
+    for rows, x in blocks:
+        out[:, rows] = x
+    return out
+
+
+def _uni_blocks(ensemble, stripe_stats, coeffs, stripes, psi, w, total_power):
+    """Forward-product precoders t_{q,m} = T_{q,m} V_{q,m} Vbar_{q,m-1}...Vbar_{q,1} c_q,
+    one stripe block at a time."""
+    n = ensemble.n_antennas
+    for q, txs in enumerate(stripes):
+        if np.any(coeffs[q]):
+            yield _rows(txs, n), np.concatenate(list(_forward_product(_uni_hops(
+                ensemble.h_hat, txs, stripe_stats[q], psi, w, total_power), coeffs[q])), axis=-2)
+
+
 def tmmse_unidirectional(ensemble, stripe_stats, coeffs, stripes, psi, w, total_power):
     """Forward-product precoders t_{q,m} = T_{q,m} V_{q,m} Vbar_{q,m-1}...Vbar_{q,1} c_q.
 
@@ -371,30 +444,43 @@ def tmmse_unidirectional(ensemble, stripe_stats, coeffs, stripes, psi, w, total_
     and the statistical Pi matrices, so position m uses exactly the
     unidirectionally shared information (Hhat_{q,1}, ..., Hhat_{q,m}).
     """
-    n = ensemble.n_antennas
-    out = np.zeros((ensemble.n_samples, ensemble.num_txs * n, ensemble.num_users), complex)
-    for q, txs in enumerate(stripes):
-        if np.any(coeffs[q]):
-            for l, x in zip(txs, _forward_product(_uni_hops(
-                    ensemble.h_hat, txs, stripe_stats[q], psi, w, total_power), coeffs[q])):
-                out[:, l * n : (l + 1) * n] = x
-    return out
+    return _stack(ensemble, _uni_blocks(
+        ensemble, stripe_stats, coeffs, stripes, psi, w, total_power))
 
 
 def tmmse_bidirectional(ensemble, coeffs, stripes, psi, w, total_power):
     """Full-stripe-CSI precoders t_q = F_q c_q, F_q the MMSE filter of stripe
     q's stacked estimate (the paper's backward sweep with the per-realization
-    Pbar in place of Pi, solved in one system): the bi state's apply."""
+    Pbar in place of Pi, solved in one system): the bi state's blocks."""
     size = _stripe_length(stripes, ensemble.num_txs)
-    return FilterState("bi", stripes, size, coeffs).apply(ensemble, psi, w, total_power)
+    return _stack(ensemble, FilterState("bi", stripes, size, coeffs).blocks(
+        ensemble, psi, w, total_power))
+
+
+def _centralized_blocks(ensemble, stripes, psi, w, total_power):
+    """Centralized precoder rows B_q^-1 A_q^H (I + G)^-1 of each TX run in
+    stripes, in two passes: G = sum_q A_q B_q^-1 A_q^H, then each run's rows
+    from the kernel.  I + G has eigenvalues >= 1, at every shape."""
+    g = sum(_unit_gram(*_scaled_estimate(ensemble.h_hat, txs, psi, w, total_power), 1)
+            for txs in stripes)
+    kernel = np.linalg.inv(np.eye(ensemble.num_users) + g[..., 0, :, :])
+    del g
+    for txs in stripes:
+        yield (_rows(txs, ensemble.n_antennas),
+               _scaled_estimate(ensemble.h_hat, txs, psi, w, total_power)[1] @ kernel)
 
 
 def centralized_mmse(ensemble, psi, w, total_power):
-    """Full message and CSIT sharing reference (the sum-power benchmark):
-    local_filter on the stacked (S, K, N*L) estimate with block-diagonal error
-    covariance, so for N*L > K no per-sample (N*L)^2 system is formed."""
-    txs = range(ensemble.num_txs)
-    return _unit_filters(ensemble.h_hat, txs, len(txs), psi, w, total_power)[0][..., 0, :, :]
+    """Full message and CSIT sharing reference (the sum-power benchmark): the
+    MMSE filter of all N*L antennas with block-diagonal error covariance, in
+    push-through form, so no per-sample (N*L)^2 system is formed."""
+    return _stack(ensemble, _centralized_blocks(
+        ensemble, [range(ensemble.num_txs)], psi, w, total_power))
+
+
+# samples per block of the local-MMSE fit: its filters and effective
+# channels are held for one block of the statistics pool at a time
+SAMPLE_BLOCK = 250
 
 
 def local_mmse_coefficients(ensemble, association, psi, w, total_power):
@@ -403,30 +489,39 @@ def local_mmse_coefficients(ensemble, association, psi, w, total_power):
     The scheme constrains t_{l,k} = c_{l,k} T_l e_k with scalar c; the
     minimizing scalars solve the |L_k| x |L_k| normal equations of the
     quadratic objective, assembled from ensemble moments of the effective
-    per-TX channels.  Singular normal equations fall back to c = 1 with a
-    warning rather than failing the whole run.
+    per-TX channels.  Those moments are sums over the pool, so each user's
+    Gram matrix, regularizer and right-hand side are accumulated over blocks
+    of SAMPLE_BLOCK samples, one filter call per block.  Singular normal
+    equations fall back to c = 1 with a warning rather than failing the
+    whole run.
     """
-    K = ensemble.num_users
-    n, L = ensemble.n_antennas, ensemble.num_txs
-    wts = ensemble.weights
-    f_all = local_filter(tx_blocks(ensemble.h_hat, n), psi, w, total_power)  # (S, L, N, K)
+    n, L, K = ensemble.n_antennas, ensemble.num_txs, ensemble.num_users
+    serving = [list(txs) for txs in association.serving_txs]
+    gram = [np.zeros((len(txs), len(txs)), complex) for txs in serving]
+    reg = [np.zeros(len(txs)) for txs in serving]
+    rhs = [np.zeros(len(txs), complex) for txs in serving]
+    for lo in range(0, ensemble.n_samples, SAMPLE_BLOCK):
+        block = slice(lo, lo + SAMPLE_BLOCK)
+        wts = ensemble.weights[block]
+        f_all = local_filter(tx_blocks(ensemble.h_hat[block], n), psi, w, total_power)
+        h_blocks = tx_blocks(ensemble.h[block], n)  # (B, L, K, N)
+        for k, txs in enumerate(serving):
+            f = f_all[..., k][:, txs]  # (B, n_serving, N)
+            s_eff = np.einsum("slin,sln->sil", h_blocks[:, txs], f)  # (B, K, n_serving)
+            gram[k] += _mean(wts, herm(s_eff) * w, s_eff)  # one GEMM of the (B*K, |L_k|) stack
+            reg[k] += _mean(wts, np.abs(f) ** 2).sum(axis=-1)
+            rhs[k] += _mean(wts, np.conj(s_eff[:, k, :]))
+        del f_all, f, s_eff  # not held through the next block's filter call
     coeffs = np.zeros((L, K), dtype=complex)
-    h_blocks = tx_blocks(ensemble.h, n)  # (S, L, K, N)
-    for k in range(K):
-        txs = list(association.serving_txs[k])
-        f = f_all[:, txs][..., k]  # (S, n_serving, N)
-        s_eff = np.einsum("slin,sln->sil", h_blocks[:, txs], f)  # (S, K, n_serving)
-        gram = _mean(wts, herm(s_eff) * w, s_eff)  # one GEMM of the (S*K, |L_k|) stack
-        reg = _mean(wts, np.abs(f) ** 2).sum(axis=-1) / total_power
-        rhs = np.sqrt(w[k]) * _mean(wts, np.conj(s_eff[:, k, :]))
-        system = gram + np.diag(reg)
+    for k, txs in enumerate(serving):
+        system = gram[k] + np.diag(reg[k] / total_power)
         if _rcond(system) < RCOND_FLOOR:
             warnings.warn(
                 f"singular local-MMSE normal equations for user {k}; using unit coefficients"
             )
             c = np.ones(len(txs), dtype=complex)
         else:
-            c = np.linalg.solve(system, rhs)
+            c = np.linalg.solve(system, np.sqrt(w[k]) * rhs[k])
         coeffs[txs, k] = c
     return coeffs
 
@@ -456,7 +551,7 @@ def stripe_forward_pass(h_hat, stripe_txs, stripe_stats, coeffs_q, served_users,
 
 # --------------------------------------------------------------------------
 # scheme registry: one state type per scheme family, each with its own
-# apply and its --dump-stats matrices (coupling matrices, then coefficients)
+# stripe blocks and its --dump-stats matrices (coupling matrices, then coefficients)
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -464,9 +559,10 @@ class CentralizedState:
     """Full CSIT sharing: nothing statistical to fit."""
 
     scheme: str
+    stripes: list
 
-    def apply(self, ensemble, psi, w, total_power):
-        return centralized_mmse(ensemble, psi, w, total_power)
+    def blocks(self, ensemble, psi, w, total_power):
+        return _centralized_blocks(ensemble, self.stripes, psi, w, total_power)
 
     def dump_matrices(self):
         return []
@@ -484,20 +580,18 @@ class FilterState:
     coeffs: np.ndarray  # (units, K, K), units in TX order
     coupling: np.ndarray = None  # (units, K, K) E[W^1/2 Hhat_u F_u]; None for local MMSE
 
-    def apply(self, ensemble, psi, w, total_power):
+    def blocks(self, ensemble, psi, w, total_power):
         """One filter call per stripe that serves anyone; one GEMM per unit."""
         n, k, s = ensemble.n_antennas, ensemble.num_users, ensemble.n_samples
-        out = np.zeros((s, ensemble.num_txs * n, k), complex)
         for txs in self.stripes:
             lo, hi = txs[0], txs[-1] + 1
             coeffs = self.coeffs[lo // self.size : hi // self.size]
             if np.any(coeffs):
-                f = _unit_filters(ensemble.h_hat, txs, self.size, psi, w, total_power)[0]
-                f = np.moveaxis(f, 1, 0).reshape(len(coeffs), -1, k)  # (U, S*N*size, K)
-                x = (f @ coeffs).reshape(len(coeffs), s, -1, k)
-                out[:, lo * n : hi * n].reshape(s, len(coeffs), -1, k)[:] = np.moveaxis(x, 0, 1)
-                del f, x  # so they do not live on into the next stripe's filter call
-        return out
+                x = _unit_filters(ensemble.h_hat, txs, self.size, psi, w, total_power)[0]
+                x = np.moveaxis(x, 1, 0).reshape(len(coeffs), -1, k) @ coeffs  # (U, S*N*size, K)
+                x = np.moveaxis(x.reshape(len(coeffs), s, -1, k), 0, 1).reshape(s, -1, k)
+                yield _rows(txs, n), x
+                del x  # not held through the next stripe's filter call
 
     def dump_matrices(self):
         return [] if self.coupling is None else list(self.coupling) + list(self.coeffs)
@@ -512,8 +606,8 @@ class UniState:
     stripe_stats: list  # StripeStatistics per stripe
     stripe_coeffs: np.ndarray  # (Q, K, K)
 
-    def apply(self, ensemble, psi, w, total_power):
-        return tmmse_unidirectional(
+    def blocks(self, ensemble, psi, w, total_power):
+        return _uni_blocks(
             ensemble, self.stripe_stats, self.stripe_coeffs, self.stripes, psi, w, total_power
         )
 
@@ -560,7 +654,8 @@ def _fit_local_mmse(scheme, ensemble, association, stripes, psi, w, total_power)
 
 
 _FITS = {
-    "centralized": lambda scheme, *_: CentralizedState(scheme),
+    "centralized": lambda scheme, ensemble, association, stripes, *_: CentralizedState(
+        scheme, stripes),
     "bi": _fit_units,
     "uni": _fit_uni,
     "no-share": _fit_no_share,
@@ -578,10 +673,18 @@ def fit_scheme(scheme, ensemble, association, stripes, psi, w, total_power):
     return _FITS[scheme](scheme, ensemble, association, stripes, psi, w, total_power)
 
 
-def apply_scheme(state, ensemble, association, stripes, psi, w, total_power):
-    """Per-realization precoders (S, N*L, K) of a state, on the stripes it was fitted on."""
+def precoder_blocks(state, ensemble, psi, w, total_power):
+    """A state's precoders on an evaluation pool, one stripe at a time: an
+    iterator of (rows, X_q), X_q (S, rows, K) the stripe's rows of the
+    (S, N*L, K) stack.  A stripe that serves nobody yields no block."""
     _check_inputs(psi, total_power)
-    return state.apply(ensemble, psi, w, total_power)
+    return state.blocks(ensemble, psi, w, total_power)
+
+
+def apply_scheme(state, ensemble, association, stripes, psi, w, total_power):
+    """Per-realization precoders (S, N*L, K) of a state, on the stripes it was
+    fitted on: its precoder_blocks written into one stack."""
+    return _stack(ensemble, precoder_blocks(state, ensemble, psi, w, total_power))
 
 
 # --------------------------------------------------------------------------

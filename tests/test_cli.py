@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -279,6 +280,42 @@ class TestRunDrop:
         cfg = small_config(drops=1)
         result = run_drop(cfg, deployment_of(cfg), 0)
         assert not result.failures and stats_pool_alive == [False]
+
+
+class TestEvaluationMemory:
+    @pytest.mark.parametrize("scheme", cli.SCHEMES)
+    def test_evaluation_holds_no_precoder_stack(self, scheme, monkeypatch):
+        # numpy memory taken between the evaluation pool's draw and the first
+        # allocation, above what was live at the draw.  Ten stripes, so that a
+        # stripe's working set (a few stripe-sized arrays) is well below one
+        # (S, N*L, K) precoder stack, which is what the guard looks for.
+        cfg = small_config(num_stripes=10, txs_per_stripe=4, num_users=3, drops=1,
+                           statistics_samples=400, evaluation_samples=400, schemes=(scheme,))
+        real_draw, real_allocate = cli.draw_ensemble, cli.allocate
+        live, peaks = [], []
+
+        def draw(stats, csi, n_samples, seed_seq):
+            pool = real_draw(stats, csi, n_samples, seed_seq)
+            if seed_seq.spawn_key[-1] == cli.PHASE_EVAL:
+                tracemalloc.reset_peak()
+                live.append(tracemalloc.get_traced_memory()[0])
+            return pool
+
+        def allocate(*args, **kwargs):
+            if not peaks:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            return real_allocate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "draw_ensemble", draw)
+        monkeypatch.setattr(cli, "allocate", allocate)
+        tracemalloc.start()
+        try:
+            result = run_drop(cfg, deployment_of(cfg), 0)
+        finally:
+            tracemalloc.stop()
+        assert not result.failures
+        stack_bytes = cfg.evaluation_samples * cfg.num_txs * cfg.num_users * 16  # complex
+        assert peaks[0] - live[0] < stack_bytes
 
 
 class TestCdf:

@@ -11,11 +11,13 @@ from tmmse.evaluation import (
     dual_sinr_targets,
     duality_power_allocation,
     estimate_moments,
+    evaluate,
     hardening_rates,
     mse_samples,
     per_tx_scaling,
 )
-from tmmse.precoding import apply_scheme, fit_scheme
+from tmmse.precoding import SCHEMES, apply_scheme, fit_scheme, precoder_blocks
+from tmmse.topology import association_from_stripes
 
 
 def make_moments(a, v, b, per_tx=None, num_txs=1):
@@ -219,6 +221,53 @@ class TestMoments:
         np.testing.assert_allclose(m.mean_eff, mean_hand, atol=1e-14)
         np.testing.assert_allclose(m.b, b_hand, atol=1e-14)
         np.testing.assert_allclose(m.per_tx_power, np.eye(2), atol=1e-14)
+
+
+class TestStreamedEvaluation:
+    """evaluate, fed a state's stripe blocks, equals estimate_moments and
+    compute_mse on apply_scheme's stack (the same blocks written into one)."""
+
+    FIELDS = ("mean_eff", "a", "v", "b", "per_tx_power", "tk_power", "se_mean", "se_b")
+
+    @staticmethod
+    def _both(scheme, model, assoc, stripes, w, power):
+        ens, psi = model.ensemble(), model.psi_stack(w)
+        state = fit_scheme(scheme, ens, assoc, stripes, psi, w, power)
+        streamed = evaluate(ens, precoder_blocks(state, ens, psi, w, power), w, power)
+        t = apply_scheme(state, ens, assoc, stripes, psi, w, power)
+        return streamed, (estimate_moments(ens, t), compute_mse(ens, t, w, power))
+
+    def _check(self, scheme, model, assoc, stripes, w, power):
+        (m, mse), (m_ref, mse_ref) = self._both(scheme, model, assoc, stripes, w, power)
+        for field in self.FIELDS:
+            ref = getattr(m_ref, field)
+            np.testing.assert_allclose(getattr(m, field), ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max(), err_msg=field)
+        np.testing.assert_allclose(mse, mse_ref, rtol=1e-12)
+        return m, m_ref
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("num_stripes, txs_per_stripe, num_users, n_antennas", [
+        (2, 1, 3, 1),  # N*L <= K
+        (2, 2, 2, 1),  # N*L > K
+        (2, 1, 4, 2),  # N*L <= K
+        (2, 2, 3, 2),  # N*L > K
+    ])
+    def test_equals_the_stack_path(self, rng, scheme, num_stripes, txs_per_stripe, num_users,
+                                   n_antennas):
+        model, stripes, assoc, w, power = random_stripe_setup(
+            rng, num_stripes, txs_per_stripe, num_users, "bi", n_antennas=n_antennas,
+            max_points=64)
+        self._check(scheme, model, assoc, stripes, w, power)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_stripe_serving_nobody_has_zero_power_rows(self, rng, scheme):
+        model, stripes, _, w, power = random_stripe_setup(rng, 2, 2, 2, "bi", max_points=64)
+        assoc = association_from_stripes([(0,), (0,)], 2, 2)  # stripe 1 serves nobody
+        m, m_ref = self._check(scheme, model, assoc, stripes, w, power)
+        if scheme != "centralized":  # every TX serves every user there
+            assert (m.per_tx_power[2:] == 0).all() and (m_ref.per_tx_power[2:] == 0).all()
+            assert (m.per_tx_power[:2] > 0).any()
 
 
 class TestAllocatePipeline:

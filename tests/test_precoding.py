@@ -14,10 +14,11 @@ from tests.conftest import (
     sign_symmetric_model,
     team_problem,
 )
-from tmmse.channel import Ensemble, from_local_supports
+from tmmse.channel import Ensemble, from_local_supports, tx_blocks
 from tmmse.oracle import mse_exact, solve_team_exact, verify_stationarity
 from tmmse.precoding import (
     RCOND_FLOOR,
+    SAMPLE_BLOCK,
     SingularCoefficientSystem,
     SingularSweepError,
     StripeStatistics,
@@ -119,6 +120,24 @@ class TestUnitFilters:
         model, _, assoc, w, power = random_stripe_setup(rng, 2, 2, 2, "bi")
         with pytest.raises(ValueError, match=re.escape(str(stripes))):
             fit_scheme(scheme, model.ensemble(), assoc, stripes, model.psi_stack(w), w, power)
+
+
+class TestCouplingKernel:
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_equals_the_mean_response_of_the_unit_filters(self, rng, size):
+        # N = 2, K = 3: one-TX units keep the filter; units of two and four
+        # TXs (N*size > K) take I - E[(I + G_u)^-1]
+        S, K, N, L = 40, 3, 2, 8
+        h_hat = rng.standard_normal((S, K, N * L)) + 1j * rng.standard_normal((S, K, N * L))
+        wts = rng.random(S) + 0.5
+        ens = Ensemble(h=h_hat, h_hat=h_hat, weights=wts / wts.sum(), n_antennas=N)
+        psi = random_psd_stack(rng, L, N)
+        w, power = np.array([0.5, 0.3, 0.2]), 2.5
+        txs = list(range(4, 8))
+        f, h = _unit_filters(h_hat, txs, size, psi, w, power)
+        want = np.einsum("s,suki,suij->ukj", ens.weights, np.sqrt(w)[:, None] * h, f)
+        got = bidirectional_coupling(ens, txs, size, psi, w, power)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
 
 class TestPsiValidation:
@@ -634,6 +653,33 @@ class TestLocalMmseBaseline:
                 model.ensemble(), assoc, model.psi_stack(w), w, 2.0
             )
         assert coefs[0, 0] == 1.0
+
+    @pytest.mark.parametrize("n_antennas", [1, 2])
+    def test_blocked_sums_match_the_whole_pool_normal_equations(self, rng, n_antennas):
+        # a pool of three sample blocks, the last one partial, with unequal weights
+        S, K, N, Q, M = 2 * SAMPLE_BLOCK + 100, 3, n_antennas, 2, 2
+        shape = (S, K, N * Q * M)
+        h_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h = h_hat + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        wts = rng.random(S) + 0.5
+        ens = Ensemble(h=h, h_hat=h_hat, weights=wts / wts.sum(), n_antennas=N)
+        psi = random_psd_stack(rng, Q * M, N, scale=0.05)
+        w, power = np.array([0.5, 0.3, 0.2]), 3.0
+        assoc = random_association(rng, Q, M, K)
+        coeffs = local_mmse_coefficients(ens, assoc, psi, w, power)
+        # min over c of E[ sum_i w_i |sum_l c_l g_i^H T_l e_k - delta_ik|^2
+        #                  + sum_l |c_l|^2 ||T_l e_k||^2 / P ]
+        t = local_filter(tx_blocks(h_hat, N), psi, w, power)  # (S, L, N, K)
+        for k, txs in enumerate(assoc.serving_txs):
+            txs = list(txs)
+            t_k = t[..., k][:, txs]  # (S, n_serving, N): T_l e_k
+            e = np.einsum("slin,sln->sil", tx_blocks(h, N)[:, txs], t_k)  # g_i^H T_l e_k
+            gram = np.einsum("s,i,sia,sib->ab", ens.weights, w, e.conj(), e)
+            reg = np.einsum("s,sln->l", ens.weights, np.abs(t_k) ** 2) / power
+            rhs = np.sqrt(w[k]) * np.einsum("s,sl->l", ens.weights, e[:, k].conj())
+            c = np.linalg.solve(gram + np.diag(reg), rhs)
+            np.testing.assert_allclose(coeffs[txs, k], c, rtol=1e-12)
+            assert not coeffs[[l for l in range(Q * M) if l not in txs], k].any()
 
     def test_line_of_sight_strictly_worse(self, rng):
         # nonzero channel mean: the scalar restriction loses optimality
