@@ -130,6 +130,11 @@ class ScenarioConfig:
             raise ValueError("per_tx_power_mw or sum_power_mw must give a positive budget")
         if self.drops < 1 or self.statistics_samples < 1 or self.evaluation_samples < 1:
             raise ValueError("drops, statistics_samples and evaluation_samples must be >= 1")
+        for name in ("schemes", "power_modes"):
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{name} must be a non-empty list without repeats, "
+                                 f"got {list(values)}")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}; expected one of {SCHEMES}")

@@ -203,6 +203,8 @@ def hardening_rates(moments, p, nu2=1.0, units="bits"):
     p = np.asarray(p, dtype=float)
     if (p < 0).any() or nu2 < 1.0:
         raise ValueError("need p >= 0 and nu2 >= 1")
+    if units not in ("bits", "nats"):
+        raise ValueError(f"units must be 'bits' or 'nats', got {units!r}")
     interference = moments.b.real @ p - p * moments.b.real.diagonal() + p * moments.v
     sinr = p * moments.a / (interference + nu2)
     log = np.log2 if units == "bits" else np.log

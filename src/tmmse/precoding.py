@@ -14,17 +14,20 @@ X_q (S, rows, K) the stripe's rows of the (S, N*L, K) stack:
 evaluation.evaluate accumulates what the rates need from these blocks, so a
 drop never holds a stack; apply_scheme writes the same blocks into one.
 
-One regularized MMSE filter, local_filter, gives the local filters T_l.
-bi, no-share and local MMSE are F_u c_u on units of a stripe, one TX, one
-TX with diagonal c: F_u is the MMSE filter of the unit's stacked estimate
-with its TXs' Psi blocks on the diagonal (bi's per-realization Pbar
-recursion in the paper is a hop-by-hop elimination of that one system).
-The centralized precoder is the MMSE filter of all N*L antennas in
-push-through form, B^-1 A^H (I + G)^-1 with A = W^1/2 Hhat, B = Psi + I/P
-block diagonal and G = sum_l A_l B_l^-1 A_l^H; G is summed stripe by stripe
-and each stripe's rows formed from the one K x K kernel (I + G)^-1.  The
-same kernel gives the coupling of a multi-TX unit with N*size > K:
-E[W^1/2 Hhat_u F_u] = I - E[(I + G_u)^-1].
+Every scheme but uni is F_u c_u: F_u the MMSE filter of a unit's stacked
+estimate with its TXs' Psi blocks on the diagonal, c_u the unit's K x K
+coefficients.  The unit is one TX for no-share and local MMSE (diagonal c),
+a stripe for bi (the paper's per-realization Pbar recursion is a
+hop-by-hop elimination of that one system) and all TXs for centralized
+(c = I).  A filter takes one of two forms, chosen by the unit's size:
+
+* one TX: the local filter T_l of local_filter, from its N x N normal
+  equations; uni's hops use the same filters;
+* a run of TXs: the unit kernel B^-1 A^H (I + G_u)^-1 c_u, with
+  A = W^1/2 Hhat_u, B = Psi + I/P block diagonal and G_u = A B^-1 A^H;
+  G_u is summed over the unit's stripes in a first pass and each stripe's
+  rows formed from (I + G_u)^-1 c_u in a second.  The unit's coupling is
+  E[W^1/2 Hhat_u F_u] = I - E[(I + G_u)^-1].
 
 The stripe recursion (a backward sweep for the update matrices V, a forward
 product for the precoders) serves uni, with the statistical Pi as the
@@ -65,8 +68,8 @@ COEFF_RESIDUAL_TOL = 1e-10
 class SingularSweepError(RuntimeError):
     """A stripe-sweep system (I - Pi P) was numerically singular.
 
-    Only uni raises it.  The F_u c_u schemes have no sweep: a unit filter's
-    system has eigenvalues >= 1/P (N*size <= K) or >= 1 (push-through)."""
+    Only uni raises it.  The F_u c_u schemes have no sweep: a one-TX filter's
+    system has eigenvalues >= 1/P, a unit kernel's I + G_u eigenvalues >= 1."""
 
     def __init__(self, stripe, position, sample, rcond):
         self.stripe = stripe
@@ -113,38 +116,29 @@ def local_filter(h_hat, psi, w, total_power):
     h_hat is (..., K, N); psi is the (N, N) error covariance, or a stack of
     them broadcast against the leading axes of h_hat; returns (..., N, K).
     Psi must be Hermitian PSD and P > 0, as fit_scheme, apply_scheme and
-    stripe_forward_pass check once per call.  The smaller of two equal
-    systems is solved: for N <= K the N x N one above, which at N = 1 is the
-    division T = conj(hhat) w^1/2 / (sum_k w_k |hhat_k|^2 + psi + 1/P); for
-    N > K the K x K push-through
-    T = B^-1 Hhat^H W^1/2 (I_K + W^1/2 Hhat B^-1 Hhat^H W^1/2)^-1
-    with B = Psi + I/P, which is the same for every sample, has eigenvalues
-    >= 1/P, and is inverted once per call.
+    stripe_forward_pass check once per call.  The N x N system has
+    eigenvalues >= 1/P; at N = 1 it is the division
+    T = conj(hhat) w^1/2 / (sum_k w_k |hhat_k|^2 + psi + 1/P).  This is the
+    one-TX form; a run of TXs takes the unit kernel (_scaled_estimate,
+    _unit_gram) instead.
     """
     h_hat = np.asarray(h_hat, dtype=complex)
     w = np.asarray(w, dtype=float)
-    K, n = h_hat.shape[-2:]
-    if n > K:
-        a = np.sqrt(w)[:, None] * h_hat  # W^1/2 Hhat
-        ab = a @ np.linalg.inv(psi + np.eye(n) / total_power)  # W^1/2 Hhat B^-1
-        return herm(np.linalg.solve(np.eye(K) + ab @ herm(a), ab))  # both Hermitian
+    n = h_hat.shape[-1]
     hh = herm(h_hat)  # formed once, for the normal matrix and the right-hand side
     a = hh @ (w[:, None] * h_hat) + psi + np.eye(n) / total_power
     hh *= np.sqrt(w)  # Hhat^H W^1/2, broadcast over trailing K axis
     return _solve_small(a, hh)
 
 
-def _unit_filters(h_hat, txs, size, psi, w, total_power):
-    """MMSE filters F (..., U, N*size, K), from one local_filter call, of the
-    stacked estimates Hhat_u (..., U, K, N*size) of the units of size TXs
-    tiling the run txs, each with its TXs' Psi blocks on the diagonal.
-    Returns F and Hhat_u, a view of h_hat."""
+def _tx_filters(h_hat, txs, psi, w, total_power):
+    """Local filters T (..., M, N, K) of the run of M TXs txs, from one
+    local_filter call, and their estimates Hhat (..., M, K, N), a view of
+    h_hat (..., K, N*L).  A TX's response P = A T, A = W^1/2 Hhat, has
+    rank <= N and is never formed."""
     n = psi.shape[-1]
-    lo, hi = txs[0], txs[-1] + 1
-    h = tx_blocks(h_hat[..., lo * n : hi * n], n * size)
-    blocks = psi[lo:hi].reshape(-1, size, n, n)  # (unit, position in unit, N, N)
-    psi_units = np.einsum("ujab,jk->ujakb", blocks, np.eye(size))  # block j at (j, j)
-    return local_filter(h, psi_units.reshape(len(blocks), n * size, -1), w, total_power), h
+    h = tx_blocks(h_hat[..., _rows(txs, n)], n)
+    return local_filter(h, psi[txs[0] : txs[-1] + 1], w, total_power), h
 
 
 def _rows(txs, n):
@@ -167,22 +161,10 @@ def _scaled_estimate(h_hat, txs, psi, w, total_power):
 def _unit_gram(a, bah, units):
     """G_u = A_u B_u^-1 A_u^H (..., U, K, K) of the U equal-width units that
     tile the columns of A (..., K, N*M), from _scaled_estimate: the Gram
-    matrix in the K x K kernel (I + G_u)^-1 of the push-through filter
+    matrix in the K x K kernel (I + G_u)^-1 of the unit filter
     B_u^-1 A_u^H (I + G_u)^-1.  One batched GEMM of contiguous factors."""
     a = np.moveaxis(a.reshape(*a.shape[:-1], units, -1), -2, -3)  # (..., U, K, W)
     return a @ bah.reshape(*bah.shape[:-2], units, -1, bah.shape[-1])
-
-
-def _filters_and_channels(h_hat, txs, psi, w, total_power):
-    """Local filters T (..., N, K) and channels A = W^1/2 Hhat (..., K, N) of TX txs.
-
-    h_hat is (..., K, N*L).  txs is one TX index, or a list of them whose
-    filters come from one batched call, stacked on an axis just before the
-    matrix axes: T (..., M, N, K), A (..., M, K, N).  The response of a TX
-    is P = A T, of rank <= N; it is never formed.
-    """
-    h = tx_blocks(h_hat, psi.shape[-1])[..., txs, :, :]
-    return local_filter(h, psi[txs], w, total_power), np.sqrt(w)[:, None] * h
 
 
 def _mean(weights, x, y=None):
@@ -290,8 +272,8 @@ def _uni_hops(h_hat, txs, stats, psi, w, total_power):
     chain end are guarded and solved together (the chain end, Pi_M = 0,
     takes neither: T_M V_M = T_M).
     """
-    t, a = _filters_and_channels(h_hat, list(txs), psi, w, total_power)
-    tv = t
+    t, h = _tx_filters(h_hat, txs, psi, w, total_power)
+    a, tv = np.sqrt(w)[:, None] * h, t
     if len(txs) > 1:
         head = _solve_hops(t[..., :-1, :, :], a[..., :-1, :, :], stats.pi[1:-1],
                            stats.stripe, range(len(txs) - 1))
@@ -334,9 +316,10 @@ def estimate_stripe_statistics(ensemble, stripe_txs, psi, w, total_power, stripe
     eye = np.eye(len(w))
     pi = []
     for m in range(len(stripe_txs), 0, -1):
-        t, a = _filters_and_channels(ensemble.h_hat, stripe_txs[m - 1], psi, w, total_power)
+        t, h = _tx_filters(ensemble.h_hat, stripe_txs[m - 1 : m], psi, w, total_power)
+        a = np.sqrt(w)[:, None] * h
         tv = _solve_hops(t, a, pi[-1], stripe, [m - 1]) if pi else t
-        r = _mean(ensemble.weights, a, tv)
+        r = _mean(ensemble.weights, a, tv)[0]
         pi.append(pi[-1] + (eye - pi[-1]) @ r if pi else r)
     pi = np.array(pi[::-1] + [np.zeros_like(pi[0])])  # Pi_M = 0 at the chain end
     return StripeStatistics(stripe, pi)
@@ -349,19 +332,19 @@ def bidirectional_coupling(ensemble, stripe_txs, size, psi, w, total_power):
     the stripe's MMSE filter, so no sweep is run.  For no-share (one-TX
     units) it is Pi_0 = E[A_l T_l] of a one-TX stripe, a lone chain end.
 
-    A multi-TX unit with N*size > K needs no filter: by push-through
+    A multi-TX unit needs no filter: its response is
     W^1/2 Hhat_u F_u = G_u (I + G_u)^-1 = I - (I + G_u)^-1, one K x K inverse
     per sample.  One-TX units keep the filter, whose N x N systems are
     cheaper than a K x K inverse per TX; sqrt(w) and the sample weights are
     folded into the one scaled copy of Hhat_u that the mean reads."""
-    K, n = ensemble.num_users, psi.shape[-1]
-    if size > 1 and n * size > K:
+    if size > 1:
+        eye = np.eye(ensemble.num_users)
         g = _unit_gram(*_scaled_estimate(ensemble.h_hat, stripe_txs, psi, w, total_power),
                        len(stripe_txs) // size)
-        return np.eye(K) - _mean(ensemble.weights, np.linalg.inv(np.eye(K) + g))
-    f, h = _unit_filters(ensemble.h_hat, stripe_txs, size, psi, w, total_power)
+        return eye - _mean(ensemble.weights, np.linalg.inv(eye + g))
+    t, h = _tx_filters(ensemble.h_hat, stripe_txs, psi, w, total_power)
     scale = (ensemble.weights[:, None] * np.sqrt(w))[:, None, :, None]  # broadcasts as h
-    return _mean(scale, h, f)
+    return _mean(scale, h, t)
 
 
 def _coefficient_guard(rcond, failed):
@@ -457,25 +440,13 @@ def tmmse_bidirectional(ensemble, coeffs, stripes, psi, w, total_power):
         ensemble, psi, w, total_power))
 
 
-def _centralized_blocks(ensemble, stripes, psi, w, total_power):
-    """Centralized precoder rows B_q^-1 A_q^H (I + G)^-1 of each TX run in
-    stripes, in two passes: G = sum_q A_q B_q^-1 A_q^H, then each run's rows
-    from the kernel.  I + G has eigenvalues >= 1, at every shape."""
-    g = sum(_unit_gram(*_scaled_estimate(ensemble.h_hat, txs, psi, w, total_power), 1)
-            for txs in stripes)
-    kernel = np.linalg.inv(np.eye(ensemble.num_users) + g[..., 0, :, :])
-    del g
-    for txs in stripes:
-        yield (_rows(txs, ensemble.n_antennas),
-               _scaled_estimate(ensemble.h_hat, txs, psi, w, total_power)[1] @ kernel)
-
-
 def centralized_mmse(ensemble, psi, w, total_power):
     """Full message and CSIT sharing reference (the sum-power benchmark): the
-    MMSE filter of all N*L antennas with block-diagonal error covariance, in
-    push-through form, so no per-sample (N*L)^2 system is formed."""
-    return _stack(ensemble, _centralized_blocks(
-        ensemble, [range(ensemble.num_txs)], psi, w, total_power))
+    unit kernel of all N*L antennas with block-diagonal error covariance and
+    c = I, so no per-sample (N*L)^2 system is formed."""
+    return _stack(ensemble, _fit_centralized(
+        "centralized", ensemble, None, [range(ensemble.num_txs)]).blocks(
+        ensemble, psi, w, total_power))
 
 
 # samples per block of the local-MMSE fit: its filters and effective
@@ -555,43 +526,49 @@ def stripe_forward_pass(h_hat, stripe_txs, stripe_stats, coeffs_q, served_users,
 # --------------------------------------------------------------------------
 
 @dataclass
-class CentralizedState:
-    """Full CSIT sharing: nothing statistical to fit."""
-
-    scheme: str
-    stripes: list
-
-    def blocks(self, ensemble, psi, w, total_power):
-        return _centralized_blocks(ensemble, self.stripes, psi, w, total_power)
-
-    def dump_matrices(self):
-        return []
-
-
-@dataclass
 class FilterState:
-    """Precoders F_u c_u on units of size consecutive TXs of a stripe, F_u the
-    MMSE filter of unit u's stacked estimate: bi (units are stripes), no-share
-    (one-TX units) and local MMSE (one-TX units with diagonal c_u)."""
+    """Precoders F_u c_u on units of size consecutive TXs, F_u the MMSE
+    filter of unit u's stacked estimate: no-share (one-TX units), local MMSE
+    (one-TX units with diagonal c_u), bi (units are stripes) and centralized
+    (one unit of all TXs, c = I)."""
 
     scheme: str
     stripes: list  # consecutive equal-length runs of TXs tiling 0..L-1
     size: int  # TXs per unit
     coeffs: np.ndarray  # (units, K, K), units in TX order
-    coupling: np.ndarray = None  # (units, K, K) E[W^1/2 Hhat_u F_u]; None for local MMSE
+    coupling: np.ndarray = None  # (units, K, K) E[W^1/2 Hhat_u F_u]; None if not fitted
 
     def blocks(self, ensemble, psi, w, total_power):
-        """One filter call per stripe that serves anyone; one GEMM per unit."""
+        """One-TX units: one filter call per stripe that serves anyone and one
+        GEMM per TX.  Units of whole stripes: the unit kernel, G_u summed over
+        the unit's stripes, then each stripe's rows B^-1 A^H (I + G_u)^-1 c_u."""
+        if self.size == 1:
+            return self._filter_blocks(ensemble, psi, w, total_power)
+        return self._kernel_blocks(ensemble, psi, w, total_power)
+
+    def _filter_blocks(self, ensemble, psi, w, total_power):
         n, k, s = ensemble.n_antennas, ensemble.num_users, ensemble.n_samples
         for txs in self.stripes:
-            lo, hi = txs[0], txs[-1] + 1
-            coeffs = self.coeffs[lo // self.size : hi // self.size]
+            coeffs = self.coeffs[txs[0] : txs[-1] + 1]
             if np.any(coeffs):
-                x = _unit_filters(ensemble.h_hat, txs, self.size, psi, w, total_power)[0]
-                x = np.moveaxis(x, 1, 0).reshape(len(coeffs), -1, k) @ coeffs  # (U, S*N*size, K)
+                x = _tx_filters(ensemble.h_hat, txs, psi, w, total_power)[0]
+                x = np.moveaxis(x, 1, 0).reshape(len(coeffs), -1, k) @ coeffs  # (M, S*N, K)
                 x = np.moveaxis(x.reshape(len(coeffs), s, -1, k), 0, 1).reshape(s, -1, k)
                 yield _rows(txs, n), x
                 del x  # not held through the next stripe's filter call
+
+    def _kernel_blocks(self, ensemble, psi, w, total_power):
+        per_unit = self.size // len(self.stripes[0])  # stripes per unit
+        for u, coeffs in enumerate(self.coeffs):
+            run = self.stripes[u * per_unit : (u + 1) * per_unit]
+            if np.any(coeffs):
+                g = sum(_unit_gram(*_scaled_estimate(ensemble.h_hat, txs, psi, w, total_power), 1)
+                        for txs in run)
+                kc = np.linalg.inv(np.eye(ensemble.num_users) + g[..., 0, :, :]) @ coeffs
+                del g
+                for txs in run:
+                    yield (_rows(txs, ensemble.n_antennas),
+                           _scaled_estimate(ensemble.h_hat, txs, psi, w, total_power)[1] @ kc)
 
     def dump_matrices(self):
         return [] if self.coupling is None else list(self.coupling) + list(self.coeffs)
@@ -653,9 +630,13 @@ def _fit_local_mmse(scheme, ensemble, association, stripes, psi, w, total_power)
     return FilterState(scheme, stripes, 1, c[:, None, :] * np.eye(ensemble.num_users))
 
 
+def _fit_centralized(scheme, ensemble, association, stripes, *_):
+    # one unit of all TXs with c = I: full CSIT sharing has nothing statistical to fit
+    return FilterState(scheme, stripes, ensemble.num_txs, np.eye(ensemble.num_users)[None])
+
+
 _FITS = {
-    "centralized": lambda scheme, ensemble, association, stripes, *_: CentralizedState(
-        scheme, stripes),
+    "centralized": _fit_centralized,
     "bi": _fit_units,
     "uni": _fit_uni,
     "no-share": _fit_no_share,

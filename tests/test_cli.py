@@ -66,6 +66,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(schemes=("zf",)).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("schemes", []), ("schemes", ["bi", "bi"]), ("schemes", ["uni", "bi", "uni"]),
+        ("power_modes", []), ("power_modes", ["sum", "sum"]),
+    ])
+    def test_empty_or_repeated_list_rejected_at_load(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig.from_dict({field: value})
+
     @pytest.mark.parametrize(
         "overrides, field",
         [
@@ -425,6 +433,18 @@ class TestFlagsAndEnv:
         args = build_parser().parse_args(["--schemes", "uni, bi"])
         cfg = resolve_config(args)
         assert cfg.schemes == ("uni", "bi")
+
+    @pytest.mark.parametrize("value", [",", "bi,bi"])
+    def test_empty_or_repeated_scheme_flag_rejected(self, value, tmp_path):
+        with pytest.raises(ValueError, match="schemes"):
+            main(["--schemes", value, "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [" , ", "no-share,uni,no-share"])
+    def test_empty_or_repeated_scheme_env_rejected(self, value, monkeypatch):
+        monkeypatch.setenv("TMMSE_SCHEMES", value)
+        with pytest.raises(ValueError, match="schemes"):
+            resolve_config(build_parser().parse_args([])).validate()
 
     def test_main_end_to_end(self, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.json"

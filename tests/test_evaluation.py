@@ -160,6 +160,12 @@ class TestHardeningRates:
         nats = hardening_rates(m, [1.0], units="nats")
         assert nats[0] == pytest.approx(bits[0] * np.log(2.0))
 
+    @pytest.mark.parametrize("units", ["bit", "BITS", "nat", ""])
+    def test_unknown_units_rejected(self, units):
+        m = make_moments([2.0], [0.0], [[2.0]])
+        with pytest.raises(ValueError, match="units"):
+            hardening_rates(m, [1.0], units=units)
+
     def test_monotone_in_nu2(self):
         m = make_moments([2.0, 1.5], [0.1, 0.2], np.full((2, 2), 0.4))
         p = [1.0, 2.0]

@@ -67,7 +67,7 @@ class TestTrivialCollapses:
 
     def test_multi_antenna_closed_forms_match_oracle(self, rng):
         # Multi-antenna branch shapes (Q, M, K, N): (1, 2, 3, 2) the dense sweep
-        # guard; (1, 2, 2, 3) N > K, the push-through filter and LAPACK hop
+        # guard; (1, 2, 2, 3) N > K, per-TX normal equations and LAPACK hop
         # solves; (1, 2, 5, 2) K > 2N, the QR-restricted guard; (2, 2, 3, 2) two
         # coupled stripes; (1, 3, 1, 2) a single user.  Centralized is left out:
         # with a partial association the oracle solves another problem

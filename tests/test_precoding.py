@@ -38,7 +38,6 @@ from tmmse.precoding import (
     write_matrix_dump,
     _rcond,
     _sweep_rcond,
-    _unit_filters,
 )
 from tmmse.topology import association_from_stripes, stripe_layout
 
@@ -58,9 +57,9 @@ class TestLocalFilter:
         assert (t == 0).all()
 
     def test_matches_independent_dense_solve(self, rng):
-        # N <= K takes the normal equations; N > K (a batch of 4 samples, with
-        # a non-diagonal Hermitian PSD Psi) takes the K x K push-through form;
-        # N = 1 (a batch of 5 samples, K = 4, Psi > 0) takes one division
+        # N <= K and N > K (a batch of 4 samples, with a non-diagonal
+        # Hermitian PSD Psi) both take the N x N normal equations; N = 1 (a
+        # batch of 5 samples, K = 4, Psi > 0) takes one division
         h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         h_wide = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
@@ -86,28 +85,39 @@ def random_psd_stack(rng, count, n, scale=0.3):
     return scale * x @ x.conj().swapaxes(-1, -2)
 
 
+def block_diagonal_filter(h_hat, unit, psi, w, power):
+    """Reference MMSE filter of the stacked estimate of the TX run unit, from
+    the normal equations with its TXs' Psi blocks placed on the diagonal by hand."""
+    n, size = psi.shape[-1], len(unit)
+    psi_u = np.zeros((n * size, n * size), complex)
+    for j, l in enumerate(unit):
+        psi_u[j * n : (j + 1) * n, j * n : (j + 1) * n] = psi[l]
+    return local_filter(h_hat[..., unit[0] * n : (unit[-1] + 1) * n], psi_u, w, power)
+
+
 class TestUnitFilters:
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_matches_hand_built_block_diagonal_filter(self, rng, size):
-        # N = 2, K = 3: units of one TX take the normal equations (N*size <= K),
-        # of two and three TXs the push-through form (N*size > K); the units
-        # tile TXs 2..7 of 8, so the run does not start at TX 0
-        S, K, N, L = 5, 3, 2, 8
-        h_hat = rng.standard_normal((S, K, N * L)) + 1j * rng.standard_normal((S, K, N * L))
-        psi = random_psd_stack(rng, L, N)
-        w, power = np.array([0.5, 0.3, 0.2]), 2.5
-        txs = list(range(2, 8))
-        f, h = _unit_filters(h_hat, txs, size, psi, w, power)
-        assert f.shape == (S, len(txs) // size, N * size, K)
-        for u in range(len(txs) // size):
-            unit = txs[u * size : (u + 1) * size]
-            cols = slice(unit[0] * N, (unit[-1] + 1) * N)
-            psi_u = np.zeros((N * size, N * size), complex)
-            for j, l in enumerate(unit):
-                psi_u[j * N : (j + 1) * N, j * N : (j + 1) * N] = psi[l]
-            np.testing.assert_array_equal(h[:, u], h_hat[..., cols])
-            np.testing.assert_allclose(f[:, u], local_filter(h_hat[..., cols], psi_u, w, power),
-                                       rtol=1e-12, atol=1e-14)
+        # bi on stripes of size TXs (one-TX stripes take the per-TX filter,
+        # longer ones the unit kernel) against F_u c_u from the normal
+        # equations; N = 2 with K = 3 puts N*size > K for size >= 2, K = 6
+        # puts N*size <= K for every size.  The second stripe serves nobody.
+        S, N, L = 5, 2, 6
+        for K in (3, 6):
+            h_hat = rng.standard_normal((S, K, N * L)) + 1j * rng.standard_normal((S, K, N * L))
+            psi = random_psd_stack(rng, L, N)
+            w, power = rng.random(K) + 0.2, 2.5
+            w /= w.sum()
+            stripes = [list(range(lo, lo + size)) for lo in range(0, L, size)]
+            coeffs = rng.standard_normal((len(stripes), K, K)) + 1j * rng.standard_normal(
+                (len(stripes), K, K))
+            coeffs[1] = 0
+            ens = Ensemble(h=h_hat, h_hat=h_hat, weights=np.full(S, 1 / S), n_antennas=N)
+            got = tmmse_bidirectional(ens, coeffs, stripes, psi, w, power)
+            for unit, c in zip(stripes, coeffs):
+                rows = slice(unit[0] * N, (unit[-1] + 1) * N)
+                want = block_diagonal_filter(h_hat, unit, psi, w, power) @ c
+                np.testing.assert_allclose(got[:, rows], want, rtol=1e-11, atol=1e-13)
 
     @pytest.mark.parametrize("scheme", ["bi", "no-share", "local-mmse"])
     @pytest.mark.parametrize("stripes", [
@@ -125,19 +135,26 @@ class TestUnitFilters:
 class TestCouplingKernel:
     @pytest.mark.parametrize("size", [1, 2, 4])
     def test_equals_the_mean_response_of_the_unit_filters(self, rng, size):
-        # N = 2, K = 3: one-TX units keep the filter; units of two and four
-        # TXs (N*size > K) take I - E[(I + G_u)^-1]
-        S, K, N, L = 40, 3, 2, 8
-        h_hat = rng.standard_normal((S, K, N * L)) + 1j * rng.standard_normal((S, K, N * L))
-        wts = rng.random(S) + 0.5
-        ens = Ensemble(h=h_hat, h_hat=h_hat, weights=wts / wts.sum(), n_antennas=N)
-        psi = random_psd_stack(rng, L, N)
-        w, power = np.array([0.5, 0.3, 0.2]), 2.5
+        # N = 2: one-TX units keep the filter; units of two and four TXs take
+        # I - E[(I + G_u)^-1], with N*size > K at K = 3 and N*size <= K at K = 9;
+        # the reference filters come from the normal equations
+        S, N, L = 40, 2, 8
         txs = list(range(4, 8))
-        f, h = _unit_filters(h_hat, txs, size, psi, w, power)
-        want = np.einsum("s,suki,suij->ukj", ens.weights, np.sqrt(w)[:, None] * h, f)
-        got = bidirectional_coupling(ens, txs, size, psi, w, power)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+        for K in (3, 9):
+            h_hat = rng.standard_normal((S, K, N * L)) + 1j * rng.standard_normal((S, K, N * L))
+            wts = rng.random(S) + 0.5
+            ens = Ensemble(h=h_hat, h_hat=h_hat, weights=wts / wts.sum(), n_antennas=N)
+            psi = random_psd_stack(rng, L, N)
+            w, power = rng.random(K) + 0.2, 2.5
+            w /= w.sum()
+            want = []
+            for lo in range(0, len(txs), size):
+                unit = txs[lo : lo + size]
+                h = np.sqrt(w)[:, None] * h_hat[..., unit[0] * N : (unit[-1] + 1) * N]
+                f = block_diagonal_filter(h_hat, unit, psi, w, power)
+                want.append(np.einsum("s,ski,sij->kj", ens.weights, h, f))
+            got = bidirectional_coupling(ens, txs, size, psi, w, power)
+            np.testing.assert_allclose(got, np.array(want), rtol=1e-11, atol=1e-13)
 
 
 class TestPsiValidation:
@@ -488,8 +505,8 @@ class TestSchemeEquivalences:
 
     def test_injected_zero_coupling_reduces_to_plain_sweep(self, rng):
         # the hand-written per-realization Pbar sweep of the paper is the
-        # reference for both bi stages; N*M <= K takes local_filter's normal
-        # equations on the stripe, N*M > K its push-through form
+        # reference for both bi stages, which take the unit kernel on each
+        # stripe; the shapes put N*M on both sides of K
         for Q, M, K, N in ((2, 2, 2, 1), (2, 3, 2, 1), (1, 2, 4, 2), (1, 2, 3, 2)):
             self._check_plain_sweep(*random_stripe_setup(rng, Q, M, K, "bi", n_antennas=N))
 
@@ -767,8 +784,8 @@ class TestCentralized:
     @pytest.mark.parametrize("L,K,N", [(2, 3, 1), (4, 2, 1), (1, 3, 2), (2, 2, 2), (2, 1, 2)])
     def test_matches_oracle_with_estimation_errors(self, rng, L, K, N):
         # centralized structure, full association, zero-mean error supports on
-        # every TX (Psi != 0); N*L <= K takes local_filter's normal equations,
-        # N*L > K its K x K push-through form
+        # every TX (Psi != 0); the unit kernel of all TXs, with N*L on both
+        # sides of K
         for _ in range(4):
             est = [random_support(rng, int(rng.integers(1, 3)), K, N) for _ in range(L)]
             err = [random_error_support(rng, 2, K, N) for _ in range(L)]
