@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .parallel import map_blocks
+
 
 def herm(x):
     return np.conj(np.swapaxes(x, -1, -2))
@@ -205,7 +207,7 @@ class Ensemble:
 
     h: np.ndarray  # (S, K, N*L)
     h_hat: np.ndarray  # (S, K, N*L)
-    weights: np.ndarray  # (S,), sums to one
+    weights: np.ndarray  # (S,), sums to one over the whole pool
     n_antennas: int
 
     @property
@@ -223,25 +225,40 @@ class Ensemble:
     def h_hat_block(self, l):
         return tx_blocks(self.h_hat, self.n_antennas)[..., l, :, :]
 
+    def select(self, samples):
+        """The realizations of a slice of samples, as views.  They keep their
+        pool weights, so sums over the slices of a pool add up to its means."""
+        return Ensemble(self.h[samples], self.h_hat[samples], self.weights[samples],
+                        self.n_antennas)
+
 
 def draw_ensemble(statistics, csi_model, n_samples, seed_seq):
     """Monte Carlo pool: independent CN(mean, scatter) entries, replicated per
     antenna, then the local CSI rule.  Realization i draws its normals from
     the i-th substream of seed_seq, so it is reproducible regardless of pool
-    size or order; the whole pool is then formed at once."""
+    size or order.  The normals and the channels are filled one sample block
+    at a time on the thread pool (parallel.map_blocks); the blocks write into
+    arrays allocated here and allocate nothing large themselves, since memory
+    a worker thread frees stays in its own malloc arena."""
     if n_samples < 1:
         raise ValueError("need at least one realization")
     n = statistics.n_antennas
     mean = np.repeat(statistics.mean, n, axis=1)
     std = np.sqrt(np.repeat(statistics.scatter_var, n, axis=1) / 2.0)
+    children = seed_seq.spawn(n_samples)
     z = np.empty((n_samples, 2, *mean.shape))  # (real, imaginary) per realization
-    for i, child in enumerate(seed_seq.spawn(n_samples)):
-        np.random.default_rng(child).standard_normal(out=z[i])
-    # in place, so the pool holds one complex array beside z, not three
-    h = 1j * z[:, 1]
-    h += z[:, 0]
-    h *= std
-    h += mean
+    h = np.empty((n_samples, *mean.shape), complex)
+
+    def fill(samples):
+        for zi, child in zip(z[samples], children[samples]):
+            np.random.default_rng(child).standard_normal(out=zi)
+        hb = h[samples]  # in place, so the pool holds one complex array beside z
+        np.multiply(1j, z[samples, 1], out=hb)
+        hb += z[samples, 0]
+        hb *= std
+        hb += mean
+
+    map_blocks(fill, n_samples)
     del z
     return Ensemble(
         h=h,

@@ -9,11 +9,17 @@ rates.csv.
 
 A drop (run_drop) fits every scheme on the statistics pool and releases
 that pool; it then draws the evaluation pool and evaluates and allocates
-each fitted scheme in turn.  The evaluation is streamed: a state yields its
-precoders one stripe at a time and evaluation.evaluate sums z = H t and the
-per-TX powers over the stripes, so a drop holds one pool plus a stripe's
-working set, never an (S, N*L, K) precoder stack.  run concatenates the
-drops.
+the fitted schemes one after another.  Within a scheme, the pool is cut into
+fixed sample blocks that run on one shared thread pool (parallel.map_blocks;
+as many threads as usable CPUs, at most two): the draws, the fits' ensemble
+means except uni's serial sweep, and the evaluation.  The blocks do not
+depend on the thread count and results are joined in block order, so
+rates.csv is byte-identical for any number of usable CPUs.  The evaluation
+is streamed: on each sample block a state yields its precoders one stripe
+at a time and evaluation.evaluate sums z = H t and the per-TX powers over
+the stripes, so a drop holds one pool plus a stripe's working set per
+block in flight, never an (S, N*L, K) precoder stack.  run concatenates
+the drops.
 """
 
 from __future__ import annotations
@@ -489,8 +495,12 @@ def resolve_config(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    config = resolve_config(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = resolve_config(args).validate()
+    except ValueError as exc:  # a bad flag, variable or config file: one line, exit status 2
+        parser.error(str(exc))
     result = run(config, progress=args.progress)
     want_cdf = args.emit_cdf if args.emit_cdf is not None else _env_flag("EMIT_CDF")
     if want_cdf and result.rate_rows and result.out_dir:  # no output directory, no files

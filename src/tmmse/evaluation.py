@@ -12,8 +12,14 @@ denominator as extra noise.
 Every quantity the allocation reads is a sum over TXs or a function of
 z = H t (S, K, K): z = sum_q H_q X_q over a state's stripe blocks, the
 per-TX powers are row sums, and the MSE comes from z per sample.  evaluate
-accumulates them one stripe block at a time; estimate_moments, mse_samples
-and compute_mse are the same sums over a whole precoder stack as one block.
+accumulates them one stripe block at a time within each sample block of the
+pool, and the sample blocks run on the thread pool of parallel.map_blocks.
+The per-sample z and ||t_k||^2 are concatenated in block order and the
+per-TX powers summed in block order, and the moments and the MSE are then
+taken once over the whole pool, so the result does not depend on the
+number of threads.
+estimate_moments, mse_samples and compute_mse are the same sums over the
+sample blocks of a whole precoder stack.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .parallel import map_blocks
 
 
 class InfeasiblePowerError(RuntimeError):
@@ -61,12 +69,22 @@ class MomentEstimates:
 
 
 def _accumulate(ensemble, blocks):
-    """Sums over a state's stripe blocks (rows, X_q), X_q (S, rows, K):
-    z = sum_q H_q X_q (S, K, K), z[s, k, j] = g_k^H t_j, the per-TX powers
-    E||t_{l,k}||^2 (L, K) and the per-sample powers ||t_k||^2 (S, K)."""
-    s, k, n = ensemble.n_samples, ensemble.num_users, ensemble.n_antennas
-    if s < 1:
+    """Over the sample blocks of the pool: z = sum_q H_q X_q (S, K, K),
+    z[s, k, j] = g_k^H t_j, the per-TX powers E||t_{l,k}||^2 (L, K) and the
+    per-sample powers ||t_k||^2 (S, K); blocks(samples) yields the stripe
+    blocks (rows, X_q) of a slice of samples."""
+    if ensemble.n_samples < 1:
         raise ValueError("empty evaluation pool")
+    parts = map_blocks(lambda samples: _block_sums(ensemble.select(samples), blocks(samples)),
+                       ensemble.n_samples)
+    z, per_tx, t_power = zip(*parts)
+    return np.concatenate(z), sum(per_tx), np.concatenate(t_power)
+
+
+def _block_sums(ensemble, blocks):
+    """_accumulate's sums on one sample block, over its stripe blocks (rows, X_q),
+    X_q (S, rows, K); the per-TX powers carry the block's pool weights."""
+    s, k, n = ensemble.n_samples, ensemble.num_users, ensemble.n_antennas
     z = np.zeros((s, k, k), complex)
     per_tx = np.zeros((ensemble.num_txs, k))
     t_power = np.zeros((s, k))
@@ -80,9 +98,9 @@ def _accumulate(ensemble, blocks):
     return z, per_tx, t_power
 
 
-def _all_rows(precoders):
-    """A whole (S, N*L, K) stack as one block."""
-    return [(slice(0, precoders.shape[1]), precoders)]
+def _stack_rows(precoders):
+    """A whole (S, N*L, K) stack as the one stripe block of each sample block."""
+    return lambda samples: [(slice(0, precoders.shape[1]), precoders[samples])]
 
 
 def _moments(weights, z, per_tx):
@@ -119,8 +137,9 @@ def _mse_samples(z, t_power, w, total_power):
 
 def evaluate(ensemble, blocks, w, total_power):
     """Moments and per-user MSE of a state's precoders, streamed from its
-    stripe blocks (precoding.precoder_blocks): no (S, N*L, K) stack is held,
-    only z, the power sums and one block at a time."""
+    stripe blocks (precoding.precoder_blocks, a function of a slice of
+    samples): no (S, N*L, K) stack is held, only z, the power sums and one
+    stripe block per sample block in flight."""
     z, per_tx, t_power = _accumulate(ensemble, blocks)
     moments = _moments(ensemble.weights, z, per_tx)
     return moments, ensemble.weights @ _mse_samples(z, t_power, w, total_power)
@@ -128,13 +147,13 @@ def evaluate(ensemble, blocks, w, total_power):
 
 def estimate_moments(ensemble, precoders):
     """Weighted moments of g_k^H t_j; exact sums on finite-support ensembles."""
-    z, per_tx, _ = _accumulate(ensemble, _all_rows(precoders))
+    z, per_tx, _ = _accumulate(ensemble, _stack_rows(precoders))
     return _moments(ensemble.weights, z, per_tx)
 
 
 def mse_samples(ensemble, precoders, w, total_power):
     """Per-sample MSE contributions (S, K); their weighted mean is the MSE."""
-    z, _, t_power = _accumulate(ensemble, _all_rows(precoders))
+    z, _, t_power = _accumulate(ensemble, _stack_rows(precoders))
     return _mse_samples(z, t_power, w, total_power)
 
 

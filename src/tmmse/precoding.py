@@ -14,6 +14,15 @@ X_q (S, rows, K) the stripe's rows of the (S, N*L, K) stack:
 evaluation.evaluate accumulates what the rates need from these blocks, so a
 drop never holds a stack; apply_scheme writes the same blocks into one.
 
+Sample blocks: precoder_blocks is a function of a slice of the pool's
+samples, and evaluation.evaluate runs it on the fixed sample blocks of
+parallel.map_blocks, on one shared thread pool.  The fits' ensemble means
+(bidirectional_coupling, local_mmse_coefficients) are summed over the same
+blocks in block order.  The blocks do not depend on the number of threads
+and every join keeps block order, so outputs do not either.  uni's
+statistics sweep (estimate_stripe_statistics: M dependent hops) stays
+serial, and stripe_forward_pass, one realization, never uses the pool.
+
 Every scheme but uni is F_u c_u: F_u the MMSE filter of a unit's stacked
 estimate with its TXs' Psi blocks on the diagonal, c_u the unit's K x K
 coefficients.  The unit is one TX for no-share and local MMSE (diagonal c),
@@ -60,6 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import herm, tx_blocks
+from .parallel import map_blocks
 
 RCOND_FLOOR = 1e-12
 COEFF_RESIDUAL_TOL = 1e-10
@@ -336,15 +346,22 @@ def bidirectional_coupling(ensemble, stripe_txs, size, psi, w, total_power):
     W^1/2 Hhat_u F_u = G_u (I + G_u)^-1 = I - (I + G_u)^-1, one K x K inverse
     per sample.  One-TX units keep the filter, whose N x N systems are
     cheaper than a K x K inverse per TX; sqrt(w) and the sample weights are
-    folded into the one scaled copy of Hhat_u that the mean reads."""
-    if size > 1:
-        eye = np.eye(ensemble.num_users)
-        g = _unit_gram(*_scaled_estimate(ensemble.h_hat, stripe_txs, psi, w, total_power),
-                       len(stripe_txs) // size)
-        return eye - _mean(ensemble.weights, np.linalg.inv(eye + g))
-    t, h = _tx_filters(ensemble.h_hat, stripe_txs, psi, w, total_power)
-    scale = (ensemble.weights[:, None] * np.sqrt(w))[:, None, :, None]  # broadcasts as h
-    return _mean(scale, h, t)
+    folded into the one scaled copy of Hhat_u that the mean reads.  The mean
+    is summed over sample blocks (parallel.map_blocks) in block order."""
+    eye = np.eye(ensemble.num_users)
+
+    def block_sum(samples):
+        ens = ensemble.select(samples)
+        if size > 1:
+            g = _unit_gram(*_scaled_estimate(ens.h_hat, stripe_txs, psi, w, total_power),
+                           len(stripe_txs) // size)
+            return _mean(ens.weights, np.linalg.inv(eye + g))
+        t, h = _tx_filters(ens.h_hat, stripe_txs, psi, w, total_power)
+        scale = (ens.weights[:, None] * np.sqrt(w))[:, None, :, None]  # broadcasts as h
+        return _mean(scale, h, t)
+
+    mean = sum(map_blocks(block_sum, ensemble.n_samples))
+    return eye - mean if size > 1 else mean
 
 
 def _coefficient_guard(rcond, failed):
@@ -449,11 +466,6 @@ def centralized_mmse(ensemble, psi, w, total_power):
         ensemble, psi, w, total_power))
 
 
-# samples per block of the local-MMSE fit: its filters and effective
-# channels are held for one block of the statistics pool at a time
-SAMPLE_BLOCK = 250
-
-
 def local_mmse_coefficients(ensemble, association, psi, w, total_power):
     """Large-scale fading coefficients of the restricted per-TX scheme.
 
@@ -461,38 +473,39 @@ def local_mmse_coefficients(ensemble, association, psi, w, total_power):
     minimizing scalars solve the |L_k| x |L_k| normal equations of the
     quadratic objective, assembled from ensemble moments of the effective
     per-TX channels.  Those moments are sums over the pool, so each user's
-    Gram matrix, regularizer and right-hand side are accumulated over blocks
-    of SAMPLE_BLOCK samples, one filter call per block.  Singular normal
-    equations fall back to c = 1 with a warning rather than failing the
-    whole run.
+    Gram matrix, regularizer and right-hand side are summed over the sample
+    blocks of parallel.map_blocks, one filter call per block, in block
+    order.  Singular normal equations fall back to c = 1 with a warning
+    rather than failing the whole run.
     """
     n, L, K = ensemble.n_antennas, ensemble.num_txs, ensemble.num_users
     serving = [list(txs) for txs in association.serving_txs]
-    gram = [np.zeros((len(txs), len(txs)), complex) for txs in serving]
-    reg = [np.zeros(len(txs)) for txs in serving]
-    rhs = [np.zeros(len(txs), complex) for txs in serving]
-    for lo in range(0, ensemble.n_samples, SAMPLE_BLOCK):
-        block = slice(lo, lo + SAMPLE_BLOCK)
-        wts = ensemble.weights[block]
-        f_all = local_filter(tx_blocks(ensemble.h_hat[block], n), psi, w, total_power)
-        h_blocks = tx_blocks(ensemble.h[block], n)  # (B, L, K, N)
+
+    def block_sums(samples):
+        ens = ensemble.select(samples)
+        f_all = local_filter(tx_blocks(ens.h_hat, n), psi, w, total_power)
+        h_blocks = tx_blocks(ens.h, n)  # (B, L, K, N)
+        sums = []
         for k, txs in enumerate(serving):
             f = f_all[..., k][:, txs]  # (B, n_serving, N)
             s_eff = np.einsum("slin,sln->sil", h_blocks[:, txs], f)  # (B, K, n_serving)
-            gram[k] += _mean(wts, herm(s_eff) * w, s_eff)  # one GEMM of the (B*K, |L_k|) stack
-            reg[k] += _mean(wts, np.abs(f) ** 2).sum(axis=-1)
-            rhs[k] += _mean(wts, np.conj(s_eff[:, k, :]))
-        del f_all, f, s_eff  # not held through the next block's filter call
+            sums.append((_mean(ens.weights, herm(s_eff) * w, s_eff),  # one GEMM of (B*K, |L_k|)
+                         _mean(ens.weights, np.abs(f) ** 2).sum(axis=-1),
+                         _mean(ens.weights, np.conj(s_eff[:, k, :]))))
+        return sums
+
+    per_block = map_blocks(block_sums, ensemble.n_samples)
     coeffs = np.zeros((L, K), dtype=complex)
     for k, txs in enumerate(serving):
-        system = gram[k] + np.diag(reg[k] / total_power)
+        gram, reg, rhs = (sum(part) for part in zip(*(sums[k] for sums in per_block)))
+        system = gram + np.diag(reg / total_power)
         if _rcond(system) < RCOND_FLOOR:
             warnings.warn(
                 f"singular local-MMSE normal equations for user {k}; using unit coefficients"
             )
             c = np.ones(len(txs), dtype=complex)
         else:
-            c = np.linalg.solve(system, np.sqrt(w[k]) * rhs[k])
+            c = np.linalg.solve(system, np.sqrt(w[k]) * rhs)
         coeffs[txs, k] = c
     return coeffs
 
@@ -558,17 +571,22 @@ class FilterState:
                 del x  # not held through the next stripe's filter call
 
     def _kernel_blocks(self, ensemble, psi, w, total_power):
+        # each stripe's B^-1 A^H is formed once and the unit's set kept to the
+        # second pass: N*L*K complex per sample for centralized, so the
+        # ensemble should be one sample block, not a whole pool
         per_unit = self.size // len(self.stripes[0])  # stripes per unit
         for u, coeffs in enumerate(self.coeffs):
             run = self.stripes[u * per_unit : (u + 1) * per_unit]
             if np.any(coeffs):
-                g = sum(_unit_gram(*_scaled_estimate(ensemble.h_hat, txs, psi, w, total_power), 1)
-                        for txs in run)
-                kc = np.linalg.inv(np.eye(ensemble.num_users) + g[..., 0, :, :]) @ coeffs
-                del g
+                g, bahs = 0, []
                 for txs in run:
-                    yield (_rows(txs, ensemble.n_antennas),
-                           _scaled_estimate(ensemble.h_hat, txs, psi, w, total_power)[1] @ kc)
+                    a, bah = _scaled_estimate(ensemble.h_hat, txs, psi, w, total_power)
+                    g = g + _unit_gram(a, bah, 1)
+                    bahs.append(bah)
+                kc = np.linalg.inv(np.eye(ensemble.num_users) + g[..., 0, :, :]) @ coeffs
+                del a, g
+                for txs in run:
+                    yield _rows(txs, ensemble.n_antennas), bahs.pop(0) @ kc
 
     def dump_matrices(self):
         return [] if self.coupling is None else list(self.coupling) + list(self.coeffs)
@@ -655,17 +673,29 @@ def fit_scheme(scheme, ensemble, association, stripes, psi, w, total_power):
 
 
 def precoder_blocks(state, ensemble, psi, w, total_power):
-    """A state's precoders on an evaluation pool, one stripe at a time: an
-    iterator of (rows, X_q), X_q (S, rows, K) the stripe's rows of the
-    (S, N*L, K) stack.  A stripe that serves nobody yields no block."""
+    """A state's precoders on an evaluation pool, one stripe at a time, as a
+    function blocks(samples) of a slice of the pool's samples (all of them by
+    default): an iterator of (rows, X_q), X_q (B, rows, K) the stripe's rows
+    of the (B, N*L, K) stack of those B samples.  A stripe that serves nobody
+    yields no block.  A SingularSweepError names the failing sample by its
+    index in the whole pool."""
     _check_inputs(psi, total_power)
-    return state.blocks(ensemble, psi, w, total_power)
+
+    def blocks(samples=slice(None)):
+        try:
+            yield from state.blocks(ensemble.select(samples), psi, w, total_power)
+        except SingularSweepError as exc:
+            raise SingularSweepError(exc.stripe, exc.position, exc.sample + (samples.start or 0),
+                                     exc.rcond) from None
+
+    return blocks
 
 
 def apply_scheme(state, ensemble, association, stripes, psi, w, total_power):
     """Per-realization precoders (S, N*L, K) of a state, on the stripes it was
-    fitted on: its precoder_blocks written into one stack."""
-    return _stack(ensemble, precoder_blocks(state, ensemble, psi, w, total_power))
+    fitted on: its precoder_blocks written into one stack, in one pass over
+    the whole pool (no sample blocks)."""
+    return _stack(ensemble, precoder_blocks(state, ensemble, psi, w, total_power)())
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tmmse.cli as cli
+import tmmse.parallel as parallel
 from tmmse.cli import (
     ScenarioConfig,
     build_parser,
@@ -119,6 +120,19 @@ class TestRun:
         a = (tmp_path / "a" / "rates.csv").read_bytes()
         b = (tmp_path / "b" / "rates.csv").read_bytes()
         assert a == b
+
+    def test_outputs_independent_of_worker_count(self, tmp_path, monkeypatch):
+        # 300 samples per pool span three sample blocks, the last one partial
+        cfg = small_config(statistics_samples=300, evaluation_samples=300, dump_stats=True)
+        outputs = []
+        for n_workers in (1, 2):
+            monkeypatch.setattr(parallel, "workers", lambda n=n_workers: n)
+            out = tmp_path / f"workers{n_workers}"
+            assert not run(cfg, out_dir=str(out)).failures
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "manifest.json"})  # the manifest holds timings
+        assert "rates.csv" in outputs[0] and "stats_drop1_bi.bin" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_different_seed_changes_rates(self, tmp_path):
         r1 = run(small_config(drops=1), out_dir=str(tmp_path / "a"))
@@ -296,7 +310,9 @@ class TestEvaluationMemory:
         # numpy memory taken between the evaluation pool's draw and the first
         # allocation, above what was live at the draw.  Ten stripes, so that a
         # stripe's working set (a few stripe-sized arrays) is well below one
-        # (S, N*L, K) precoder stack, which is what the guard looks for.
+        # (S, N*L, K) precoder stack, which is what the guard looks for.  Two
+        # workers, so two sample blocks of the pool are in flight at once.
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
         cfg = small_config(num_stripes=10, txs_per_stripe=4, num_users=3, drops=1,
                            statistics_samples=400, evaluation_samples=400, schemes=(scheme,))
         real_draw, real_allocate = cli.draw_ensemble, cli.allocate
@@ -435,10 +451,26 @@ class TestFlagsAndEnv:
         assert cfg.schemes == ("uni", "bi")
 
     @pytest.mark.parametrize("value", [",", "bi,bi"])
-    def test_empty_or_repeated_scheme_flag_rejected(self, value, tmp_path):
-        with pytest.raises(ValueError, match="schemes"):
+    def test_empty_or_repeated_scheme_flag_rejected(self, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
             main(["--schemes", value, "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert "tmmse: error: schemes must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--drops", "0"], "drops, statistics_samples and evaluation_samples must be >= 1"),
+        (["--schemes", ","], "schemes must be a non-empty list without repeats"),
+    ])
+    def test_bad_config_is_one_error_line_not_a_traceback(self, argv, message, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run([sys.executable, "-m", "tmmse", *argv, "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines()[-1].startswith(f"tmmse: error: {message}")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value", [" , ", "no-share,uni,no-share"])
     def test_empty_or_repeated_scheme_env_rejected(self, value, monkeypatch):

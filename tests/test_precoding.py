@@ -14,14 +14,18 @@ from tests.conftest import (
     sign_symmetric_model,
     team_problem,
 )
+import tmmse.parallel as parallel
+import tmmse.precoding as precoding
 from tmmse.channel import Ensemble, from_local_supports, tx_blocks
+from tmmse.evaluation import evaluate
 from tmmse.oracle import mse_exact, solve_team_exact, verify_stationarity
+from tmmse.parallel import SAMPLE_BLOCK
 from tmmse.precoding import (
     RCOND_FLOOR,
-    SAMPLE_BLOCK,
     SingularCoefficientSystem,
     SingularSweepError,
     StripeStatistics,
+    UniState,
     apply_scheme,
     bidirectional_coupling,
     centralized_mmse,
@@ -29,6 +33,7 @@ from tmmse.precoding import (
     fit_scheme,
     local_filter,
     local_mmse_coefficients,
+    precoder_blocks,
     read_matrix_dump,
     solve_statistical_precoders_bi,
     solve_statistical_precoders_uni,
@@ -155,6 +160,84 @@ class TestCouplingKernel:
                 want.append(np.einsum("s,ski,sij->kj", ens.weights, h, f))
             got = bidirectional_coupling(ens, txs, size, psi, w, power)
             np.testing.assert_allclose(got, np.array(want), rtol=1e-11, atol=1e-13)
+
+
+class TestSampleBlocks:
+    """Pools that span several sample blocks (parallel.map_blocks)."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_coupling_means_equal_the_whole_pool_mean(self, rng, monkeypatch, n_workers):
+        monkeypatch.setattr(parallel, "workers", lambda: n_workers)
+        S, K, N, L = 2 * SAMPLE_BLOCK + 40, 3, 2, 4
+        h_hat = rng.standard_normal((S, K, N * L)) + 1j * rng.standard_normal((S, K, N * L))
+        wts = rng.random(S) + 0.5
+        ens = Ensemble(h=h_hat, h_hat=h_hat, weights=wts / wts.sum(), n_antennas=N)
+        psi = random_psd_stack(rng, L, N)
+        w, power = np.array([0.5, 0.3, 0.2]), 2.5
+        for size in (1, 2, 4):
+            want = []
+            for lo in range(0, L, size):
+                unit = list(range(lo, lo + size))
+                h = np.sqrt(w)[:, None] * h_hat[..., unit[0] * N : (unit[-1] + 1) * N]
+                f = block_diagonal_filter(h_hat, unit, psi, w, power)
+                want.append(np.einsum("s,ski,sij->kj", ens.weights, h, f))
+            got = bidirectional_coupling(ens, list(range(L)), size, psi, w, power)
+            np.testing.assert_allclose(got, np.array(want), rtol=1e-11, atol=1e-13)
+
+    @pytest.mark.parametrize("scheme", ["centralized", "bi"])
+    def test_unit_kernel_forms_each_stripe_estimate_once(self, rng, monkeypatch, scheme):
+        # one _scaled_estimate per stripe and sample block, its B^-1 A^H kept
+        # for the second pass; the rows equal the unit's MMSE filter from the
+        # normal equations with block-diagonal Psi, times c (I for centralized)
+        S, K, N, Q, M = 30, 3, 2, 3, 2
+        L = Q * M
+        h_hat = rng.standard_normal((S, K, N * L)) + 1j * rng.standard_normal((S, K, N * L))
+        ens = Ensemble(h=h_hat, h_hat=h_hat, weights=np.full(S, 1 / S), n_antennas=N)
+        psi = random_psd_stack(rng, L, N)
+        w, power = np.array([0.5, 0.3, 0.2]), 2.5
+        stripes = stripe_layout(Q, M)
+        assoc = association_from_stripes([(0, 1), (1, 2), (2,)], Q, M)
+        state = fit_scheme(scheme, ens, assoc, stripes, psi, w, power)
+        real, calls = precoding._scaled_estimate, []
+        monkeypatch.setattr(precoding, "_scaled_estimate",
+                            lambda *args: calls.append(1) or real(*args))
+        got = apply_scheme(state, ens, assoc, stripes, psi, w, power)
+        assert len(calls) == Q
+        units = [list(range(L))] if scheme == "centralized" else stripes
+        for unit, c in zip(units, state.coeffs):
+            rows = slice(unit[0] * N, (unit[-1] + 1) * N)
+            want = block_diagonal_filter(h_hat, unit, psi, w, power) @ c
+            np.testing.assert_allclose(got[:, rows], want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_singular_sweep_names_the_pool_sample(self, rng, monkeypatch, n_workers):
+        # uni evaluated on sample blocks: sample a (third block) is singular at
+        # stripe 1, position 1, and sample b (fourth block) at stripe 0,
+        # position 2.  A whole-pool sweep meets stripe 0 first; the blocks
+        # report the first failure in block order, a's, by its pool index.
+        monkeypatch.setattr(parallel, "workers", lambda: n_workers)
+        S, K, M = 4 * SAMPLE_BLOCK, 3, 4
+        a, b = 2 * SAMPLE_BLOCK + 7, 3 * SAMPLE_BLOCK + 1
+        h = rng.standard_normal((S, K, 2 * M)) + 1j * rng.standard_normal((S, K, 2 * M))
+        ens = Ensemble(h=h, h_hat=h.copy(), weights=np.full(S, 1 / S), n_antennas=1)
+        w, power = np.full(K, 1 / K), 2.0
+        psi = np.zeros((2 * M, 1, 1))
+        stripes = [list(range(M)), list(range(M, 2 * M))]
+        pi = np.zeros((2, M + 1, K, K), complex)
+        for q, position, sample in ((1, 1, a), (0, 2, b)):
+            hl = ens.h_hat_block(stripes[q][position])
+            p = np.sqrt(w)[:, None] * (hl[sample] @ local_filter(hl[sample], psi[0], w, power))
+            pi[q, position + 1] = np.eye(K) / np.trace(p)
+        state = UniState("uni", stripes, [StripeStatistics(q, pi[q]) for q in range(2)],
+                         np.stack([np.eye(K, dtype=complex)] * 2))
+        with pytest.raises(SingularSweepError) as err:
+            evaluate(ens, precoder_blocks(state, ens, psi, w, power), w, power)
+        assert (err.value.stripe, err.value.position, err.value.sample) == (1, 1, a)
+        assert err.value.rcond < RCOND_FLOOR
+        with pytest.raises(SingularSweepError) as err:
+            apply_scheme(state, ens, None, stripes, psi, w, power)
+        assert (err.value.stripe, err.value.position, err.value.sample) == (0, 2, b)
 
 
 class TestPsiValidation:
