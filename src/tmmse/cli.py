@@ -9,12 +9,13 @@ rates.csv.
 
 A drop (run_drop) fits every scheme on the statistics pool and releases
 that pool; it then draws the evaluation pool and evaluates and allocates
-the fitted schemes one after another.  Within a scheme, the pool is cut into
-fixed sample blocks that run on one shared thread pool (parallel.map_blocks;
-as many threads as usable CPUs, at most two): the draws, the fits' ensemble
-means except uni's serial sweep, and the evaluation.  The blocks do not
-depend on the thread count and results are joined in block order, so
-rates.csv is byte-identical for any number of usable CPUs.  The evaluation
+the fitted schemes one after another.  Within a scheme, independent tasks
+run on one shared thread pool (parallel.map_ordered; as many threads as
+usable CPUs, at most two): fixed sample blocks of the pool for the draws,
+the fits' ensemble means and the evaluation, and uni's stripes for its
+statistics sweeps.  The tasks do not depend on the thread count and results
+are joined in task order, so rates.csv is byte-identical for any number of
+usable CPUs.  The evaluation
 is streamed: on each sample block a state yields its precoders one stripe
 at a time and evaluation.evaluate sums z = H t and the per-TX powers over
 the stripes, so a drop holds one pool plus a stripe's working set per

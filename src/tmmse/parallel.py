@@ -1,21 +1,27 @@
-"""Fixed sample blocks of a pool, run on one shared thread pool.
+"""Independent tasks of a drop, run in order on one shared thread pool.
 
-Apart from uni's Pi recursion, every per-realization computation of a drop
-and every ensemble mean is a sum over independent realizations.  So a pool
-of S realizations is cut into blocks of SAMPLE_BLOCK consecutive samples,
-and map_blocks runs one function per block on a pool of workers() threads;
-numpy releases the interpreter lock inside its kernels, so the blocks run
-on separate cores.
+map_ordered runs one function per item on a pool of workers() threads;
+numpy releases the interpreter lock inside its kernels, so the tasks run on
+separate cores.  Two kinds of item run on it:
 
-Determinism rule: the blocks depend on S alone, never on the number of
-threads, and map_blocks returns the results in block order.  Every join
-(a concatenation, or a sum taken in block order) therefore does the same
-floating-point work for any worker count, and a run's outputs do not depend
-on it.
+* sample blocks: apart from uni's Pi recursion, every per-realization
+  computation of a drop and every ensemble mean is a sum over independent
+  realizations, so map_blocks cuts a pool of S realizations into blocks of
+  SAMPLE_BLOCK consecutive samples and maps those;
+* uni's stripes: each stripe's statistics sweep reads only that stripe's
+  TXs, so uni's fit maps the stripes (the hops within a stripe stay serial).
 
-A block task must not submit to the pool: with every worker waiting on a
-nested task, a bounded pool deadlocks.  map_blocks called from a worker
-thread therefore runs its blocks inline, in the calling thread.
+Determinism rule: the items depend on the problem alone, never on the
+number of threads, and map_ordered returns the results in item order.
+Every join (a concatenation, or a sum taken in item order) therefore does
+the same floating-point work for any worker count, and a run's outputs do
+not depend on it.  If tasks fail, every task still runs, and the exception
+of the first failing item in item order is raised.
+
+A task must not submit to the pool: with every worker waiting on a nested
+task, a bounded pool deadlocks.  map_ordered called from a worker thread
+therefore runs its items inline, in the calling thread.  The pool's
+threads do not survive a fork, so a forked child starts a pool of its own.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ _worker = threading.local()
 
 
 def workers():
-    """Threads that map_blocks uses: the usable CPUs, at most MAX_WORKERS."""
+    """Threads that map_ordered uses: the usable CPUs, at most MAX_WORKERS."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -54,7 +60,26 @@ def _executor(n):
     is imported here, not with the package: it pulls in logging (~9 ms)."""
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(n, thread_name_prefix="tmmse-block", initializer=_mark_worker)
+    return ThreadPoolExecutor(n, thread_name_prefix="tmmse-pool", initializer=_mark_worker)
+
+
+if hasattr(os, "register_at_fork"):
+    # a child inherits the cached pool but none of its threads
+    os.register_at_fork(after_in_child=_executor.cache_clear)
+
+
+def map_ordered(fn, items):
+    """[fn(item) for item in items], the items run on the shared thread pool.
+    Every item finishes before this returns; if any raised, the exception of
+    the first failing item in item order is raised."""
+    items = list(items)
+    n = workers()
+    if n == 1 or len(items) <= 1 or getattr(_worker, "active", False):
+        return [fn(item) for item in items]
+    futures = [_executor(n).submit(fn, item) for item in items]
+    for future in futures:  # every item finishes before any result is read
+        future.exception()
+    return [future.result() for future in futures]
 
 
 def sample_blocks(n_samples):
@@ -64,15 +89,5 @@ def sample_blocks(n_samples):
 
 
 def map_blocks(fn, n_samples):
-    """[fn(block) for block in sample_blocks(n_samples)], the blocks run on the
-    shared thread pool.  Every block finishes before this returns; if any
-    raised, the exception of the first failing block in block order is
-    raised."""
-    blocks = sample_blocks(n_samples)
-    n = workers()
-    if n == 1 or len(blocks) == 1 or getattr(_worker, "active", False):
-        return [fn(block) for block in blocks]
-    futures = [_executor(n).submit(fn, block) for block in blocks]
-    for future in futures:  # every block finishes before any result is read
-        future.exception()
-    return [future.result() for future in futures]
+    """map_ordered(fn, sample_blocks(n_samples)): one task per sample block."""
+    return map_ordered(fn, sample_blocks(n_samples))

@@ -14,14 +14,17 @@ X_q (S, rows, K) the stripe's rows of the (S, N*L, K) stack:
 evaluation.evaluate accumulates what the rates need from these blocks, so a
 drop never holds a stack; apply_scheme writes the same blocks into one.
 
+The shared thread pool (parallel.map_ordered) runs two kinds of task.
 Sample blocks: precoder_blocks is a function of a slice of the pool's
 samples, and evaluation.evaluate runs it on the fixed sample blocks of
-parallel.map_blocks, on one shared thread pool.  The fits' ensemble means
-(bidirectional_coupling, local_mmse_coefficients) are summed over the same
-blocks in block order.  The blocks do not depend on the number of threads
-and every join keeps block order, so outputs do not either.  uni's
-statistics sweep (estimate_stripe_statistics: M dependent hops) stays
-serial, and stripe_forward_pass, one realization, never uses the pool.
+parallel.map_blocks; the fits' ensemble means (bidirectional_coupling,
+local_mmse_coefficients) are summed over the same blocks in block order.
+Stripes: uni's fit runs one statistics sweep (estimate_stripe_statistics,
+M dependent hops) per stripe, since a stripe's sweep reads only its own
+TXs; if several stripes fail, the first failing stripe in stripe order is
+raised.  The blocks and stripes do not depend on the number of threads and
+every join keeps their order, so outputs do not either.
+stripe_forward_pass, one realization, never uses the pool.
 
 Every scheme but uni is F_u c_u: F_u the MMSE filter of a unit's stacked
 estimate with its TXs' Psi blocks on the diagonal, c_u the unit's K x K
@@ -69,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import herm, tx_blocks
-from .parallel import map_blocks
+from .parallel import map_blocks, map_ordered
 
 RCOND_FLOOR = 1e-12
 COEFF_RESIDUAL_TOL = 1e-10
@@ -611,10 +614,9 @@ class UniState:
 
 
 def _fit_uni(scheme, ensemble, association, stripes, psi, w, total_power):
-    stats = [
-        estimate_stripe_statistics(ensemble, txs, psi, w, total_power, stripe=q)
-        for q, txs in enumerate(stripes)
-    ]
+    # one task per stripe: a stripe's sweep reads only its own TXs
+    stats = map_ordered(lambda q: estimate_stripe_statistics(
+        ensemble, stripes[q], psi, w, total_power, stripe=q), range(len(stripes)))
     coeffs = solve_statistical_precoders_uni(association, stats)
     return UniState(scheme, stripes, stats, coeffs)
 

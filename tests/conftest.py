@@ -1,10 +1,14 @@
 """Shared builders for finite-support stripe problems and closed-form runs."""
 
 import itertools
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
+from tmmse import parallel
 from tmmse.channel import from_local_supports
 from tmmse.oracle import FiniteTeamProblem
 from tmmse.precoding import apply_scheme, fit_scheme
@@ -146,6 +150,37 @@ def assert_class_constant(model, stack, atol=1e-9):
             assert spread < atol, f"TX {l} precoder varies within a class ({spread:.2e})"
 
 
+def forked_exit_code(body, alarm_s):
+    """Exit code of a forked child that runs body() under an alarm of alarm_s
+    seconds: 0 if body returned a true value, 1 if it returned a false one or
+    raised, -SIGALRM if the alarm ended it, None if even that did not."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(alarm_s)
+            status = 0 if body() else 1
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 2 * alarm_s
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        return None
+    return os.waitstatus_to_exitcode(done[1])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(params=[1, 2, 4])
+def n_workers(request, monkeypatch):
+    """Threads of the shared pool; 4 is more than this code ever asks for on
+    a 2-core machine."""
+    monkeypatch.setattr(parallel, "workers", lambda: request.param)
+    return request.param

@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+from tests.conftest import forked_exit_code
 import tmmse.cli as cli
 import tmmse.parallel as parallel
 from tmmse.cli import (
@@ -133,6 +134,19 @@ class TestRun:
                             if p.name != "manifest.json"})  # the manifest holds timings
         assert "rates.csv" in outputs[0] and "stats_drop1_bi.bin" in outputs[0]
         assert outputs[0] == outputs[1]
+
+    def test_forked_child_runs_a_drop_after_the_parent_ran_one(self, tmp_path, monkeypatch):
+        # the shared thread pool does not survive a fork; the child starts its own
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
+        cfg = small_config(drops=1, statistics_samples=300, evaluation_samples=300)
+        assert not run(cfg, out_dir=str(tmp_path / "parent")).failures
+
+        def child():
+            return not run(cfg, out_dir=str(tmp_path / "child")).failures
+
+        assert forked_exit_code(child, alarm_s=60) == 0
+        assert ((tmp_path / "child" / "rates.csv").read_bytes()
+                == (tmp_path / "parent" / "rates.csv").read_bytes())
 
     def test_different_seed_changes_rates(self, tmp_path):
         r1 = run(small_config(drops=1), out_dir=str(tmp_path / "a"))

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import time
 
 import numpy as np
 import pytest
@@ -238,6 +239,52 @@ class TestSampleBlocks:
         with pytest.raises(SingularSweepError) as err:
             apply_scheme(state, ens, None, stripes, psi, w, power)
         assert (err.value.stripe, err.value.position, err.value.sample) == (0, 2, b)
+
+
+class TestStripeTasks:
+    """uni's fit: one statistics sweep per stripe on the shared thread pool."""
+
+    @staticmethod
+    def pool(rng, Q=4, M=3, K=4, N=2, S=150):
+        L = Q * M
+        h = rng.standard_normal((S, K, N * L)) + 1j * rng.standard_normal((S, K, N * L))
+        h_hat = h + 0.3 * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
+        ens = Ensemble(h=h, h_hat=h_hat, weights=np.full(S, 1 / S), n_antennas=N)
+        w = rng.random(K) + 0.3
+        return ens, stripe_layout(Q, M), random_psd_stack(rng, L, N), w / w.sum(), 3.0
+
+    def test_statistics_bitwise_equal_to_one_sweep_after_another(self, rng, n_workers):
+        ens, stripes, psi, w, power = self.pool(rng)
+        assoc = association_from_stripes([(0, 1), (1, 2), (3,), (0, 3)], 4, 3)
+        state = fit_scheme("uni", ens, assoc, stripes, psi, w, power)
+        want = [estimate_stripe_statistics(ens, txs, psi, w, power, stripe=q)
+                for q, txs in enumerate(stripes)]
+        assert [st.stripe for st in state.stripe_stats] == [0, 1, 2, 3]
+        for got, st in zip(state.stripe_stats, want):
+            np.testing.assert_array_equal(got.pi, st.pi)
+        np.testing.assert_array_equal(state.stripe_coeffs,
+                                      solve_statistical_precoders_uni(assoc, want))
+
+    def test_first_failing_stripe_in_stripe_order_is_raised(self, rng, monkeypatch, n_workers):
+        # stripes 1 and 3 fail their guard, 3 first in time; every stripe runs
+        ens, stripes, psi, w, power = self.pool(rng)
+        assoc = association_from_stripes([(0,), (1,), (2,), (3,)], 4, 3)
+        real, failed, swept = precoding._solve_hops, [], set()
+
+        def solve_hops(t, a, d, stripe, positions):
+            if stripe in (1, 3):
+                time.sleep(0.2 if stripe == 1 else 0)
+                failed.append(stripe)
+                raise SingularSweepError(stripe, positions[0], 0, 0.0)
+            swept.add(stripe)
+            return real(t, a, d, stripe, positions)
+
+        monkeypatch.setattr(precoding, "_solve_hops", solve_hops)
+        with pytest.raises(SingularSweepError) as err:
+            fit_scheme("uni", ens, assoc, stripes, psi, w, power)
+        assert (err.value.stripe, err.value.position) == (1, 1)
+        if n_workers > 1:  # a serial fit stops at the failure
+            assert failed == [3, 1] and swept == {0, 2}
 
 
 class TestPsiValidation:
