@@ -9,6 +9,14 @@ finite-support team-decision oracle used to verify the closed forms.
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread per thread of the drop's pool (parallel.map_ordered): BLAS
+# threads inside each pool thread oversubscribe the cores.  Set before numpy
+# is first imported, which is when BLAS reads them; a value the user set wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .channel import (
     ChannelStatistics,
     Ensemble,

@@ -18,12 +18,13 @@ The shared thread pool (parallel.map_ordered) runs two kinds of task.
 Sample blocks: precoder_blocks is a function of a slice of the pool's
 samples, and evaluation.evaluate runs it on the fixed sample blocks of
 parallel.map_blocks; the fits' ensemble means (bidirectional_coupling,
-local_mmse_coefficients) are summed over the same blocks in block order.
-Stripes: uni's fit runs one statistics sweep (estimate_stripe_statistics,
-M dependent hops) per stripe, since a stripe's sweep reads only its own
-TXs; if several stripes fail, the first failing stripe in stripe order is
-raised.  The blocks and stripes do not depend on the number of threads and
-every join keeps their order, so outputs do not either.
+local_mmse_coefficients) are summed over the same blocks in block order,
+every stripe inside each block, so each fit is one map.  Stripes: uni's fit
+runs one statistics sweep (estimate_stripe_statistics, M dependent hops)
+per stripe, since a stripe's sweep reads only its own TXs; if several
+stripes fail, the first failing stripe in stripe order is raised.  The
+blocks and stripes do not depend on the number of threads and every join
+keeps their order, so outputs do not either.
 stripe_forward_pass, one realization, never uses the pool.
 
 Every scheme but uni is F_u c_u: F_u the MMSE filter of a unit's stacked
@@ -35,15 +36,16 @@ hop-by-hop elimination of that one system) and all TXs for centralized
 
 * one TX: the local filter T_l of local_filter, from its N x N normal
   equations; uni's hops use the same filters;
-* a run of TXs: the unit kernel B^-1 A^H (I + G_u)^-1 c_u, with
-  A = W^1/2 Hhat_u, B = Psi + I/P block diagonal and G_u = A B^-1 A^H;
+* a run of TXs: the unit kernel B^-1 A^H (I + G_u)^-1 c_u of _unit_kernel,
+  with A = W^1/2 Hhat_u, B = Psi + I/P block diagonal and G_u = A B^-1 A^H;
   G_u is summed over the unit's stripes in a first pass and each stripe's
   rows formed from (I + G_u)^-1 c_u in a second.  The unit's coupling is
   E[W^1/2 Hhat_u F_u] = I - E[(I + G_u)^-1].
 
 The stripe recursion (a backward sweep for the update matrices V, a forward
 product for the precoders) serves uni, with the statistical Pi as the
-downstream response.
+downstream response.  The chain end is an ordinary hop whose downstream
+response is Pi_M = 0, so V_M = I and T_M V_M = T_M.
 
 The recursion runs in capacitance form.  A TX's response P = A T, with
 A = W^1/2 Hhat_l (K, N) and T its local filter (N, K), has rank <= N, and
@@ -64,7 +66,6 @@ the identity.
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 import warnings
 from dataclasses import dataclass
@@ -132,8 +133,7 @@ def local_filter(h_hat, psi, w, total_power):
     stripe_forward_pass check once per call.  The N x N system has
     eigenvalues >= 1/P; at N = 1 it is the division
     T = conj(hhat) w^1/2 / (sum_k w_k |hhat_k|^2 + psi + 1/P).  This is the
-    one-TX form; a run of TXs takes the unit kernel (_scaled_estimate,
-    _unit_gram) instead.
+    one-TX form; a run of TXs takes the unit kernel (_unit_kernel) instead.
     """
     h_hat = np.asarray(h_hat, dtype=complex)
     w = np.asarray(w, dtype=float)
@@ -171,13 +171,18 @@ def _scaled_estimate(h_hat, txs, psi, w, total_power):
     return a, np.conj(bah, out=bah).reshape(*a.shape[:-2], -1, a.shape[-2])
 
 
-def _unit_gram(a, bah, units):
-    """G_u = A_u B_u^-1 A_u^H (..., U, K, K) of the U equal-width units that
-    tile the columns of A (..., K, N*M), from _scaled_estimate: the Gram
-    matrix in the K x K kernel (I + G_u)^-1 of the unit filter
-    B_u^-1 A_u^H (I + G_u)^-1.  One batched GEMM of contiguous factors."""
-    a = np.moveaxis(a.reshape(*a.shape[:-1], units, -1), -2, -3)  # (..., U, K, W)
-    return a @ bah.reshape(*bah.shape[:-2], units, -1, bah.shape[-1])
+def _unit_kernel(h_hat, run, psi, w, total_power):
+    """The K x K kernel (I + G_u)^-1 (..., K, K) of the unit whose TXs are the
+    stripes (TX runs) of run, and each stripe's B^-1 A^H from _scaled_estimate:
+    the unit filter's rows of a stripe are B^-1 A^H (I + G_u)^-1, and its
+    response W^1/2 Hhat_u F_u is I - (I + G_u)^-1.  G_u = sum A B^-1 A^H over
+    the stripes, one GEMM each."""
+    g, bahs = 0, []
+    for txs in run:
+        a, bah = _scaled_estimate(h_hat, txs, psi, w, total_power)
+        g = g + a @ bah
+        bahs.append(bah)
+    return np.linalg.inv(np.eye(len(w)) + g), bahs
 
 
 def _mean(weights, x, y=None):
@@ -245,9 +250,8 @@ def _solve_hops(t, a, d, stripe, positions):
     division.  By Sylvester's identity det C = det(I - D P); the guard still
     measures I - D P (see _sweep_rcond) and raises SingularSweepError at the
     first of the stripe's positions whose rcond falls below RCOND_FLOOR,
-    naming its worst sample.  The arrays carry the
-    positions on the axis before the matrix axes, or no such axis for a
-    single position.  Returns T V.
+    naming its worst sample.  t and a carry the positions on the axis
+    before the matrix axes, and d broadcasts against them.  Returns T V.
     """
     da = d @ a
     rcond = np.reshape(_sweep_rcond(da, t), (-1, len(positions)))
@@ -265,35 +269,28 @@ def _forward_product(hops, u):
 
     Each hop (A_m, T_m V_m) transmits x_m = T_m V_m u and forwards
     u <- Vbar_m u = u - P_m V_m u = u - A_m x_m downstream, so no K x K
-    matrix is formed; A = None marks the chain end, past which nothing is
-    forwarded.  u is c_q (K, K) for the precoders of every user, or one
-    realization's precoded message vector in the fronthaul protocol.
-    Yields the x_m.
+    matrix is formed; what the chain end forwards is not read.  u is c_q
+    (K, K) for the precoders of every user, or one realization's precoded
+    message vector in the fronthaul protocol.  Yields the x_m.
     """
     for a, tv in hops:
         x = tv @ u
         yield x
-        if a is not None:
-            u = u - a @ x
+        u = u - a @ x
 
 
 def _uni_hops(h_hat, txs, stats, psi, w, total_power):
     """(A_m, T_m V_m) of unidirectional sharing, V_m from the statistical Pi_m.
 
     Once Pi is known the positions are independent: the filters of the
-    whole stripe come from one batched call, and the positions before the
-    chain end are guarded and solved together (the chain end, Pi_M = 0,
-    takes neither: T_M V_M = T_M).
+    whole stripe come from one batched call, and every position is guarded
+    and solved in another.  The chain end is one of them: from Pi_M = 0 its
+    capacitance is I, so T_M V_M = T_M exactly.
     """
     t, h = _tx_filters(h_hat, txs, psi, w, total_power)
-    a, tv = np.sqrt(w)[:, None] * h, t
-    if len(txs) > 1:
-        head = _solve_hops(t[..., :-1, :, :], a[..., :-1, :, :], stats.pi[1:-1],
-                           stats.stripe, range(len(txs) - 1))
-        tv = np.concatenate([head, t[..., -1:, :, :]], axis=-3)
-    a = list(np.moveaxis(a, -3, 0))
-    a[-1] = None
-    return zip(a, np.moveaxis(tv, -3, 0))
+    a = np.sqrt(w)[:, None] * h
+    tv = _solve_hops(t, a, stats.pi[1:], stats.stripe, range(len(txs)))
+    return zip(np.moveaxis(a, -3, 0), np.moveaxis(tv, -3, 0))
 
 
 # --------------------------------------------------------------------------
@@ -306,7 +303,8 @@ class StripeStatistics:
 
     pi[m] is the interference-response matrix seen upstream of position m
     (0-based: pi[0] is the master-unit matrix, the stripe's Pi_u in the
-    closed-form coupling coefficients; pi[M] = 0 is the chain end).
+    closed-form coupling coefficients; pi[M] = 0, the chain end's downstream
+    response, makes the chain end an ordinary hop with V_M = I).
     """
 
     stripe: int
@@ -314,54 +312,61 @@ class StripeStatistics:
 
 
 def estimate_stripe_statistics(ensemble, stripe_txs, psi, w, total_power, stripe=0):
-    """Backward sweep m = M..1 accumulating Pi_{m-1} = E[P_m V_m] + Pi_m E[Vbar_m],
-    in capacitance form (P_m = A_m T_m and V_m never formed):
+    """Backward sweep m = M..1 from Pi_M = 0 accumulating
+    Pi_{m-1} = E[P_m V_m] + Pi_m E[Vbar_m], in capacitance form (P_m = A_m T_m
+    and V_m never formed):
 
         T_m V_m = C_m^-1 T_m (I - Pi_m),  C_m = I_N - T_m Pi_m A_m,
         Pi_{m-1} = Pi_m + (I - Pi_m) E[A_m T_m V_m],
 
-    where E[A T V] is one GEMM over the pool.  The chain end needs no solve:
-    V_M = I and Pi_{M-1} = E[A_M T_M] (Pi_M = 0).  Expectations are weighted
+    where E[A T V] is one GEMM over the pool.  Every hop is guarded and
+    solved, the chain end too: from Pi_M = 0 it has C_M = I, so
+    T_M V_M = T_M and Pi_{M-1} = E[A_M T_M].  Expectations are weighted
     sums over the ensemble: exact on finite support, Monte Carlo averages
     otherwise.  The pool must be independent of the evaluation pool to keep
     rate estimates unbiased.
     """
     eye = np.eye(len(w))
-    pi = []
+    pi = [np.zeros((len(w), len(w)), complex)]
     for m in range(len(stripe_txs), 0, -1):
         t, h = _tx_filters(ensemble.h_hat, stripe_txs[m - 1 : m], psi, w, total_power)
         a = np.sqrt(w)[:, None] * h
-        tv = _solve_hops(t, a, pi[-1], stripe, [m - 1]) if pi else t
-        r = _mean(ensemble.weights, a, tv)[0]
-        pi.append(pi[-1] + (eye - pi[-1]) @ r if pi else r)
-    pi = np.array(pi[::-1] + [np.zeros_like(pi[0])])  # Pi_M = 0 at the chain end
-    return StripeStatistics(stripe, pi)
+        r = _mean(ensemble.weights, a, _solve_hops(t, a, pi[-1], stripe, [m - 1]))[0]
+        pi.append(pi[-1] + (eye - pi[-1]) @ r)
+    return StripeStatistics(stripe, np.array(pi[::-1]))
 
 
-def bidirectional_coupling(ensemble, stripe_txs, size, psi, w, total_power):
-    """Coupling matrices E[W^1/2 Hhat_u F_u] (U, K, K) of a stripe's units of
-    size TXs, as one batched mean.  For bi (the stripe is the unit) this is
-    E[Pbar_{q,0}]: the paper's per-realization Pbar_{q,0} is the response of
-    the stripe's MMSE filter, so no sweep is run.  For no-share (one-TX
-    units) it is Pi_0 = E[A_l T_l] of a one-TX stripe, a lone chain end.
+def bidirectional_coupling(ensemble, stripes, size, psi, w, total_power):
+    """Coupling matrices E[W^1/2 Hhat_u F_u] (U, K, K) of the units of size
+    TXs that tile the stripes, units in TX order; size is 1 or the stripe
+    length.  For bi (the stripe is the unit) this is E[Pbar_{q,0}]: the
+    paper's per-realization Pbar_{q,0} is the response of the stripe's MMSE
+    filter, so no sweep is run.  For no-share (one-TX units) it is
+    E[A_l T_l], the Pi_0 of a one-TX stripe.
 
-    A multi-TX unit needs no filter: its response is
-    W^1/2 Hhat_u F_u = G_u (I + G_u)^-1 = I - (I + G_u)^-1, one K x K inverse
+    A stripe unit needs no filter: its response is
+    W^1/2 Hhat_u F_u = I - (I + G_u)^-1 (_unit_kernel), one K x K inverse
     per sample.  One-TX units keep the filter, whose N x N systems are
     cheaper than a K x K inverse per TX; sqrt(w) and the sample weights are
-    folded into the one scaled copy of Hhat_u that the mean reads.  The mean
-    is summed over sample blocks (parallel.map_blocks) in block order."""
+    folded into the one scaled copy of Hhat_u that the mean reads.  The
+    stripes are taken one after another inside each sample block of
+    parallel.map_blocks, and the blocks' means are summed in block order."""
+    if size not in (1, len(stripes[0])):
+        raise ValueError(f"unit size {size} is neither 1 nor the stripe length "
+                         f"{len(stripes[0])}")
     eye = np.eye(ensemble.num_users)
+
+    def stripe_mean(ens, txs):
+        if size > 1:
+            kernel = _unit_kernel(ens.h_hat, [txs], psi, w, total_power)[0]
+            return _mean(ens.weights, kernel)[None]
+        t, h = _tx_filters(ens.h_hat, txs, psi, w, total_power)
+        scale = (ens.weights[:, None] * np.sqrt(w))[:, None, :, None]  # broadcasts as h
+        return _mean(scale, h, t)
 
     def block_sum(samples):
         ens = ensemble.select(samples)
-        if size > 1:
-            g = _unit_gram(*_scaled_estimate(ens.h_hat, stripe_txs, psi, w, total_power),
-                           len(stripe_txs) // size)
-            return _mean(ens.weights, np.linalg.inv(eye + g))
-        t, h = _tx_filters(ens.h_hat, stripe_txs, psi, w, total_power)
-        scale = (ens.weights[:, None] * np.sqrt(w))[:, None, :, None]  # broadcasts as h
-        return _mean(scale, h, t)
+        return np.concatenate([stripe_mean(ens, txs) for txs in stripes])
 
     mean = sum(map_blocks(block_sum, ensemble.n_samples))
     return eye - mean if size > 1 else mean
@@ -410,10 +415,10 @@ def solve_statistical_precoders_uni(association, stripe_stats):
     return _solve_coefficient_columns(pi0, association.serving_stripes)
 
 
-def solve_statistical_precoders_bi(association, coupling):
+def solve_statistical_precoders_bi(serving_units, coupling):
     """Coefficients c_u of the F_u c_u schemes from bidirectional_coupling;
-    association.serving_stripes names each user's units (stripes or TXs)."""
-    return _solve_coefficient_columns(np.asarray(coupling), association.serving_stripes)
+    serving_units[k] names user k's units (stripes for bi, TXs for no-share)."""
+    return _solve_coefficient_columns(np.asarray(coupling), serving_units)
 
 
 # --------------------------------------------------------------------------
@@ -430,16 +435,6 @@ def _stack(ensemble, blocks):
     return out
 
 
-def _uni_blocks(ensemble, stripe_stats, coeffs, stripes, psi, w, total_power):
-    """Forward-product precoders t_{q,m} = T_{q,m} V_{q,m} Vbar_{q,m-1}...Vbar_{q,1} c_q,
-    one stripe block at a time."""
-    n = ensemble.n_antennas
-    for q, txs in enumerate(stripes):
-        if np.any(coeffs[q]):
-            yield _rows(txs, n), np.concatenate(list(_forward_product(_uni_hops(
-                ensemble.h_hat, txs, stripe_stats[q], psi, w, total_power), coeffs[q])), axis=-2)
-
-
 def tmmse_unidirectional(ensemble, stripe_stats, coeffs, stripes, psi, w, total_power):
     """Forward-product precoders t_{q,m} = T_{q,m} V_{q,m} Vbar_{q,m-1}...Vbar_{q,1} c_q.
 
@@ -447,8 +442,8 @@ def tmmse_unidirectional(ensemble, stripe_stats, coeffs, stripes, psi, w, total_
     and the statistical Pi matrices, so position m uses exactly the
     unidirectionally shared information (Hhat_{q,1}, ..., Hhat_{q,m}).
     """
-    return _stack(ensemble, _uni_blocks(
-        ensemble, stripe_stats, coeffs, stripes, psi, w, total_power))
+    return _stack(ensemble, UniState("uni", stripes, stripe_stats, coeffs).blocks(
+        ensemble, psi, w, total_power))
 
 
 def tmmse_bidirectional(ensemble, coeffs, stripes, psi, w, total_power):
@@ -486,7 +481,7 @@ def local_mmse_coefficients(ensemble, association, psi, w, total_power):
 
     def block_sums(samples):
         ens = ensemble.select(samples)
-        f_all = local_filter(tx_blocks(ens.h_hat, n), psi, w, total_power)
+        f_all = _tx_filters(ens.h_hat, range(L), psi, w, total_power)[0]  # (B, L, N, K)
         h_blocks = tx_blocks(ens.h, n)  # (B, L, K, N)
         sums = []
         for k, txs in enumerate(serving):
@@ -581,13 +576,8 @@ class FilterState:
         for u, coeffs in enumerate(self.coeffs):
             run = self.stripes[u * per_unit : (u + 1) * per_unit]
             if np.any(coeffs):
-                g, bahs = 0, []
-                for txs in run:
-                    a, bah = _scaled_estimate(ensemble.h_hat, txs, psi, w, total_power)
-                    g = g + _unit_gram(a, bah, 1)
-                    bahs.append(bah)
-                kc = np.linalg.inv(np.eye(ensemble.num_users) + g[..., 0, :, :]) @ coeffs
-                del a, g
+                kernel, bahs = _unit_kernel(ensemble.h_hat, run, psi, w, total_power)
+                kc = kernel @ coeffs
                 for txs in run:
                     yield _rows(txs, ensemble.n_antennas), bahs.pop(0) @ kc
 
@@ -605,9 +595,12 @@ class UniState:
     stripe_coeffs: np.ndarray  # (Q, K, K)
 
     def blocks(self, ensemble, psi, w, total_power):
-        return _uni_blocks(
-            ensemble, self.stripe_stats, self.stripe_coeffs, self.stripes, psi, w, total_power
-        )
+        """The forward product of each stripe that serves anyone."""
+        for q, txs in enumerate(self.stripes):
+            if np.any(self.stripe_coeffs[q]):
+                hops = _uni_hops(ensemble.h_hat, txs, self.stripe_stats[q], psi, w, total_power)
+                yield _rows(txs, ensemble.n_antennas), np.concatenate(
+                    list(_forward_product(hops, self.stripe_coeffs[q])), axis=-2)
 
     def dump_matrices(self):
         return [st.pi[0] for st in self.stripe_stats] + list(self.stripe_coeffs)
@@ -629,20 +622,16 @@ def _stripe_length(stripes, num_txs):
     return len(stripes[0])
 
 
-def _fit_units(scheme, ensemble, association, stripes, psi, w, total_power, size=None):
-    """F_u c_u on units of size TXs, or whole stripes; serving_stripes names the units."""
-    size = size or len(stripes[0])
-    coupling = np.concatenate([
-        bidirectional_coupling(ensemble, txs, size, psi, w, total_power) for txs in stripes
-    ])
-    coeffs = solve_statistical_precoders_bi(association, coupling)
+def _fit_units(scheme, ensemble, association, stripes, psi, w, total_power):
+    """F_u c_u with c from the coupling system: no-share on one-TX units
+    (each user's units are its serving TXs), bi on stripes."""
+    if scheme == "no-share":
+        size, serving_units = 1, association.serving_txs
+    else:
+        size, serving_units = len(stripes[0]), association.serving_stripes
+    coupling = bidirectional_coupling(ensemble, stripes, size, psi, w, total_power)
+    coeffs = solve_statistical_precoders_bi(serving_units, coupling)
     return FilterState(scheme, stripes, size, coeffs, coupling)
-
-
-def _fit_no_share(scheme, ensemble, association, stripes, psi, w, total_power):
-    # one-TX units: the units serving each user are its serving TXs
-    singletons = dataclasses.replace(association, serving_stripes=association.serving_txs)
-    return _fit_units(scheme, ensemble, singletons, stripes, psi, w, total_power, size=1)
 
 
 def _fit_local_mmse(scheme, ensemble, association, stripes, psi, w, total_power):
@@ -659,7 +648,7 @@ _FITS = {
     "centralized": _fit_centralized,
     "bi": _fit_units,
     "uni": _fit_uni,
-    "no-share": _fit_no_share,
+    "no-share": _fit_units,
     "local-mmse": _fit_local_mmse,
 }
 SCHEMES = tuple(_FITS)

@@ -26,6 +26,22 @@ from tmmse.cli import (
 from tmmse.topology import build_grid_deployment
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Run after the variables are set or unset: imports tmmse first, as the tmmse
+# command does, then prints the variables and OpenBLAS's own thread count
+# ("unknown" where numpy's BLAS is not an OpenBLAS whose getter is found).
+BLAS_PROBE = f"""
+import ctypes, os
+import tmmse
+print(*(os.environ.get(v) for v in {BLAS_VARS!r}))
+maps = "/proc/self/maps"
+libs = {{line.split()[-1] for line in open(maps) if "openblas" in line}} if os.path.exists(maps) else ()
+getters = [getattr(ctypes.CDLL(lib), prefix + "openblas_get_num_threads" + suffix, None)
+           for lib in sorted(libs) for prefix in ("", "scipy_") for suffix in ("", "64_")]
+print(next((get() for get in getters if get), "unknown"))
+"""
+
+
 def small_config(**kw):
     base = dict(
         num_stripes=2,
@@ -514,6 +530,21 @@ class TestFlagsAndEnv:
         assert main(["--drops", "1", "--samples-stats", "16", "--samples-eval", "16",
                      "--schemes", "uni", "--out", "", "--emit-cdf"]) == 0
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", [None, "2"])
+    def test_blas_threads_default_to_one_and_a_set_value_is_kept(self, value):
+        # unset: one BLAS thread per pool thread; set by the user: kept
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env["PYTHONPATH"] = os.path.abspath(src)
+        if value:
+            env.update(dict.fromkeys(BLAS_VARS, value))
+        done = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        variables, threads = done.stdout.splitlines()
+        assert variables.split() == [value or "1"] * len(BLAS_VARS)
+        assert threads in (value or "1", "unknown")
 
     def test_python_m_tmmse_help(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

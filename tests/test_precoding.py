@@ -138,14 +138,26 @@ class TestUnitFilters:
             fit_scheme(scheme, model.ensemble(), assoc, stripes, model.psi_stack(w), w, power)
 
 
+def unit_couplings(ens, size, psi, w, power):
+    """Reference E[W^1/2 Hhat_u F_u] of the units of size TXs tiling every TX,
+    F_u from the normal equations."""
+    n, want = ens.n_antennas, []
+    for lo in range(0, ens.num_txs, size):
+        unit = list(range(lo, lo + size))
+        h = np.sqrt(w)[:, None] * ens.h_hat[..., unit[0] * n : (unit[-1] + 1) * n]
+        f = block_diagonal_filter(ens.h_hat, unit, psi, w, power)
+        want.append(np.einsum("s,ski,sij->kj", ens.weights, h, f))
+    return np.array(want)
+
+
 class TestCouplingKernel:
-    @pytest.mark.parametrize("size", [1, 2, 4])
-    def test_equals_the_mean_response_of_the_unit_filters(self, rng, size):
-        # N = 2: one-TX units keep the filter; units of two and four TXs take
-        # I - E[(I + G_u)^-1], with N*size > K at K = 3 and N*size <= K at K = 9;
-        # the reference filters come from the normal equations
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_equals_the_mean_response_of_the_unit_filters(self, rng, length):
+        # N = 2 on stripes of length TXs: one-TX units (size 1) keep the
+        # filter; stripe units of two and four TXs take I - E[(I + G_u)^-1],
+        # with N*size > K at K = 3 and N*size <= K at K = 9
         S, N, L = 40, 2, 8
-        txs = list(range(4, 8))
+        stripes = stripe_layout(L // length, length)
         for K in (3, 9):
             h_hat = rng.standard_normal((S, K, N * L)) + 1j * rng.standard_normal((S, K, N * L))
             wts = rng.random(S) + 0.5
@@ -153,14 +165,19 @@ class TestCouplingKernel:
             psi = random_psd_stack(rng, L, N)
             w, power = rng.random(K) + 0.2, 2.5
             w /= w.sum()
-            want = []
-            for lo in range(0, len(txs), size):
-                unit = txs[lo : lo + size]
-                h = np.sqrt(w)[:, None] * h_hat[..., unit[0] * N : (unit[-1] + 1) * N]
-                f = block_diagonal_filter(h_hat, unit, psi, w, power)
-                want.append(np.einsum("s,ski,sij->kj", ens.weights, h, f))
-            got = bidirectional_coupling(ens, txs, size, psi, w, power)
-            np.testing.assert_allclose(got, np.array(want), rtol=1e-11, atol=1e-13)
+            for size in {1, length}:
+                np.testing.assert_allclose(
+                    bidirectional_coupling(ens, stripes, size, psi, w, power),
+                    unit_couplings(ens, size, psi, w, power), rtol=1e-11, atol=1e-13)
+
+    @pytest.mark.parametrize("size", [0, 2, 3, 8])
+    def test_rejects_units_that_are_neither_one_tx_nor_a_stripe(self, rng, size):
+        S, K, N = 4, 2, 1
+        h_hat = rng.standard_normal((S, K, 8)) + 1j * rng.standard_normal((S, K, 8))
+        ens = Ensemble(h=h_hat, h_hat=h_hat, weights=np.full(S, 1 / S), n_antennas=N)
+        with pytest.raises(ValueError, match=f"unit size {size}"):
+            bidirectional_coupling(ens, stripe_layout(2, 4), size, np.zeros((8, 1, 1)),
+                                   np.full(K, 0.5), 2.0)
 
 
 class TestSampleBlocks:
@@ -175,15 +192,36 @@ class TestSampleBlocks:
         ens = Ensemble(h=h_hat, h_hat=h_hat, weights=wts / wts.sum(), n_antennas=N)
         psi = random_psd_stack(rng, L, N)
         w, power = np.array([0.5, 0.3, 0.2]), 2.5
-        for size in (1, 2, 4):
-            want = []
-            for lo in range(0, L, size):
-                unit = list(range(lo, lo + size))
-                h = np.sqrt(w)[:, None] * h_hat[..., unit[0] * N : (unit[-1] + 1) * N]
-                f = block_diagonal_filter(h_hat, unit, psi, w, power)
-                want.append(np.einsum("s,ski,sij->kj", ens.weights, h, f))
-            got = bidirectional_coupling(ens, list(range(L)), size, psi, w, power)
-            np.testing.assert_allclose(got, np.array(want), rtol=1e-11, atol=1e-13)
+        for length in (1, 2, 4):  # stripe units of 1, 2 and 4 TXs
+            got = bidirectional_coupling(ens, stripe_layout(L // length, length), length,
+                                         psi, w, power)
+            np.testing.assert_allclose(got, unit_couplings(ens, length, psi, w, power),
+                                       rtol=1e-11, atol=1e-13)
+
+    @pytest.mark.parametrize("scheme", ["bi", "no-share"])
+    def test_coupling_fit_is_one_map_bitwise_equal_for_any_worker_count(
+            self, rng, monkeypatch, scheme):
+        # three sample blocks, the last one partial: every stripe runs inside
+        # each block, and the blocks' sums are added in block order
+        S, K, N, Q, M = 2 * SAMPLE_BLOCK + 40, 3, 2, 3, 2
+        L = Q * M
+        h_hat = rng.standard_normal((S, K, N * L)) + 1j * rng.standard_normal((S, K, N * L))
+        wts = rng.random(S) + 0.5
+        ens = Ensemble(h=h_hat, h_hat=h_hat, weights=wts / wts.sum(), n_antennas=N)
+        psi = random_psd_stack(rng, L, N)
+        w, power = np.array([0.5, 0.3, 0.2]), 2.5
+        assoc = association_from_stripes([(0, 1), (1, 2), (2,)], Q, M)
+        real, maps, states = precoding.map_blocks, [], []
+        monkeypatch.setattr(precoding, "map_blocks",
+                            lambda fn, n: maps.append(n) or real(fn, n))
+        for n_workers in (1, 2, 4):
+            monkeypatch.setattr(parallel, "workers", lambda: n_workers)
+            states.append(fit_scheme(scheme, ens, assoc, stripe_layout(Q, M), psi, w, power))
+        assert maps == [S] * 3
+        assert states[0].coupling.shape == (L if scheme == "no-share" else Q, K, K)
+        for state in states[1:]:
+            np.testing.assert_array_equal(state.coupling, states[0].coupling)
+            np.testing.assert_array_equal(state.coeffs, states[0].coeffs)
 
     @pytest.mark.parametrize("scheme", ["centralized", "bi"])
     def test_unit_kernel_forms_each_stripe_estimate_once(self, rng, monkeypatch, scheme):
@@ -282,7 +320,8 @@ class TestStripeTasks:
         monkeypatch.setattr(precoding, "_solve_hops", solve_hops)
         with pytest.raises(SingularSweepError) as err:
             fit_scheme("uni", ens, assoc, stripes, psi, w, power)
-        assert (err.value.stripe, err.value.position) == (1, 1)
+        # the backward sweep's first hop, the chain end, is guarded too
+        assert (err.value.stripe, err.value.position) == (1, len(stripes[1]) - 1)
         if n_workers > 1:  # a serial fit stops at the failure
             assert failed == [3, 1] and swept == {0, 2}
 
@@ -343,6 +382,23 @@ class TestStripeStatistics:
         t = local_filter(hl, model.psi_stack(w)[l], w, power)
         p_mean = np.einsum("s,sij->ij", ens.weights, np.sqrt(w)[None, :, None] * (hl @ t))
         np.testing.assert_allclose(stats.pi[-2], p_mean, atol=1e-12)
+
+    @pytest.mark.parametrize("K,N", [(4, 1), (3, 2), (5, 2)])
+    def test_chain_end_is_an_ordinary_hop(self, rng, K, N):
+        # from Pi_M = 0 the chain end is guarded and solved like every hop, and
+        # its T V is its local filter bit for bit, on each guard path: the N = 1
+        # closed form, the K x K system (K <= 2N) and the QR restriction
+        S, M = 20, 3
+        txs = list(range(M))
+        h = rng.standard_normal((S, K, N * M)) + 1j * rng.standard_normal((S, K, N * M))
+        ens = Ensemble(h=h, h_hat=h.copy(), weights=np.full(S, 1 / S), n_antennas=N)
+        psi, w, power = random_psd_stack(rng, M, N), np.full(K, 1 / K), 2.0
+        stats = estimate_stripe_statistics(ens, txs, psi, w, power)
+        assert (stats.pi[-1] == 0).all()
+        for h_hat in (ens.h_hat, ens.h_hat[0]):  # a pool, and one realization
+            *_, (_, tv) = precoding._uni_hops(h_hat, txs, stats, psi, w, power)
+            t = precoding._tx_filters(h_hat, txs, psi, w, power)[0]
+            np.testing.assert_array_equal(tv, t[..., -1, :, :])
 
     def test_deterministic_recursion(self, rng):
         # one-point support: expectations are plain products, checked by hand
@@ -510,16 +566,14 @@ class TestCoefficientSystems:
 
     def test_zero_coupling_identity(self):
         pi = np.zeros((2, 3, 3), complex)
-        assoc = association_from_stripes([(0, 1)] * 3, 2, 1)
-        coeffs = solve_statistical_precoders_bi(assoc, pi)
+        coeffs = solve_statistical_precoders_bi([(0, 1)] * 3, pi)
         np.testing.assert_allclose(coeffs[0], np.eye(3), atol=1e-12)
         np.testing.assert_allclose(coeffs[1], np.eye(3), atol=1e-12)
 
     def test_matches_dense_block_solve(self, rng):
         K = 3
         pi = 0.3 * (rng.standard_normal((2, K, K)) + 1j * rng.standard_normal((2, K, K)))
-        assoc = association_from_stripes([(0, 1)] * K, 2, 1)
-        coeffs = solve_statistical_precoders_bi(assoc, pi)
+        coeffs = solve_statistical_precoders_bi([(0, 1)] * K, pi)
         for k in range(K):
             a = np.block([[np.eye(K), pi[1]], [pi[0], np.eye(K)]])
             rhs = np.concatenate([np.eye(K)[:, k]] * 2)
@@ -531,8 +585,7 @@ class TestCoefficientSystems:
         # uniqueness: solving with the block order reversed changes nothing
         K = 3
         pi = 0.3 * (rng.standard_normal((2, K, K)) + 1j * rng.standard_normal((2, K, K)))
-        assoc = association_from_stripes([(0, 1)] * K, 2, 1)
-        coeffs = solve_statistical_precoders_bi(assoc, pi)
+        coeffs = solve_statistical_precoders_bi([(0, 1)] * K, pi)
         for k in range(K):
             a = np.block([[np.eye(K), pi[0]], [pi[1], np.eye(K)]])  # order (1, 0)
             rhs = np.concatenate([np.eye(K)[:, k]] * 2)
@@ -545,8 +598,7 @@ class TestCoefficientSystems:
         K = 4
         serving = [(2,), (0, 3), (1, 2, 3), (0, 1)]
         pi = 0.3 * (rng.standard_normal((4, K, K)) + 1j * rng.standard_normal((4, K, K)))
-        assoc = association_from_stripes(serving, 4, 1)
-        coeffs = solve_statistical_precoders_bi(assoc, pi)
+        coeffs = solve_statistical_precoders_bi(serving, pi)
         for k, units in enumerate(serving):
             a = np.block([[np.eye(K) if i == j else pi[j] for j in units] for i in units])
             x = np.linalg.solve(a, np.tile(np.eye(K)[:, k], len(units)))
@@ -558,17 +610,15 @@ class TestCoefficientSystems:
     def test_singular_coupling_sum_raises(self):
         # Pi_0 = Pi_1 = -I: I + sum_j Pi_j (I - Pi_j)^-1 = 0, the block system is singular
         pi = np.stack([-np.eye(2, dtype=complex)] * 2)
-        assoc = association_from_stripes([(0, 1)] * 2, 2, 1)
         with pytest.raises(SingularCoefficientSystem) as err:
-            solve_statistical_precoders_bi(assoc, pi)
+            solve_statistical_precoders_bi([(0, 1)] * 2, pi)
         assert err.value.user in (0, 1)
 
     def test_singular_unit_factor_raises(self):
         # Pi_0 = I makes I - Pi_0 singular for the user unit 0 serves
         pi = np.stack([np.eye(2, dtype=complex), np.zeros((2, 2), complex)])
-        assoc = association_from_stripes([(1,), (0, 1)], 2, 1)
         with pytest.raises(SingularCoefficientSystem) as err:
-            solve_statistical_precoders_bi(assoc, pi)
+            solve_statistical_precoders_bi([(1,), (0, 1)], pi)
         assert err.value.user == 1
 
 
@@ -647,6 +697,7 @@ class TestSchemeEquivalences:
         ens = exact_ensemble(model)
         eye_coeffs = np.stack([np.eye(K, dtype=complex)] * len(stripes))
         bi = tmmse_bidirectional(ens, eye_coeffs, stripes, psi, w, power)
+        coupling = bidirectional_coupling(ens, stripes, len(stripes[0]), psi, w, power)
         # with c = e_k the per-user output is the pure per-realization sweep
         for q, txs in enumerate(stripes):
             pbar = np.zeros((ens.n_samples, K, K), complex)
@@ -662,9 +713,8 @@ class TestSchemeEquivalences:
                 v_list[m - 1] = v
                 pv = ps[m - 1] @ v
                 pbar = pv + pbar @ (np.eye(K) - pv)
-            np.testing.assert_allclose(
-                bidirectional_coupling(ens, txs, len(txs), psi, w, power)[0],
-                np.einsum("s,sij->ij", ens.weights, pbar), rtol=1e-9, atol=1e-11)
+            np.testing.assert_allclose(coupling[q], np.einsum("s,sij->ij", ens.weights, pbar),
+                                       rtol=1e-9, atol=1e-11)
             prefix = np.broadcast_to(np.eye(K), (ens.n_samples, K, K)).astype(complex)
             for m, l in enumerate(txs, start=1):
                 np.testing.assert_allclose(
