@@ -7,26 +7,30 @@ therefore independent, and any (drop, realization) draw is reproducible in
 isolation.  Reruns with identical config and seed produce byte-identical
 rates.csv.
 
-A drop (run_drop) fits every scheme on the statistics pool and releases
-that pool; it then draws the evaluation pool and evaluates and allocates
-the fitted schemes one after another.  Within a scheme, independent tasks
-run on one shared thread pool (parallel.map_ordered; as many threads as
-usable CPUs, at most two): fixed sample blocks of the pool for the draws,
-the fits' ensemble means and the evaluation, and uni's stripes for its
-statistics sweeps.  The tasks do not depend on the thread count and results
-are joined in task order, so rates.csv is byte-identical for any number of
-usable CPUs.  The evaluation
-is streamed: on each sample block a state yields its precoders one stripe
-at a time and evaluation.evaluate sums z = H t and the per-TX powers over
-the stripes, so a drop holds one pool plus a stripe's working set per
-block in flight, never an (S, N*L, K) precoder stack.  run concatenates
-the drops.
+A drop (run_drop) is a straight sequence of steps: the setting (users,
+statistics, Psi, stripes and the optional gains dump), the statistics pool
+and the fits, then, that pool released, the evaluation pool and per fitted
+scheme its evaluation, allocations and optional stats dump.  Each step's
+wall time goes to its stage in STAGES (the setting, so also a gains dump,
+and the draws to channel); a stats dump is not timed.  A failing step
+becomes a failure record (re-raised under config.strict) and skips only
+what depends on it; a failed setting or pool draw ends the drop.
+
+Within a scheme, independent tasks run on one shared thread pool
+(parallel.map_ordered; as many threads as usable CPUs, at most two): fixed
+sample blocks of the pool for the draws, the fits' ensemble means and the
+evaluation, and uni's stripes for its statistics sweeps.  The tasks do not
+depend on the thread count and results are joined in task order, so
+rates.csv is byte-identical for any number of usable CPUs.  The evaluation is
+streamed: on each sample block a state yields its precoders one stripe at a
+time and evaluation.evaluate sums z = H t and the per-TX powers over the
+stripes, so a drop holds one pool plus a stripe's working set per block in
+flight, never an (S, N*L, K) precoder stack.  run concatenates the drops.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import json
@@ -199,105 +203,99 @@ class RunResult:
     out_dir: str = None
 
 
+def _drop_setting(config, deployment, drop, w, out_dir):
+    """The drop's users and everything drawn from them: association,
+    statistics, CSI model, Psi and stripes; writes the gains dump when asked."""
+    rng_pos = np.random.default_rng(phase_seed(config.base_seed, drop, PHASE_POSITIONS))
+    rx_xy = rng_pos.uniform((0.0, 0.0), config.area_m, size=(config.num_users, 2))
+    dep = deployment.place_users(rx_xy)
+    assoc = assign_serving_stripes(dep, config.serving_stripes_per_user)
+    stats = build_statistics(
+        dep, assoc, config.ricean_kappa, config.carrier_ghz, config.bandwidth_hz,
+        config.noise_figure_db, config.shadow_std_db,
+        np.random.default_rng(phase_seed(config.base_seed, drop, PHASE_SHADOW)),
+    )
+    csi = stats.csi_model()
+    setting = assoc, stats, csi, csi.psi_stack(w), dep.stripes()
+    if config.dump_gains and out_dir:
+        _write_csv(os.path.join(out_dir, f"gains_drop{drop}.csv"),
+                   ["l", "k", "distance_m", "PL_dB", "rho2"], gains_table(stats))
+    return setting
+
+
 def run_drop(config, deployment, drop, out_dir=None):
-    """One drop as a RunResult: fit every scheme on the statistics pool, release
-    it, then evaluate (streamed stripe by stripe) and allocate each fitted
-    scheme on the evaluation pool.  A failing scheme, power mode, statistics
-    dump or drop becomes a failure record (and is re-raised under
-    config.strict); with out_dir set, the drop's gain and statistics dumps are
-    written there.
-    """
+    """One drop as a RunResult, its steps timed and their failures recorded as
+    the module docstring says; with out_dir set, the drop's gain and
+    statistics dumps are written there."""
     w = config.resolved_weights()
     total_power = config.total_power()
     budgets = config.tx_budgets()
     result = RunResult([], [], [], dict.fromkeys(STAGES, 0.0), out_dir)
 
-    @contextlib.contextmanager
-    def timed(stage):
+    def attempt(timing, stage, scheme, fn, *args):  # fn(*args), or None if it failed
         t0 = time.perf_counter()
-        yield
-        result.timings[stage] += time.perf_counter() - t0
+        try:
+            return fn(*args)
+        except Exception as exc:  # noqa: BLE001 - failures are per-run reportable
+            result.failures.append(
+                {"drop": drop, "scheme": scheme, "stage": stage, "error": str(exc)})
+            if config.strict:
+                raise
+            return None
+        finally:
+            if timing:
+                result.timings[timing] += time.perf_counter() - t0
 
-    def fail(exc, stage, scheme=None):
-        result.failures.append({"drop": drop, "scheme": scheme, "stage": stage, "error": str(exc)})
-        if config.strict:
-            raise exc
+    setting = attempt("channel", "drop", None, _drop_setting, config, deployment, drop, w,
+                      out_dir)
+    if setting is None:
+        return result
+    assoc, stats, csi, psi, stripes = setting
+    pool = attempt("channel", "drop", None, draw_ensemble, stats, csi,
+                   config.statistics_samples, phase_seed(config.base_seed, drop, PHASE_STATS))
+    if pool is None:
+        return result
+    fits = [(scheme, attempt("statistics", "precoding", scheme, fit_scheme, scheme, pool,
+                             assoc, stripes, psi, w, total_power))
+            for scheme in config.schemes]
+    del pool  # no state holds the statistics pool: it goes before the next draw
+    pool = attempt("channel", "drop", None, draw_ensemble, stats, csi,
+                   config.evaluation_samples, phase_seed(config.base_seed, drop, PHASE_EVAL))
+    if pool is None:
+        return result
 
-    try:
-        with timed("channel"):
-            rng_pos = np.random.default_rng(phase_seed(config.base_seed, drop, PHASE_POSITIONS))
-            rx_xy = rng_pos.uniform((0.0, 0.0), config.area_m, size=(config.num_users, 2))
-            dep = deployment.place_users(rx_xy)
-            assoc = assign_serving_stripes(dep, config.serving_stripes_per_user)
-            stats = build_statistics(
-                dep, assoc, config.ricean_kappa, config.carrier_ghz, config.bandwidth_hz,
-                config.noise_figure_db, config.shadow_std_db,
-                np.random.default_rng(phase_seed(config.base_seed, drop, PHASE_SHADOW)),
-            )
-            csi = stats.csi_model()
-            psi = csi.psi_stack(w)
-            stripes = dep.stripes()
-
-        if config.dump_gains and out_dir:
-            _write_csv(os.path.join(out_dir, f"gains_drop{drop}.csv"),
-                       ["l", "k", "distance_m", "PL_dB", "rho2"], gains_table(stats))
-
-        with timed("channel"):
-            pool = draw_ensemble(stats, csi, config.statistics_samples,
-                                 phase_seed(config.base_seed, drop, PHASE_STATS))
-        fitted = []
-        for scheme in config.schemes:
-            try:
-                with timed("statistics"):
-                    fitted.append((scheme, fit_scheme(scheme, pool, assoc, stripes, psi, w,
-                                                      total_power)))
-            except Exception as exc:  # noqa: BLE001 - failures are per-run reportable
-                fail(exc, "precoding", scheme)
-        del pool  # no state holds the statistics pool: it goes before the next draw
-        with timed("channel"):
-            pool = draw_ensemble(stats, csi, config.evaluation_samples,
-                                 phase_seed(config.base_seed, drop, PHASE_EVAL))
-
-        for scheme, state in fitted:
-            try:
-                with timed("evaluation"):
-                    blocks = precoder_blocks(state, pool, psi, w, total_power)
-                    moments, mse = evaluate(pool, blocks, w, total_power)
-            except Exception as exc:  # noqa: BLE001
-                fail(exc, "precoding", scheme)
+    for scheme, state in fits:
+        if state is None:
+            continue
+        evaluated = attempt("evaluation", "precoding", scheme, lambda: evaluate(
+            pool, precoder_blocks(state, pool, psi, w, total_power), w, total_power))
+        if evaluated is None:
+            continue
+        moments, mse = evaluated
+        for mode in config.power_modes:
+            allocated = attempt("allocation", f"allocation[{mode}]", scheme, allocate, moments,
+                                mse, mode, budgets, config.clamp_negative_powers,
+                                config.rate_units)
+            if allocated is None:
                 continue
-            for mode in config.power_modes:
-                try:
-                    with timed("allocation"):
-                        rates, solution = allocate(
-                            moments, mse, mode, budgets,
-                            clamp_negative=config.clamp_negative_powers, units=config.rate_units,
-                        )
-                except Exception as exc:  # noqa: BLE001
-                    fail(exc, f"allocation[{mode}]", scheme)
-                    continue
-                result.rate_rows.extend(
-                    (drop, k, scheme, mode, float(r)) for k, r in enumerate(rates))
-                solution_fields = solution.to_dict()
-                solution_fields.pop("mode")
-                result.records.append(
-                    {
-                        "drop": drop,
-                        "scheme": scheme,
-                        "power_mode": mode,
-                        "rates": [float(r) for r in rates],
-                        "mse": [float(m) for m in mse],
-                        **solution_fields,
-                    }
-                )
-            mats = state.dump_matrices()
-            if config.dump_stats and out_dir and mats:
-                try:
-                    write_matrix_dump(os.path.join(out_dir, f"stats_drop{drop}_{scheme}.bin"), mats)
-                except Exception as exc:  # noqa: BLE001 - a failed dump keeps the rates
-                    fail(exc, "dump", scheme)
-    except Exception as exc:  # noqa: BLE001
-        fail(exc, "drop")
+            rates, solution = allocated
+            result.rate_rows.extend((drop, k, scheme, mode, float(r)) for k, r in enumerate(rates))
+            solution_fields = solution.to_dict()
+            solution_fields.pop("mode")
+            result.records.append(
+                {
+                    "drop": drop,
+                    "scheme": scheme,
+                    "power_mode": mode,
+                    "rates": [float(r) for r in rates],
+                    "mse": [float(m) for m in mse],
+                    **solution_fields,
+                }
+            )
+        mats = state.dump_matrices()
+        if config.dump_stats and out_dir and mats:
+            attempt(None, "dump", scheme, write_matrix_dump,
+                    os.path.join(out_dir, f"stats_drop{drop}_{scheme}.bin"), mats)
     return result
 
 

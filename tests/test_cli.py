@@ -181,11 +181,22 @@ class TestRun:
         assert report["schema_version"] == 1
         assert len(report["records"]) == len(result.records)
 
-    def test_manifest_written_before_and_after(self, tmp_path):
-        cfg = small_config(drops=1, schemes=("centralized",))
+    def test_manifest_written_before_and_after(self, tmp_path, monkeypatch):
+        drops = []
+
+        def kept_run_drop(*args):
+            drops.append(run_drop(*args))
+            return drops[-1]
+
+        monkeypatch.setattr(cli, "run_drop", kept_run_drop)
+        cfg = small_config(schemes=("centralized",))
         result = run(cfg, out_dir=str(tmp_path / "out"))
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["config"]["num_users"] == 3
+        # per stage the sum over the drops, plus the run's total
+        assert len(drops) == cfg.drops and manifest["timings_s"] == {
+            **{stage: round(sum(d.timings[stage] for d in drops), 6) for stage in cli.STAGES},
+            "total": round(result.timings["total"], 6)}
         assert manifest["timings_s"]["total"] > 0
         assert manifest["failures"] == []
 
@@ -238,6 +249,15 @@ class TestRun:
         assert not list((tmp_path / "out").glob("stats_*.bin"))
 
 
+def failing_when(real, when, message):
+    """real, but raising RuntimeError(message(*args)) on the calls where when(*args)."""
+    def call(*args, **kwargs):
+        if when(*args):
+            raise RuntimeError(message(*args))
+        return real(*args, **kwargs)
+    return call
+
+
 def deployment_of(cfg):
     return build_grid_deployment(
         cfg.num_stripes, cfg.txs_per_stripe, cfg.area_m, cfg.height_m, cfg.antennas_per_tx
@@ -254,23 +274,27 @@ class TestRunDrop:
             assert getattr(whole, field) == [x for d in drops for x in getattr(d, field)]
         assert dep.num_users == 0 and cfg == small_config()  # arguments untouched
 
-    def test_failed_fit_is_recorded_and_other_schemes_run(self, tmp_path, monkeypatch):
-        real = cli.fit_scheme
-
-        def fit(scheme, *args):
-            if scheme == "bi":
-                raise RuntimeError("bi fit failed")
-            return real(scheme, *args)
-
-        monkeypatch.setattr(cli, "fit_scheme", fit)
+    @pytest.mark.parametrize("target, failing", [
+        ("fit_scheme", ("bi",)),
+        ("precoder_blocks", ("bi",)),
+        ("fit_scheme", ("bi", "uni")),
+    ], ids=["fit-bi", "evaluation-bi", "fit-bi-uni"])
+    def test_failed_scheme_is_recorded_and_other_schemes_run(self, tmp_path, monkeypatch,
+                                                             target, failing):
+        # a failing fit or evaluation loses only its scheme's rows; under strict
+        # the first failing scheme in scheme order is the one raised
+        monkeypatch.setattr(cli, target, failing_when(
+            getattr(cli, target), lambda first, *args: getattr(first, "scheme", first) in failing,
+            lambda first, *args: f"{getattr(first, 'scheme', first)} {target} failed"))
         cfg = small_config()
         result = run(cfg, out_dir=str(tmp_path / "out"))
         assert [(f["drop"], f["scheme"], f["stage"]) for f in result.failures] == [
-            (0, "bi", "precoding"), (1, "bi", "precoding")]
+            (drop, s, "precoding") for drop in range(cfg.drops) for s in failing]
         kept = {(scheme, mode) for _, _, scheme, mode, _ in result.rate_rows}
-        assert kept == {(s, m) for s in cfg.schemes if s != "bi" for m in cfg.power_modes}
-        assert len(result.rate_rows) == cfg.drops * 4 * 2 * cfg.num_users
-        with pytest.raises(RuntimeError, match="bi fit failed"):
+        assert kept == {(s, m) for s in cfg.schemes if s not in failing for m in cfg.power_modes}
+        assert len(result.rate_rows) == (
+            cfg.drops * (len(cfg.schemes) - len(failing)) * 2 * cfg.num_users)
+        with pytest.raises(RuntimeError, match=f"^{failing[0]} {target} failed$"):
             run(dataclasses.replace(cfg, strict=True), out_dir=str(tmp_path / "strict"))
 
     def test_failed_allocation_keeps_other_mode(self, monkeypatch):
@@ -304,17 +328,42 @@ class TestRunDrop:
             run_drop(dataclasses.replace(cfg, strict=True), deployment_of(cfg), 0,
                      out_dir=str(tmp_path))
 
-    def test_failed_drop_is_recorded(self, monkeypatch):
-        def draw(*args):
-            raise RuntimeError("no pool")
+    @pytest.mark.parametrize("failing, expected", [
+        ({"draw_ensemble": lambda *args: True}, [(None, "drop", "draw_ensemble")]),
+        ({"fit_scheme": lambda scheme, *args: scheme == "bi",
+          "draw_ensemble": lambda *args: args[3].spawn_key[-1] == cli.PHASE_EVAL},
+         [("bi", "precoding", "fit_scheme"), (None, "drop", "draw_ensemble")]),
+        ({"_write_csv": lambda path, *args: "gains_drop" in path},
+         [(None, "drop", "_write_csv")]),
+    ], ids=["draw", "bi-fit-then-evaluation-draw", "gains-dump"])
+    def test_failed_drop_is_recorded(self, tmp_path, monkeypatch, failing, expected):
+        # a failed setting or pool draw ends the drop: no rate rows, and the
+        # failures before it are kept in order
+        for name, when in failing.items():
+            monkeypatch.setattr(cli, name, failing_when(
+                getattr(cli, name), when, lambda *args, name=name: f"{name} failed"))
+        cfg = small_config(drops=1, dump_gains=True)
+        result = run_drop(cfg, deployment_of(cfg), 0, out_dir=str(tmp_path))
+        assert result.rate_rows == [] and result.records == []
+        assert result.failures == [
+            {"drop": 0, "scheme": scheme, "stage": stage, "error": f"{name} failed"}
+            for scheme, stage, name in expected]
+        with pytest.raises(RuntimeError, match=f"^{expected[0][2]} failed$"):
+            run_drop(dataclasses.replace(cfg, strict=True), deployment_of(cfg), 0,
+                     out_dir=str(tmp_path))
 
-        monkeypatch.setattr(cli, "draw_ensemble", draw)
+    def test_each_step_is_timed_under_its_stage(self, monkeypatch):
+        # each step's wall time goes to its stage, a failed step's included
         cfg = small_config(drops=1)
+        timings = run_drop(cfg, deployment_of(cfg), 0).timings
+        assert list(timings) == list(cli.STAGES) and all(t > 0 for t in timings.values())
+        monkeypatch.setattr(cli, "fit_scheme", failing_when(
+            cli.fit_scheme, lambda *args: True, lambda *args: "fit failed"))
         result = run_drop(cfg, deployment_of(cfg), 0)
-        assert result.rate_rows == [] and result.failures == [
-            {"drop": 0, "scheme": None, "stage": "drop", "error": "no pool"}]
-        with pytest.raises(RuntimeError, match="no pool"):
-            run_drop(dataclasses.replace(cfg, strict=True), deployment_of(cfg), 0)
+        assert len(result.failures) == len(cfg.schemes) and not result.rate_rows
+        assert list(result.timings) == list(cli.STAGES)
+        assert result.timings["channel"] > 0 and result.timings["statistics"] > 0
+        assert result.timings["evaluation"] == result.timings["allocation"] == 0
 
     def test_statistics_pool_released_before_evaluation_draw(self, monkeypatch):
         real = cli.draw_ensemble
