@@ -51,9 +51,13 @@ The recursion runs in capacitance form.  A TX's response P = A T, with
 A = W^1/2 Hhat_l (K, N) and T its local filter (N, K), has rank <= N, and
 P is never formed: each hop needs only T V = C^-1 T (I - D) with the N x N
 capacitance C = I_N - T D A, so it takes one N x N solve in place of a
-K x K one.  The singularity guard on I - D P is evaluated exactly on its
+K x K one.  The singularity guard on I - D P is evaluated on its
 restriction to the 2N-dimensional span(D A, T^H), outside which the system
-is the identity.  With single-antenna TXs (N = 1) and K > 2 users no hop
+is the identity, or on the K x K system when K <= 2N.  It is screened, then
+exact: a Frobenius-norm bound from one batched inverse clears the samples
+that clearly pass, and the SVD runs only on those it cannot clear, so a
+SingularSweepError names the same sample and exact rcond as an SVD of every
+sample would.  With single-antenna TXs (N = 1) and K > 2 users no hop
 calls LAPACK: the guard is a closed form in the determinant and Frobenius
 norm of the rank-one change I - D A T, and the filter and capacitance
 solves are divisions by scalars.
@@ -109,10 +113,12 @@ class SingularCoefficientSystem(RuntimeError):
 
 
 def _check_inputs(psi, total_power):
-    """Reject an error-covariance stack (..., N, N) that is not Hermitian PSD,
-    or a total power that is not positive."""
-    if total_power <= 0:
+    """Reject an error-covariance stack (..., N, N) that is not finite and
+    Hermitian PSD, or a total power that is not positive."""
+    if not total_power > 0:  # nan too
         raise ValueError("total power must be positive")
+    if not np.isfinite(psi).all():
+        raise ValueError("Psi must be finite")
     if not np.allclose(psi, herm(psi), atol=1e-10):
         raise ValueError("Psi must be Hermitian")
     if np.linalg.eigvalsh(psi).min() < -1e-10:
@@ -212,7 +218,36 @@ def _rcond(a):
     return sv[..., -1] / (sv[..., 0] + 1e-300)  # a zero matrix gets 0, not nan
 
 
-def _sweep_rcond(da, t):
+def _frobenius2(x):
+    """Squared Frobenius norms of a stack of matrices, one real dot product each."""
+    v = x.view(float)  # a complex matrix as (re, im) pairs along its rows
+    return np.einsum("...ij,...ij->...", v, v)
+
+
+def _screened_rcond(x):
+    """_rcond of the stack x where it could be below RCOND_FLOOR, a lower bound
+    >= RCOND_FLOOR elsewhere.
+
+    For an n x n matrix 1 / (|X|_F |X^-1|_F) <= rcond <= n / (|X|_F |X^-1|_F),
+    so one batched inverse and two norms clear most samples, and the SVD runs
+    only on the rest: every sample whose rcond is below the floor, and every
+    non-finite one (a nan bound is not >= the floor), gets its exact _rcond.
+    A sample is cleared only at twice the floor: there both the computed
+    bound and the SVD's rcond carry rounding errors near eps / rcond ~ 1e-4
+    relative, and at n = 2 the bound is within rcond^2 of the rcond itself.
+    An exactly singular sample, on which inv raises, sends the whole stack to
+    the SVD."""
+    try:
+        bound = 1 / np.sqrt(_frobenius2(x) * _frobenius2(np.linalg.inv(x)))
+    except np.linalg.LinAlgError:
+        return _rcond(x)
+    exact = ~(bound >= 2 * RCOND_FLOOR)
+    if exact.any():
+        bound[exact] = _rcond(x[exact])
+    return bound
+
+
+def _sweep_rcond(da, t, rcond=_rcond):
     """Batched rcond of the sweep system I - D P = I - (D A) T, P never formed.
 
     The system is the identity on the complement of span(D A, T^H).  For
@@ -227,6 +262,8 @@ def _sweep_rcond(da, t):
     g = 1 - y^H x (the determinant), and sum s = 2 - 2 Re(y^H x) + |x|^2 |y|^2,
     so rcond = |g| / lam+ with lam+ = (s + sqrt(s^2 - 4 |g|^2)) / 2, the root
     that takes no cancellation.  For K <= 2N the K x K system is formed.
+    The two formed systems go to rcond: the exact _rcond, or _screened_rcond
+    for the guard of _solve_hops.
     """
     K, N = da.shape[-2:]
     if N == 1 and K > 2:
@@ -238,7 +275,7 @@ def _sweep_rcond(da, t):
     if K > 2 * N:
         q = np.linalg.qr(np.concatenate([da, herm(t)], axis=-1))[0]
         da, t = herm(q) @ da, t @ q
-    return _rcond(np.eye(da.shape[-2]) - da @ t)
+    return rcond(np.eye(da.shape[-2]) - da @ t)
 
 
 def _solve_hops(t, a, d, stripe, positions):
@@ -250,11 +287,15 @@ def _solve_hops(t, a, d, stripe, positions):
     division.  By Sylvester's identity det C = det(I - D P); the guard still
     measures I - D P (see _sweep_rcond) and raises SingularSweepError at the
     first of the stripe's positions whose rcond falls below RCOND_FLOOR,
-    naming its worst sample.  t and a carry the positions on the axis
-    before the matrix axes, and d broadcasts against them.  Returns T V.
+    naming its worst sample and its exact rcond.  Where the system is formed
+    (N >= 2, or K <= 2) the guard is screened: a Frobenius bound clears the
+    samples that clearly pass, and the exact rcond is taken only where the
+    bound cannot clear a sample (_screened_rcond), which holds every sample
+    below the floor.  t and a carry the positions on the axis before the
+    matrix axes, and d broadcasts against them.  Returns T V.
     """
     da = d @ a
-    rcond = np.reshape(_sweep_rcond(da, t), (-1, len(positions)))
+    rcond = np.reshape(_sweep_rcond(da, t, _screened_rcond), (-1, len(positions)))
     failed = (rcond < RCOND_FLOOR).any(axis=0)
     if failed.any():
         i = int(np.argmax(failed))

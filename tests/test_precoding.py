@@ -360,7 +360,16 @@ class TestPsiValidation:
             with pytest.raises(ValueError):
                 call()
 
-    @pytest.mark.parametrize("total_power", [0.0, -1.0])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_psi_rejected(self, n, bad):
+        psi = np.eye(n, dtype=complex) * 0.1
+        psi[-1, 0] = bad
+        for call in self.entry_points(np.ones((2, n)), psi, np.full(2, 0.5), 1.0):
+            with pytest.raises(ValueError, match="Psi must be finite"):
+                call()
+
+    @pytest.mark.parametrize("total_power", [0.0, -1.0, np.nan])
     def test_non_positive_power_rejected(self, total_power):
         calls = self.entry_points(np.ones((2, 1)), np.zeros((1, 1)), np.full(2, 0.5), total_power)
         for call in calls:
@@ -550,6 +559,160 @@ class TestSweepGuard:
                 assert closed > RCOND_FLOOR
             else:
                 assert closed < RCOND_FLOOR and dense < RCOND_FLOOR
+
+
+def near_singular_d(a, t, eps):
+    """Per-sample D (S, K, K) that puts an eigenvalue of I - D A T at eps:
+    D = (1 - eps) I / lam, lam a nonzero eigenvalue of the rank-N P = A T."""
+    lam = np.linalg.eigvals(a @ t)
+    lam = np.take_along_axis(lam, np.abs(lam).argmax(axis=-1)[:, None], axis=-1)[:, 0]
+    return (1 - eps) / lam[:, None, None] * np.eye(a.shape[-2])
+
+
+class TestScreenedGuard:
+    """_solve_hops screens the formed sweep systems (N >= 2, or K <= 2) with
+    1 / (|X|_F |X^-1|_F) and takes the SVD only where that bound is below
+    twice the floor, so it raises exactly where the exact guard raises."""
+
+    SHAPES = [(6, 4), (4, 2), (2, 1), (7, 2), (10, 3)]  # K <= 2N, then K > 2N (QR)
+
+    @staticmethod
+    def system(rng, S, K, N):
+        a = rng.standard_normal((S, K, N)) + 1j * rng.standard_normal((S, K, N))
+        t = rng.standard_normal((S, N, K)) + 1j * rng.standard_normal((S, N, K))
+        return a, t
+
+    @staticmethod
+    def count_svds(monkeypatch):
+        """Shapes of the stacks that _rcond is called on from here on."""
+        calls = []
+        monkeypatch.setattr(precoding, "_rcond", lambda x: calls.append(x.shape) or _rcond(x))
+        return calls
+
+    @staticmethod
+    def outcome(monkeypatch, t, a, d, positions, exact):
+        """What _solve_hops does, screened or with the exact _rcond in place
+        of the screen: ("solved", T V), or the exception type and its details."""
+        with monkeypatch.context() as m:
+            if exact:
+                m.setattr(precoding, "_screened_rcond", _rcond)
+            try:
+                return "solved", precoding._solve_hops(t, a, d, 0, positions)
+            except SingularSweepError as exc:
+                return SingularSweepError, (exc.position, exc.sample, exc.rcond)
+            except np.linalg.LinAlgError as exc:
+                return np.linalg.LinAlgError, str(exc)
+
+    def assert_same_outcome(self, monkeypatch, t, a, d, positions):
+        (kind, got), (want_kind, want) = (
+            self.outcome(monkeypatch, t, a, d, positions, exact) for exact in (False, True))
+        assert kind == want_kind
+        if kind == "solved":
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert got == want
+        return kind, got
+
+    @pytest.mark.parametrize("K,N", SHAPES)
+    def test_bound_brackets_the_exact_rcond(self, rng, K, N):
+        # lower <= rcond <= K lower on the system the screen sees (the K x K
+        # system, or the 2N x 2N restriction), random and near-singular
+        S = 64
+        a, t = self.system(rng, S, K, N)
+        seen = []
+
+        def record(x):
+            seen.append(x)
+            return _rcond(x)
+
+        for d in (0.3 * (rng.standard_normal((S, K, K)) + 1j * rng.standard_normal((S, K, K))),
+                  *(near_singular_d(a, t, eps) for eps in (1e-3, 1e-8, 1e-11, 1e-13))):
+            exact = _sweep_rcond(d @ a, t, record)
+            x = seen.pop()
+            assert x.shape[-1] == min(K, 2 * N)
+            lower = 1 / (np.linalg.norm(x, axis=(-2, -1)) *
+                         np.linalg.norm(np.linalg.inv(x), axis=(-2, -1)))
+            # both sides carry rounding errors of about eps; at K = 2 the
+            # bound is within rcond^2 of the rcond
+            assert (lower <= exact + 1e-14).all()
+            assert (exact <= K * lower + 1e-14).all()
+            screened = precoding._screened_rcond(x)
+            cleared = screened >= 2 * RCOND_FLOOR
+            np.testing.assert_array_equal(screened[~cleared], exact[~cleared])
+            assert (screened[cleared] <= exact[cleared] + 1e-14).all()
+            assert (exact[cleared] >= RCOND_FLOOR).all()
+
+    @pytest.mark.parametrize("K,N", SHAPES)
+    def test_raises_exactly_where_the_exact_guard_raises(self, rng, monkeypatch, K, N):
+        # one position (2 of 4) near-singular at one sample (5 of 9), just
+        # above and just below the floor; position 3 below it at another
+        # sample, so the first failing position is the one named
+        S, M, position, sample = 9, 4, 2, 5
+        a, t = self.system(rng, S * M, K, N)
+        a, t = a.reshape(S, M, K, N), t.reshape(S, M, N, K)
+
+        def d_at(eps):
+            d = 0.05 * np.tile(np.eye(K, dtype=complex), (M, 1, 1))
+            d[position] = near_singular_d(a[sample, position][None], t[sample, position][None],
+                                          eps)[0]
+            return d
+
+        # rcond is linear in eps near the singular system: aim at 0.5, 0.9,
+        # 1.1 and 2 times the floor from its slope at eps = 1e-6
+        slope = _sweep_rcond(d_at(1e-6)[position] @ a[sample, position],
+                             t[sample, position]) / 1e-6
+        raised = []
+        for factor in (0.5, 0.9, 1.1, 2.0):
+            d = d_at(factor * RCOND_FLOOR / slope)
+            exact = _sweep_rcond(d[position] @ a[sample, position], t[sample, position])
+            assert (exact < RCOND_FLOOR) == (factor < 1)
+            out = self.assert_same_outcome(monkeypatch, t, a, d, range(M))
+            raised.append(out[0] is SingularSweepError)
+            if factor < 1:
+                assert out[1][:2] == (position, sample)
+                np.testing.assert_allclose(out[1][2], exact, rtol=1e-3)
+            d[position + 1] = near_singular_d(a[0, position + 1][None],
+                                              t[0, position + 1][None], 0.0)[0]
+            out = self.assert_same_outcome(monkeypatch, t, a, d, range(M))
+            assert out[1][0] == (position if factor < 1 else position + 1)
+        assert raised == [True, True, False, False]
+
+    def test_exactly_singular_sample_takes_the_svd_of_the_whole_batch(self, rng, monkeypatch):
+        # K = N = 2 with A = T = D = I at one sample: I - D A T is the zero
+        # matrix, inv raises, and the guard falls back to one SVD of the batch
+        S, K = 6, 2
+        a, t = self.system(rng, S, K, K)
+        a[3], t[3] = np.eye(K), np.eye(K)
+        calls = self.count_svds(monkeypatch)
+        with pytest.raises(SingularSweepError) as err:
+            precoding._solve_hops(t[:, None], a[:, None], np.eye(K), 0, [0])
+        assert (err.value.position, err.value.sample, err.value.rcond) == (0, 3, 0.0)
+        assert calls == [(S, 1, K, K)]
+
+    @pytest.mark.parametrize("K,N", SHAPES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_behaves_as_the_exact_guard(self, rng, monkeypatch, K, N, bad):
+        S = 8
+        a, t = self.system(rng, S, K, N)
+        a[2, 0, 0] = bad
+        d = 0.3 * (rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K)))
+        with np.errstate(invalid="ignore"):
+            self.assert_same_outcome(monkeypatch, t[:, None], a[:, None], d, [0])
+
+    @pytest.mark.parametrize("K,N", SHAPES)
+    def test_chain_end_takes_no_svd(self, rng, monkeypatch, K, N):
+        # from Pi_M = 0 the system is I: the screen clears every sample with
+        # one inverse; a one-TX stripe's sweep is its chain end alone
+        S = 30
+        h = rng.standard_normal((S, K, N)) + 1j * rng.standard_normal((S, K, N))
+        ens = Ensemble(h=h, h_hat=h.copy(), weights=np.full(S, 1 / S), n_antennas=N)
+        psi, w, power = random_psd_stack(rng, 1, N), np.full(K, 1 / K), 2.0
+        calls = self.count_svds(monkeypatch)
+        stats = estimate_stripe_statistics(ens, [0], psi, w, power)
+        (_, tv), = precoding._uni_hops(ens.h_hat, [0], stats, psi, w, power)
+        assert calls == []
+        t = precoding._tx_filters(ens.h_hat, [0], psi, w, power)[0]
+        np.testing.assert_array_equal(tv, t[:, 0])
 
 
 class TestCoefficientSystems:
