@@ -57,7 +57,6 @@ from .precoding import (
     fit_scheme,
     local_filter,
     local_mmse_coefficients,
-    precoder_blocks,
     solve_statistical_precoders_bi,
     solve_statistical_precoders_uni,
     stripe_forward_pass,

@@ -21,11 +21,11 @@ Within a scheme, independent tasks run on one shared thread pool
 sample blocks of the pool for the draws, the fits' ensemble means and the
 evaluation, and uni's stripes for its statistics sweeps.  The tasks do not
 depend on the thread count and results are joined in task order, so
-rates.csv is byte-identical for any number of usable CPUs.  The evaluation is
-streamed: on each sample block a state yields its precoders one stripe at a
-time and evaluation.evaluate sums z = H t and the per-TX powers over the
-stripes, so a drop holds one pool plus a stripe's working set per block in
-flight, never an (S, N*L, K) precoder stack.  run concatenates the drops.
+rates.csv is byte-identical for any number of usable CPUs.  evaluate(pool,
+state) is streamed: a fitted state holds its Psi, w and P and yields its
+precoders one stripe at a time per sample block, and evaluate sums z = H t and
+the per-TX powers over them, so a drop holds one pool plus a stripe's working
+set per block in flight, never an (S, N*L, K) stack.  run concatenates drops.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 from . import __version__
 from .channel import build_statistics, draw_ensemble, gains_table
 from .evaluation import allocate, evaluate
-from .precoding import SCHEMES, fit_scheme, precoder_blocks, write_matrix_dump
+from .precoding import SCHEMES, fit_scheme, write_matrix_dump
 from .topology import assign_serving_stripes, build_grid_deployment
 
 SCHEMA_VERSION = 1
@@ -118,6 +118,10 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if f.type in ("int", "float") and not (value is None and f.default is None):
                 _require_number(f.name, value, integral=f.type == "int")
+        for name in ("area_m", "weights", "schemes", "power_modes"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) and not (name == "weights" and value is None):
+                raise ValueError(f"{name} must be a list, got {value!r}")
         for name in ("area_m", "weights"):
             for x in getattr(self, name) or ():
                 _require_number(name, x)
@@ -166,16 +170,18 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {d!r}")
         d = dict(d)
         d.pop("schema_version", None)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "area_m" in d:
+        if isinstance(d.get("area_m"), (list, tuple)):
             d["area_m"] = tuple(float(_require_number("area_m", x)) for x in d["area_m"])
         for key in ("schemes", "power_modes"):
-            if key in d:
+            if isinstance(d.get(key), (list, tuple)):
                 d[key] = tuple(d[key])
         return cls(**d).validate()
 
@@ -267,8 +273,7 @@ def run_drop(config, deployment, drop, out_dir=None):
     for scheme, state in fits:
         if state is None:
             continue
-        evaluated = attempt("evaluation", "precoding", scheme, lambda: evaluate(
-            pool, precoder_blocks(state, pool, psi, w, total_power), w, total_power))
+        evaluated = attempt("evaluation", "precoding", scheme, evaluate, pool, state)
         if evaluated is None:
             continue
         moments, mse = evaluated

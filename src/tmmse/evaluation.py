@@ -71,11 +71,11 @@ class MomentEstimates:
 def _accumulate(ensemble, blocks):
     """Over the sample blocks of the pool: z = sum_q H_q X_q (S, K, K),
     z[s, k, j] = g_k^H t_j, the per-TX powers E||t_{l,k}||^2 (L, K) and the
-    per-sample powers ||t_k||^2 (S, K); blocks(samples) yields the stripe
-    blocks (rows, X_q) of a slice of samples."""
+    per-sample powers ||t_k||^2 (S, K); blocks(ensemble, samples), as a
+    state's, yields the stripe blocks (rows, X_q) of a slice of samples."""
     if ensemble.n_samples < 1:
         raise ValueError("empty evaluation pool")
-    parts = map_blocks(lambda samples: _block_sums(ensemble.select(samples), blocks(samples)),
+    parts = map_blocks(lambda s: _block_sums(ensemble.select(s), blocks(ensemble, s)),
                        ensemble.n_samples)
     z, per_tx, t_power = zip(*parts)
     return np.concatenate(z), sum(per_tx), np.concatenate(t_power)
@@ -100,7 +100,7 @@ def _block_sums(ensemble, blocks):
 
 def _stack_rows(precoders):
     """A whole (S, N*L, K) stack as the one stripe block of each sample block."""
-    return lambda samples: [(slice(0, precoders.shape[1]), precoders[samples])]
+    return lambda _, samples: [(slice(0, precoders.shape[1]), precoders[samples])]
 
 
 def _moments(weights, z, per_tx):
@@ -135,12 +135,13 @@ def _mse_samples(z, t_power, w, total_power):
     return np.einsum("skj->sj", np.abs(err) ** 2) + t_power / total_power
 
 
-def evaluate(ensemble, blocks, w, total_power):
-    """Moments and per-user MSE of a state's precoders, streamed from its
-    stripe blocks (precoding.precoder_blocks, a function of a slice of
-    samples): no (S, N*L, K) stack is held, only z, the power sums and one
-    stripe block per sample block in flight."""
-    z, per_tx, t_power = _accumulate(ensemble, blocks)
+def evaluate(ensemble, state):
+    """Moments and per-user MSE of a fitted state's precoders under the w and
+    P of its setting, streamed from its stripe blocks (state.blocks): no
+    (S, N*L, K) stack is held, only z, the power sums and one stripe block
+    per sample block in flight."""
+    z, per_tx, t_power = _accumulate(ensemble, state.blocks)
+    _, w, total_power = state.setting
     moments = _moments(ensemble.weights, z, per_tx)
     return moments, ensemble.weights @ _mse_samples(z, t_power, w, total_power)
 

@@ -9,23 +9,25 @@ update matrices).  All per-realization computations are batched over the
 leading sample axis of an :class:`~tmmse.channel.Ensemble`, so exactness on
 finite-support models falls out of the ensemble weights.
 
-Every state yields its precoders one stripe at a time, as (rows, X_q) with
-X_q (S, rows, K) the stripe's rows of the (S, N*L, K) stack:
-evaluation.evaluate accumulates what the rates need from these blocks, so a
-drop never holds a stack; apply_scheme writes the same blocks into one.
+A fitted state is the whole precoder: its setting is the (Psi, w, P) it was
+fitted under, checked once before it exists (fit_scheme, the builders).
+state.blocks(ensemble, samples) yields its precoders on a slice of the pool
+one stripe at a time, as (rows, X_q), X_q (B, rows, K) the stripe's rows of
+the (B, N*L, K) stack; a SingularSweepError names its sample by pool index.
+evaluation.evaluate sums what the rates need over these blocks, so a drop
+never holds a stack; apply_scheme writes the same blocks into one.
 
 The shared thread pool (parallel.map_ordered) runs two kinds of task.
-Sample blocks: precoder_blocks is a function of a slice of the pool's
-samples, and evaluation.evaluate runs it on the fixed sample blocks of
-parallel.map_blocks; the fits' ensemble means (bidirectional_coupling,
-local_mmse_coefficients) are summed over the same blocks in block order,
-every stripe inside each block, so each fit is one map.  Stripes: uni's fit
-runs one statistics sweep (estimate_stripe_statistics, M dependent hops)
-per stripe, since a stripe's sweep reads only its own TXs; if several
-stripes fail, the first failing stripe in stripe order is raised.  The
-blocks and stripes do not depend on the number of threads and every join
-keeps their order, so outputs do not either.
-stripe_forward_pass, one realization, never uses the pool.
+Sample blocks: evaluation.evaluate runs state.blocks on the fixed sample
+blocks of parallel.map_blocks; the fits' ensemble means
+(bidirectional_coupling, local_mmse_coefficients) are summed over the same
+blocks in block order, every stripe inside each block, so each fit is one
+map.  Stripes: uni's fit runs one statistics sweep
+(estimate_stripe_statistics, M dependent hops) per stripe, since a stripe's
+sweep reads only its own TXs; if several stripes fail, the first failing
+stripe in stripe order is raised.  The blocks and stripes do not depend on
+the number of threads and every join keeps their order, so outputs do not
+either.  stripe_forward_pass, one realization, never uses the pool.
 
 Every scheme but uni is F_u c_u: F_u the MMSE filter of a unit's stacked
 estimate with its TXs' Psi blocks on the diagonal, c_u the unit's K x K
@@ -135,9 +137,9 @@ def local_filter(h_hat, psi, w, total_power):
 
     h_hat is (..., K, N); psi is the (N, N) error covariance, or a stack of
     them broadcast against the leading axes of h_hat; returns (..., N, K).
-    Psi must be Hermitian PSD and P > 0, as fit_scheme, apply_scheme and
-    stripe_forward_pass check once per call.  The N x N system has
-    eigenvalues >= 1/P; at N = 1 it is the division
+    Psi must be Hermitian PSD and P > 0, as fit_scheme, the builders,
+    apply_scheme and stripe_forward_pass check once per call.  The N x N
+    system has eigenvalues >= 1/P; at N = 1 it is the division
     T = conj(hhat) w^1/2 / (sum_k w_k |hhat_k|^2 + psi + 1/P).  This is the
     one-TX form; a run of TXs takes the unit kernel (_unit_kernel) instead.
     """
@@ -278,7 +280,7 @@ def _sweep_rcond(da, t, rcond=_rcond):
     return rcond(np.eye(da.shape[-2]) - da @ t)
 
 
-def _solve_hops(t, a, d, stripe, positions):
+def _solve_hops(t, a, d, stripe, positions, first=0):
     """T V = C^-1 T (I - D) with the N x N capacitance C = I_N - T D A.
 
     This is the update V = (I - D P)^-1 (I - D) seen through T: push-through
@@ -292,7 +294,8 @@ def _solve_hops(t, a, d, stripe, positions):
     samples that clearly pass, and the exact rcond is taken only where the
     bound cannot clear a sample (_screened_rcond), which holds every sample
     below the floor.  t and a carry the positions on the axis before the
-    matrix axes, and d broadcasts against them.  Returns T V.
+    matrix axes, and d broadcasts against them; first is the index of their
+    first sample in the pool, which the error reports from.  Returns T V.
     """
     da = d @ a
     rcond = np.reshape(_sweep_rcond(da, t, _screened_rcond), (-1, len(positions)))
@@ -300,7 +303,7 @@ def _solve_hops(t, a, d, stripe, positions):
     if failed.any():
         i = int(np.argmax(failed))
         raise SingularSweepError(
-            stripe, positions[i], int(np.argmin(rcond[:, i])), float(rcond[:, i].min()))
+            stripe, positions[i], first + int(np.argmin(rcond[:, i])), float(rcond[:, i].min()))
     c = np.eye(t.shape[-2]) - t @ da
     return _solve_small(c, t - t @ d)
 
@@ -320,17 +323,17 @@ def _forward_product(hops, u):
         u = u - a @ x
 
 
-def _uni_hops(h_hat, txs, stats, psi, w, total_power):
+def _uni_hops(h_hat, txs, stats, psi, w, total_power, first=0):
     """(A_m, T_m V_m) of unidirectional sharing, V_m from the statistical Pi_m.
 
     Once Pi is known the positions are independent: the filters of the
     whole stripe come from one batched call, and every position is guarded
     and solved in another.  The chain end is one of them: from Pi_M = 0 its
-    capacitance is I, so T_M V_M = T_M exactly.
+    capacitance is I, so T_M V_M = T_M exactly.  first: as in _solve_hops.
     """
     t, h = _tx_filters(h_hat, txs, psi, w, total_power)
     a = np.sqrt(w)[:, None] * h
-    tv = _solve_hops(t, a, stats.pi[1:], stats.stripe, range(len(txs)))
+    tv = _solve_hops(t, a, stats.pi[1:], stats.stripe, range(len(txs)), first)
     return zip(np.moveaxis(a, -3, 0), np.moveaxis(tv, -3, 0))
 
 
@@ -466,12 +469,12 @@ def solve_statistical_precoders_bi(serving_units, coupling):
 # per-realization schemes
 # --------------------------------------------------------------------------
 
-def _stack(ensemble, blocks):
-    """The (S, N*L, K) precoder stack of a state's stripe blocks; rows that no
-    block covers (stripes that serve nobody) are zero."""
+def _stack(ensemble, state):
+    """The (S, N*L, K) precoder stack of a state's stripe blocks on the whole
+    pool; rows that no block covers (stripes that serve nobody) are zero."""
     out = np.zeros((ensemble.n_samples, ensemble.num_txs * ensemble.n_antennas,
                     ensemble.num_users), complex)
-    for rows, x in blocks:
+    for rows, x in state.blocks(ensemble):
         out[:, rows] = x
     return out
 
@@ -483,26 +486,26 @@ def tmmse_unidirectional(ensemble, stripe_stats, coeffs, stripes, psi, w, total_
     and the statistical Pi matrices, so position m uses exactly the
     unidirectionally shared information (Hhat_{q,1}, ..., Hhat_{q,m}).
     """
-    return _stack(ensemble, UniState("uni", stripes, stripe_stats, coeffs).blocks(
-        ensemble, psi, w, total_power))
+    _check_inputs(psi, total_power)
+    return _stack(ensemble, UniState("uni", stripes, stripe_stats, coeffs, (psi, w, total_power)))
 
 
 def tmmse_bidirectional(ensemble, coeffs, stripes, psi, w, total_power):
     """Full-stripe-CSI precoders t_q = F_q c_q, F_q the MMSE filter of stripe
     q's stacked estimate (the paper's backward sweep with the per-realization
     Pbar in place of Pi, solved in one system): the bi state's blocks."""
+    _check_inputs(psi, total_power)
     size = _stripe_length(stripes, ensemble.num_txs)
-    return _stack(ensemble, FilterState("bi", stripes, size, coeffs).blocks(
-        ensemble, psi, w, total_power))
+    return _stack(ensemble, FilterState("bi", stripes, size, coeffs, (psi, w, total_power)))
 
 
 def centralized_mmse(ensemble, psi, w, total_power):
     """Full message and CSIT sharing reference (the sum-power benchmark): the
     unit kernel of all N*L antennas with block-diagonal error covariance and
     c = I, so no per-sample (N*L)^2 system is formed."""
+    _check_inputs(psi, total_power)
     return _stack(ensemble, _fit_centralized(
-        "centralized", ensemble, None, [range(ensemble.num_txs)]).blocks(
-        ensemble, psi, w, total_power))
+        "centralized", ensemble, None, [range(ensemble.num_txs)], psi, w, total_power))
 
 
 def local_mmse_coefficients(ensemble, association, psi, w, total_power):
@@ -573,7 +576,7 @@ def stripe_forward_pass(h_hat, stripe_txs, stripe_stats, coeffs_q, served_users,
 
 
 # --------------------------------------------------------------------------
-# scheme registry: one state type per scheme family, each with its own
+# scheme registry: one state type per scheme family, each with its setting, its
 # stripe blocks and its --dump-stats matrices (coupling matrices, then coefficients)
 # --------------------------------------------------------------------------
 
@@ -588,28 +591,28 @@ class FilterState:
     stripes: list  # consecutive equal-length runs of TXs tiling 0..L-1
     size: int  # TXs per unit
     coeffs: np.ndarray  # (units, K, K), units in TX order
+    setting: tuple  # (psi (L, N, N), w (K,), total_power) it was fitted under
     coupling: np.ndarray = None  # (units, K, K) E[W^1/2 Hhat_u F_u]; None if not fitted
 
-    def blocks(self, ensemble, psi, w, total_power):
+    def blocks(self, ensemble, samples=slice(None)):
         """One-TX units: one filter call per stripe that serves anyone and one
         GEMM per TX.  Units of whole stripes: the unit kernel, G_u summed over
         the unit's stripes, then each stripe's rows B^-1 A^H (I + G_u)^-1 c_u."""
-        if self.size == 1:
-            return self._filter_blocks(ensemble, psi, w, total_power)
-        return self._kernel_blocks(ensemble, psi, w, total_power)
+        blocks = self._filter_blocks if self.size == 1 else self._kernel_blocks
+        return blocks(ensemble.select(samples))
 
-    def _filter_blocks(self, ensemble, psi, w, total_power):
+    def _filter_blocks(self, ensemble):
         n, k, s = ensemble.n_antennas, ensemble.num_users, ensemble.n_samples
         for txs in self.stripes:
             coeffs = self.coeffs[txs[0] : txs[-1] + 1]
             if np.any(coeffs):
-                x = _tx_filters(ensemble.h_hat, txs, psi, w, total_power)[0]
+                x = _tx_filters(ensemble.h_hat, txs, *self.setting)[0]
                 x = np.moveaxis(x, 1, 0).reshape(len(coeffs), -1, k) @ coeffs  # (M, S*N, K)
                 x = np.moveaxis(x.reshape(len(coeffs), s, -1, k), 0, 1).reshape(s, -1, k)
                 yield _rows(txs, n), x
                 del x  # not held through the next stripe's filter call
 
-    def _kernel_blocks(self, ensemble, psi, w, total_power):
+    def _kernel_blocks(self, ensemble):
         # each stripe's B^-1 A^H is formed once and the unit's set kept to the
         # second pass: N*L*K complex per sample for centralized, so the
         # ensemble should be one sample block, not a whole pool
@@ -617,7 +620,7 @@ class FilterState:
         for u, coeffs in enumerate(self.coeffs):
             run = self.stripes[u * per_unit : (u + 1) * per_unit]
             if np.any(coeffs):
-                kernel, bahs = _unit_kernel(ensemble.h_hat, run, psi, w, total_power)
+                kernel, bahs = _unit_kernel(ensemble.h_hat, run, *self.setting)
                 kc = kernel @ coeffs
                 for txs in run:
                     yield _rows(txs, ensemble.n_antennas), bahs.pop(0) @ kc
@@ -634,12 +637,15 @@ class UniState:
     stripes: list
     stripe_stats: list  # StripeStatistics per stripe
     stripe_coeffs: np.ndarray  # (Q, K, K)
+    setting: tuple  # (psi (L, N, N), w (K,), total_power) it was fitted under
 
-    def blocks(self, ensemble, psi, w, total_power):
+    def blocks(self, ensemble, samples=slice(None)):
         """The forward product of each stripe that serves anyone."""
+        h_hat = ensemble.select(samples).h_hat
         for q, txs in enumerate(self.stripes):
             if np.any(self.stripe_coeffs[q]):
-                hops = _uni_hops(ensemble.h_hat, txs, self.stripe_stats[q], psi, w, total_power)
+                hops = _uni_hops(h_hat, txs, self.stripe_stats[q], *self.setting,
+                                 samples.start or 0)
                 yield _rows(txs, ensemble.n_antennas), np.concatenate(
                     list(_forward_product(hops, self.stripe_coeffs[q])), axis=-2)
 
@@ -652,7 +658,7 @@ def _fit_uni(scheme, ensemble, association, stripes, psi, w, total_power):
     stats = map_ordered(lambda q: estimate_stripe_statistics(
         ensemble, stripes[q], psi, w, total_power, stripe=q), range(len(stripes)))
     coeffs = solve_statistical_precoders_uni(association, stats)
-    return UniState(scheme, stripes, stats, coeffs)
+    return UniState(scheme, stripes, stats, coeffs, (psi, w, total_power))
 
 
 def _stripe_length(stripes, num_txs):
@@ -672,17 +678,19 @@ def _fit_units(scheme, ensemble, association, stripes, psi, w, total_power):
         size, serving_units = len(stripes[0]), association.serving_stripes
     coupling = bidirectional_coupling(ensemble, stripes, size, psi, w, total_power)
     coeffs = solve_statistical_precoders_bi(serving_units, coupling)
-    return FilterState(scheme, stripes, size, coeffs, coupling)
+    return FilterState(scheme, stripes, size, coeffs, (psi, w, total_power), coupling)
 
 
 def _fit_local_mmse(scheme, ensemble, association, stripes, psi, w, total_power):
     c = local_mmse_coefficients(ensemble, association, psi, w, total_power)  # (L, K)
-    return FilterState(scheme, stripes, 1, c[:, None, :] * np.eye(ensemble.num_users))
+    return FilterState(scheme, stripes, 1, c[:, None, :] * np.eye(ensemble.num_users),
+                       (psi, w, total_power))
 
 
-def _fit_centralized(scheme, ensemble, association, stripes, *_):
+def _fit_centralized(scheme, ensemble, association, stripes, *setting):
     # one unit of all TXs with c = I: full CSIT sharing has nothing statistical to fit
-    return FilterState(scheme, stripes, ensemble.num_txs, np.eye(ensemble.num_users)[None])
+    return FilterState(scheme, stripes, ensemble.num_txs, np.eye(ensemble.num_users)[None],
+                       setting)
 
 
 _FITS = {
@@ -704,30 +712,14 @@ def fit_scheme(scheme, ensemble, association, stripes, psi, w, total_power):
     return _FITS[scheme](scheme, ensemble, association, stripes, psi, w, total_power)
 
 
-def precoder_blocks(state, ensemble, psi, w, total_power):
-    """A state's precoders on an evaluation pool, one stripe at a time, as a
-    function blocks(samples) of a slice of the pool's samples (all of them by
-    default): an iterator of (rows, X_q), X_q (B, rows, K) the stripe's rows
-    of the (B, N*L, K) stack of those B samples.  A stripe that serves nobody
-    yields no block.  A SingularSweepError names the failing sample by its
-    index in the whole pool."""
-    _check_inputs(psi, total_power)
-
-    def blocks(samples=slice(None)):
-        try:
-            yield from state.blocks(ensemble.select(samples), psi, w, total_power)
-        except SingularSweepError as exc:
-            raise SingularSweepError(exc.stripe, exc.position, exc.sample + (samples.start or 0),
-                                     exc.rcond) from None
-
-    return blocks
-
-
 def apply_scheme(state, ensemble, association, stripes, psi, w, total_power):
     """Per-realization precoders (S, N*L, K) of a state, on the stripes it was
-    fitted on: its precoder_blocks written into one stack, in one pass over
-    the whole pool (no sample blocks)."""
-    return _stack(ensemble, precoder_blocks(state, ensemble, psi, w, total_power)())
+    fitted on: its blocks written into one stack, in one pass over the whole
+    pool (no sample blocks).  Psi, w and total_power must be the state's setting."""
+    _check_inputs(psi, total_power)
+    if not all(map(np.array_equal, (psi, w, total_power), state.setting)):
+        raise ValueError(f"Psi, w or P differs from the {state.scheme} state's fitted setting")
+    return _stack(ensemble, state)
 
 
 # --------------------------------------------------------------------------

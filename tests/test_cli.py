@@ -108,6 +108,12 @@ class TestConfig:
             ({"area_m": [30.0, "20"]}, "area_m"),
             ({"area_m": [30.0, False]}, "area_m"),
             ({"num_users": 2, "weights": [0.5, "0.5"]}, "weights"),
+            ({"area_m": 5}, "area_m"),
+            ({"area_m": None}, "area_m"),
+            ({"weights": 0.5}, "weights"),
+            ({"power_modes": 3}, "power_modes"),
+            ({"schemes": "uni"}, "schemes"),
+            ([1, 2], "config"),
         ],
     )
     def test_bad_field_rejected_at_load(self, overrides, field):
@@ -276,16 +282,20 @@ class TestRunDrop:
 
     @pytest.mark.parametrize("target, failing", [
         ("fit_scheme", ("bi",)),
-        ("precoder_blocks", ("bi",)),
+        ("evaluate", ("bi",)),
         ("fit_scheme", ("bi", "uni")),
     ], ids=["fit-bi", "evaluation-bi", "fit-bi-uni"])
     def test_failed_scheme_is_recorded_and_other_schemes_run(self, tmp_path, monkeypatch,
                                                              target, failing):
         # a failing fit or evaluation loses only its scheme's rows; under strict
-        # the first failing scheme in scheme order is the one raised
+        # the first failing scheme in scheme order is the one raised.  The
+        # scheme is fit_scheme's first argument, and evaluate's is its state's.
+        def scheme_of(first, second, *args):
+            return first if target == "fit_scheme" else second.scheme
+
         monkeypatch.setattr(cli, target, failing_when(
-            getattr(cli, target), lambda first, *args: getattr(first, "scheme", first) in failing,
-            lambda first, *args: f"{getattr(first, 'scheme', first)} {target} failed"))
+            getattr(cli, target), lambda *args: scheme_of(*args) in failing,
+            lambda *args: f"{scheme_of(*args)} {target} failed"))
         cfg = small_config()
         result = run(cfg, out_dir=str(tmp_path / "out"))
         assert [(f["drop"], f["scheme"], f["stage"]) for f in result.failures] == [
@@ -537,11 +547,21 @@ class TestFlagsAndEnv:
         assert "tmmse: error: schemes must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv, message", [
-        (["--drops", "0"], "drops, statistics_samples and evaluation_samples must be >= 1"),
-        (["--schemes", ","], "schemes must be a non-empty list without repeats"),
+    @pytest.mark.parametrize("argv, message, config", [
+        (["--drops", "0"], "drops, statistics_samples and evaluation_samples must be >= 1", None),
+        (["--schemes", ","], "schemes must be a non-empty list without repeats", None),
+        ([], "area_m must be a list", '{"area_m": 5}'),
+        ([], "weights must be a list", '{"weights": 0.5}'),
+        ([], "power_modes must be a list", '{"power_modes": 3}'),
+        ([], "schemes must be a list", '{"schemes": "uni"}'),
+        ([], "config must be a JSON object", "[1, 2]"),
     ])
-    def test_bad_config_is_one_error_line_not_a_traceback(self, argv, message, tmp_path):
+    def test_bad_config_is_one_error_line_not_a_traceback(self, argv, message, config, tmp_path,
+                                                          tmp_path_factory):
+        if config is not None:  # the config file lives outside the output directory
+            path = tmp_path_factory.mktemp("config") / "scenario.json"
+            path.write_text(config)
+            argv = [*argv, "--config", str(path)]
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
         done = subprocess.run([sys.executable, "-m", "tmmse", *argv, "--out", str(tmp_path)],

@@ -16,7 +16,7 @@ from tmmse.evaluation import (
     mse_samples,
     per_tx_scaling,
 )
-from tmmse.precoding import SCHEMES, apply_scheme, fit_scheme, precoder_blocks
+from tmmse.precoding import SCHEMES, apply_scheme, fit_scheme
 from tmmse.topology import association_from_stripes
 
 
@@ -230,16 +230,18 @@ class TestMoments:
 
 
 class TestStreamedEvaluation:
-    """evaluate, fed a state's stripe blocks, equals estimate_moments and
-    compute_mse on apply_scheme's stack (the same blocks written into one)."""
+    """evaluate(pool, state), streamed from the state's stripe blocks under
+    its fitted w and P, equals estimate_moments and compute_mse on
+    apply_scheme's stack (the same blocks written into one) under those."""
 
     FIELDS = ("mean_eff", "a", "v", "b", "per_tx_power", "tk_power", "se_mean", "se_b")
 
     @staticmethod
     def _both(scheme, model, assoc, stripes, w, power):
         ens, psi = model.ensemble(), model.psi_stack(w)
+        assert power != 1 and not np.allclose(w, w[0])  # so a default P or w would show
         state = fit_scheme(scheme, ens, assoc, stripes, psi, w, power)
-        streamed = evaluate(ens, precoder_blocks(state, ens, psi, w, power), w, power)
+        streamed = evaluate(ens, state)
         t = apply_scheme(state, ens, assoc, stripes, psi, w, power)
         return streamed, (estimate_moments(ens, t), compute_mse(ens, t, w, power))
 

@@ -34,7 +34,6 @@ from tmmse.precoding import (
     fit_scheme,
     local_filter,
     local_mmse_coefficients,
-    precoder_blocks,
     read_matrix_dump,
     solve_statistical_precoders_bi,
     solve_statistical_precoders_uni,
@@ -269,9 +268,9 @@ class TestSampleBlocks:
             p = np.sqrt(w)[:, None] * (hl[sample] @ local_filter(hl[sample], psi[0], w, power))
             pi[q, position + 1] = np.eye(K) / np.trace(p)
         state = UniState("uni", stripes, [StripeStatistics(q, pi[q]) for q in range(2)],
-                         np.stack([np.eye(K, dtype=complex)] * 2))
+                         np.stack([np.eye(K, dtype=complex)] * 2), (psi, w, power))
         with pytest.raises(SingularSweepError) as err:
-            evaluate(ens, precoder_blocks(state, ens, psi, w, power), w, power)
+            evaluate(ens, state)
         assert (err.value.stripe, err.value.position, err.value.sample) == (1, 1, a)
         assert err.value.rcond < RCOND_FLOOR
         with pytest.raises(SingularSweepError) as err:
@@ -328,7 +327,8 @@ class TestStripeTasks:
 
 class TestPsiValidation:
     """Psi and the total power are checked once per entry-point call, not
-    inside local_filter."""
+    inside local_filter: before a state exists (fit_scheme, the builders),
+    by apply_scheme on the setting it is given, and by stripe_forward_pass."""
 
     @staticmethod
     def entry_points(h_hat, psi, w, total_power):
@@ -340,9 +340,14 @@ class TestPsiValidation:
         stripes = [[0]]
         state = fit_scheme("uni", ens, assoc, stripes, np.zeros((1, n, n)), w, 1.0)
         bad = psi[None]
+        coeffs = state.stripe_coeffs
         return [
             lambda: fit_scheme("uni", ens, assoc, stripes, bad, w, total_power),
             lambda: apply_scheme(state, ens, assoc, stripes, bad, w, total_power),
+            lambda: tmmse_unidirectional(ens, state.stripe_stats, coeffs, stripes, bad, w,
+                                         total_power),
+            lambda: tmmse_bidirectional(ens, coeffs, stripes, bad, w, total_power),
+            lambda: centralized_mmse(ens, bad, w, total_power),
             lambda: stripe_forward_pass(
                 h_hat, stripes[0], state.stripe_stats[0], state.stripe_coeffs[0],
                 (0, 1), np.ones(2), np.ones(2), bad, w, total_power,
@@ -375,6 +380,19 @@ class TestPsiValidation:
         for call in calls:
             with pytest.raises(ValueError, match="total power"):
                 call()
+
+    @pytest.mark.parametrize("scheme", precoding.SCHEMES)
+    def test_apply_scheme_takes_only_the_states_setting(self, rng, scheme):
+        # a valid Psi, w or P that the state was not fitted under is refused;
+        # equal values in other containers are the state's own
+        model, stripes, assoc, w, power = random_stripe_setup(rng, 2, 1, 2, "bi", max_points=16)
+        ens, psi = exact_ensemble(model), model.psi_stack(w)
+        state = fit_scheme(scheme, ens, assoc, stripes, psi, w, power)
+        for setting in ((psi + 0.1, w, power), (psi, w + [0.05, -0.05], power),
+                        (psi, w, 2 * power)):
+            with pytest.raises(ValueError, match="fitted setting"):
+                apply_scheme(state, ens, assoc, stripes, *setting)
+        apply_scheme(state, ens, assoc, stripes, psi.copy(), list(w), float(power))
 
 
 class TestStripeStatistics:
