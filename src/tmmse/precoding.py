@@ -37,7 +37,8 @@ hop-by-hop elimination of that one system) and all TXs for centralized
 (c = I).  A filter takes one of two forms, chosen by the unit's size:
 
 * one TX: the local filter T_l of local_filter, from its N x N normal
-  equations; uni's hops use the same filters;
+  equations; uni's hops solve the same equations against the downstream
+  response;
 * a run of TXs: the unit kernel B^-1 A^H (I + G_u)^-1 c_u of _unit_kernel,
   with A = W^1/2 Hhat_u, B = Psi + I/P block diagonal and G_u = A B^-1 A^H;
   G_u is summed over the unit's stripes in a first pass and each stripe's
@@ -49,20 +50,20 @@ product for the precoders) serves uni, with the statistical Pi as the
 downstream response.  The chain end is an ordinary hop whose downstream
 response is Pi_M = 0, so V_M = I and T_M V_M = T_M.
 
-The recursion runs in capacitance form.  A TX's response P = A T, with
-A = W^1/2 Hhat_l (K, N) and T its local filter (N, K), has rank <= N, and
-P is never formed: each hop needs only T V = C^-1 T (I - D) with the N x N
-capacitance C = I_N - T D A, so it takes one N x N solve in place of a
-K x K one.  The singularity guard on I - D P is evaluated on its
-restriction to the 2N-dimensional span(D A, T^H), outside which the system
-is the identity, or on the K x K system when K <= 2N.  It is screened, then
-exact: a Frobenius-norm bound from one batched inverse clears the samples
-that clearly pass, and the SVD runs only on those it cannot clear, so a
-SingularSweepError names the same sample and exact rcond as an SVD of every
-sample would.  With single-antenna TXs (N = 1) and K > 2 users no hop
-calls LAPACK: the guard is a closed form in the determinant and Frobenius
-norm of the rank-one change I - D A T, and the filter and capacitance
-solves are divisions by scalars.
+Each hop is one N x N system.  With A = W^1/2 Hhat_l (K, N), B = Psi_l + I/P
+and D the downstream response, a TX's response P = A T, T = (A^H A + B)^-1 A^H
+its local filter, has rank <= N and is never formed, nor is the update
+V = (I - D P)^-1 (I - D): by push-through T V = Z (I - D), where
+Z = (A^H (I - D) A + B)^-1 A^H is the local filter against I - D
+(local_filter with da = D A).  The singularity guard still measures I - D P.
+It is screened, then exact.  P is Hermitian with |P|_2 < 1 because B > 0,
+and (I - D P)^-1 = I + D A Z (Woodbury), so
+rcond(I - D P) >= 1 / ((1 + |D|_F) (1 + |D A|_F |Z|_F)), from norms the hop
+already has.  Only the samples this bound cannot clear get the exact rcond
+of the formed K x K system, with T from local_filter, so a SingularSweepError
+names the same sample and exact rcond as an SVD of every sample would.  With
+single-antenna TXs (N = 1) the hop's solve is a division by a scalar, and
+where the bound clears every sample no hop calls LAPACK.
 
 Matrix conventions: channels are (K, N*L) with users as rows; precoder
 stacks are (S, N*L, K) with user columns; products of the stripe update
@@ -88,7 +89,9 @@ COEFF_RESIDUAL_TOL = 1e-10
 class SingularSweepError(RuntimeError):
     """A stripe-sweep system (I - Pi P) was numerically singular.
 
-    Only uni raises it.  The F_u c_u schemes have no sweep: a one-TX filter's
+    rcond is the exact reciprocal condition number of the K x K system at the
+    named sample, the worst one of the first failing position.  Only uni
+    raises it.  The F_u c_u schemes have no sweep: a one-TX filter's
     system has eigenvalues >= 1/P, a unit kernel's I + G_u eigenvalues >= 1."""
 
     def __init__(self, stripe, position, sample, rcond):
@@ -132,7 +135,7 @@ def _solve_small(a, b):
     return b / a if a.shape[-1] == 1 else np.linalg.solve(a, b)
 
 
-def local_filter(h_hat, psi, w, total_power):
+def local_filter(h_hat, psi, w, total_power, da=None):
     """Regularized MMSE filter T = (Hhat^H W Hhat + Psi + I/P)^-1 Hhat^H W^1/2.
 
     h_hat is (..., K, N); psi is the (N, N) error covariance, or a stack of
@@ -142,12 +145,21 @@ def local_filter(h_hat, psi, w, total_power):
     system has eigenvalues >= 1/P; at N = 1 it is the division
     T = conj(hhat) w^1/2 / (sum_k w_k |hhat_k|^2 + psi + 1/P).  This is the
     one-TX form; a run of TXs takes the unit kernel (_unit_kernel) instead.
+
+    With da = D A (..., K, N), D a downstream response (K, K) and
+    A = W^1/2 Hhat, it is the filter against I - D,
+    Z = (A^H (I - D) A + Psi + I/P)^-1 A^H, a uni hop's one system
+    (_solve_hops), which may be singular.  W^1/2 D A is taken off the
+    W Hhat of the normal matrix above, so D = 0 gives T bit for bit.
     """
     h_hat = np.asarray(h_hat, dtype=complex)
     w = np.asarray(w, dtype=float)
     n = h_hat.shape[-1]
     hh = herm(h_hat)  # formed once, for the normal matrix and the right-hand side
-    a = hh @ (w[:, None] * h_hat) + psi + np.eye(n) / total_power
+    wh = w[:, None] * h_hat
+    if da is not None:
+        wh -= np.sqrt(w)[:, None] * da
+    a = hh @ wh + psi + np.eye(n) / total_power
     hh *= np.sqrt(w)  # Hhat^H W^1/2, broadcast over trailing K axis
     return _solve_small(a, hh)
 
@@ -221,91 +233,57 @@ def _rcond(a):
 
 
 def _frobenius2(x):
-    """Squared Frobenius norms of a stack of matrices, one real dot product each."""
-    v = x.view(float)  # a complex matrix as (re, im) pairs along its rows
+    """Squared Frobenius norms of a stack of matrices in any memory layout,
+    one real dot product each."""
+    v = np.ascontiguousarray(x).view(float)  # a complex matrix as (re, im) pairs along its rows
     return np.einsum("...ij,...ij->...", v, v)
 
 
-def _screened_rcond(x):
-    """_rcond of the stack x where it could be below RCOND_FLOOR, a lower bound
-    >= RCOND_FLOOR elsewhere.
+def _solve_hops(h_hat, txs, psi, w, total_power, d, stripe, positions, first=0):
+    """(A, T V) of the run of TXs txs, each hop one N x N system.
 
-    For an n x n matrix 1 / (|X|_F |X^-1|_F) <= rcond <= n / (|X|_F |X^-1|_F),
-    so one batched inverse and two norms clear most samples, and the SVD runs
-    only on the rest: every sample whose rcond is below the floor, and every
-    non-finite one (a nan bound is not >= the floor), gets its exact _rcond.
-    A sample is cleared only at twice the floor: there both the computed
-    bound and the SVD's rcond carry rounding errors near eps / rcond ~ 1e-4
-    relative, and at n = 2 the bound is within rcond^2 of the rcond itself.
-    An exactly singular sample, on which inv raises, sends the whole stack to
-    the SVD."""
-    try:
-        bound = 1 / np.sqrt(_frobenius2(x) * _frobenius2(np.linalg.inv(x)))
-    except np.linalg.LinAlgError:
-        return _rcond(x)
-    exact = ~(bound >= 2 * RCOND_FLOOR)
-    if exact.any():
-        bound[exact] = _rcond(x[exact])
-    return bound
-
-
-def _sweep_rcond(da, t, rcond=_rcond):
-    """Batched rcond of the sweep system I - D P = I - (D A) T, P never formed.
-
-    The system is the identity on the complement of span(D A, T^H).  For
-    K > 2N, with Q (K, 2N) an orthonormal basis of a space holding that span
-    (a QR of the stacked columns), its singular values are those of the
-    2N x 2N restriction I - (Q^H D A)(T Q) plus K - 2N ones.  The restriction
-    is a rank-N change of the identity, so by interlacing N of its singular
-    values are >= 1 and N are <= 1: the ones move neither extreme, and its
-    rcond is the system's.  At N = 1 and K > 2 no LAPACK call is needed: the
-    system is I - x y^H with x = D A and y^H = T, and the squares
-    lam+ >= 1 >= lam- of its two other singular values have product |g|^2,
-    g = 1 - y^H x (the determinant), and sum s = 2 - 2 Re(y^H x) + |x|^2 |y|^2,
-    so rcond = |g| / lam+ with lam+ = (s + sqrt(s^2 - 4 |g|^2)) / 2, the root
-    that takes no cancellation.  For K <= 2N the K x K system is formed.
-    The two formed systems go to rcond: the exact _rcond, or _screened_rcond
-    for the guard of _solve_hops.
-    """
-    K, N = da.shape[-2:]
-    if N == 1 and K > 2:
-        x, yh = da[..., 0], t[..., 0, :]
-        yhx = (yh * x).sum(axis=-1)
-        g = np.abs(1 - yhx)
-        s = 2 - 2 * yhx.real + (np.abs(x) ** 2).sum(axis=-1) * (np.abs(yh) ** 2).sum(axis=-1)
-        return g / ((s + np.sqrt(np.maximum(s * s - 4 * g * g, 0))) / 2)
-    if K > 2 * N:
-        q = np.linalg.qr(np.concatenate([da, herm(t)], axis=-1))[0]
-        da, t = herm(q) @ da, t @ q
-    return rcond(np.eye(da.shape[-2]) - da @ t)
-
-
-def _solve_hops(t, a, d, stripe, positions, first=0):
-    """T V = C^-1 T (I - D) with the N x N capacitance C = I_N - T D A.
-
-    This is the update V = (I - D P)^-1 (I - D) seen through T: push-through
-    gives T (I - D A T)^-1 = (I - T D A)^-1 T, so one N x N solve per hop
-    replaces the K x K one; at N = 1, C is a scalar and the solve a
-    division.  By Sylvester's identity det C = det(I - D P); the guard still
-    measures I - D P (see _sweep_rcond) and raises SingularSweepError at the
+    A = W^1/2 Hhat (..., M, K, N) and T V = Z (I - D) (..., M, N, K), with Z
+    the local filter against I - D (local_filter with da = D A); d is the
+    downstream response of each position (M, K, K), or one (K, K).  The
+    guard measures I - D P, P = A T, and raises SingularSweepError at the
     first of the stripe's positions whose rcond falls below RCOND_FLOOR,
-    naming its worst sample and its exact rcond.  Where the system is formed
-    (N >= 2, or K <= 2) the guard is screened: a Frobenius bound clears the
-    samples that clearly pass, and the exact rcond is taken only where the
-    bound cannot clear a sample (_screened_rcond), which holds every sample
-    below the floor.  t and a carry the positions on the axis before the
-    matrix axes, and d broadcasts against them; first is the index of their
-    first sample in the pool, which the error reports from.  Returns T V.
+    naming its worst sample and its exact rcond.  It is screened: the bound
+    1 / ((1 + |D|_F) (1 + |D A|_F |Z|_F)) <= rcond clears a sample at twice
+    the floor, where the bound and the exact rcond both carry rounding
+    errors near eps / rcond ~ 1e-4 relative.  Every other sample, a
+    non-finite one too (a nan bound is not >= the floor), gets the exact
+    _rcond of I - D A T, with T from local_filter on those samples only.  An
+    exactly singular sample sends every sample to the exact guard where the
+    Z solve raises (N >= 2), and itself alone where it divides by zero
+    (N = 1).  first is the index of the first sample in the pool, which the
+    error reports from.
     """
+    n = psi.shape[-1]
+    h = tx_blocks(h_hat[..., _rows(txs, n)], n)
+    psi = psi[txs[0] : txs[-1] + 1]
+    a = np.sqrt(w)[:, None] * h
     da = d @ a
-    rcond = np.reshape(_sweep_rcond(da, t, _screened_rcond), (-1, len(positions)))
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot at N = 1
+            z = local_filter(h, psi, w, total_power, da)
+            rcond = 1 / ((1 + np.sqrt(_frobenius2(d)))
+                         * (1 + np.sqrt(_frobenius2(da) * _frobenius2(z))))
+    except np.linalg.LinAlgError:
+        z, rcond = None, np.full(h.shape[:-2], np.nan)
+    exact = ~(rcond >= 2 * RCOND_FLOOR)
+    if exact.any():
+        t = local_filter(h[exact], np.broadcast_to(psi, (*h.shape[:-2], n, n))[exact], w,
+                         total_power)
+        rcond[exact] = _rcond(np.eye(len(w)) - da[exact] @ t)
+    rcond = rcond.reshape(-1, len(positions))
     failed = (rcond < RCOND_FLOOR).any(axis=0)
     if failed.any():
         i = int(np.argmax(failed))
         raise SingularSweepError(
             stripe, positions[i], first + int(np.argmin(rcond[:, i])), float(rcond[:, i].min()))
-    c = np.eye(t.shape[-2]) - t @ da
-    return _solve_small(c, t - t @ d)
+    if z is None:  # singular to LAPACK but not to the guard: the solve raises again
+        z = local_filter(h, psi, w, total_power, da)
+    return a, z - z @ d
 
 
 def _forward_product(hops, u):
@@ -326,14 +304,13 @@ def _forward_product(hops, u):
 def _uni_hops(h_hat, txs, stats, psi, w, total_power, first=0):
     """(A_m, T_m V_m) of unidirectional sharing, V_m from the statistical Pi_m.
 
-    Once Pi is known the positions are independent: the filters of the
-    whole stripe come from one batched call, and every position is guarded
-    and solved in another.  The chain end is one of them: from Pi_M = 0 its
-    capacitance is I, so T_M V_M = T_M exactly.  first: as in _solve_hops.
+    Once Pi is known the positions are independent: every position of the
+    stripe is solved and guarded in one batched call.  The chain end is one
+    of them: from Pi_M = 0 its system is the local filter's, so
+    T_M V_M = T_M exactly.  first: as in _solve_hops.
     """
-    t, h = _tx_filters(h_hat, txs, psi, w, total_power)
-    a = np.sqrt(w)[:, None] * h
-    tv = _solve_hops(t, a, stats.pi[1:], stats.stripe, range(len(txs)), first)
+    a, tv = _solve_hops(h_hat, txs, psi, w, total_power, stats.pi[1:], stats.stripe,
+                        range(len(txs)), first)
     return zip(np.moveaxis(a, -3, 0), np.moveaxis(tv, -3, 0))
 
 
@@ -357,25 +334,25 @@ class StripeStatistics:
 
 def estimate_stripe_statistics(ensemble, stripe_txs, psi, w, total_power, stripe=0):
     """Backward sweep m = M..1 from Pi_M = 0 accumulating
-    Pi_{m-1} = E[P_m V_m] + Pi_m E[Vbar_m], in capacitance form (P_m = A_m T_m
-    and V_m never formed):
+    Pi_{m-1} = E[P_m V_m] + Pi_m E[Vbar_m], one N x N system per hop
+    (P_m = A_m T_m and V_m never formed):
 
-        T_m V_m = C_m^-1 T_m (I - Pi_m),  C_m = I_N - T_m Pi_m A_m,
+        T_m V_m = Z_m (I - Pi_m),  Z_m = (A_m^H (I - Pi_m) A_m + B_m)^-1 A_m^H,
         Pi_{m-1} = Pi_m + (I - Pi_m) E[A_m T_m V_m],
 
-    where E[A T V] is one GEMM over the pool.  Every hop is guarded and
-    solved, the chain end too: from Pi_M = 0 it has C_M = I, so
-    T_M V_M = T_M and Pi_{M-1} = E[A_M T_M].  Expectations are weighted
-    sums over the ensemble: exact on finite support, Monte Carlo averages
-    otherwise.  The pool must be independent of the evaluation pool to keep
-    rate estimates unbiased.
+    with B_m = Psi_m + I/P, where E[A T V] is one GEMM over the pool.  Every
+    hop is guarded and solved (_solve_hops), the chain end too: from
+    Pi_M = 0, Z_M = T_M, so T_M V_M = T_M and Pi_{M-1} = E[A_M T_M].
+    Expectations are weighted sums over the ensemble: exact on finite
+    support, Monte Carlo averages otherwise.  The pool must be independent
+    of the evaluation pool to keep rate estimates unbiased.
     """
     eye = np.eye(len(w))
     pi = [np.zeros((len(w), len(w)), complex)]
     for m in range(len(stripe_txs), 0, -1):
-        t, h = _tx_filters(ensemble.h_hat, stripe_txs[m - 1 : m], psi, w, total_power)
-        a = np.sqrt(w)[:, None] * h
-        r = _mean(ensemble.weights, a, _solve_hops(t, a, pi[-1], stripe, [m - 1]))[0]
+        a, tv = _solve_hops(ensemble.h_hat, stripe_txs[m - 1 : m], psi, w, total_power, pi[-1],
+                            stripe, [m - 1])
+        r = _mean(ensemble.weights, a, tv)[0]
         pi.append(pi[-1] + (eye - pi[-1]) @ r)
     return StripeStatistics(stripe, np.array(pi[::-1]))
 

@@ -66,10 +66,10 @@ class TestTrivialCollapses:
             np.testing.assert_allclose(stack[:, :, k], t_star, atol=1e-8)
 
     def test_multi_antenna_closed_forms_match_oracle(self, rng):
-        # Multi-antenna branch shapes (Q, M, K, N): (1, 2, 3, 2) the dense sweep
-        # guard; (1, 2, 2, 3) N > K, per-TX normal equations and LAPACK hop
-        # solves; (1, 2, 5, 2) K > 2N, the QR-restricted guard; (2, 2, 3, 2) two
-        # coupled stripes; (1, 3, 1, 2) a single user.  Centralized is left out:
+        # Multi-antenna branch shapes (Q, M, K, N): (1, 2, 3, 2) K <= 2N;
+        # (1, 2, 2, 3) N > K, per-TX normal equations and LAPACK hop solves;
+        # (1, 2, 5, 2) K > 2N; (2, 2, 3, 2) two coupled stripes; (1, 3, 1, 2) a
+        # single user.  Centralized is left out:
         # with a partial association the oracle solves another problem
         # (TestCentralized covers the full one).
         shapes = [(1, 2, 3, 2), (1, 2, 2, 3), (1, 2, 5, 2), (2, 2, 3, 2), (1, 3, 1, 2)]

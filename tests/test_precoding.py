@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 from tests.conftest import (
     assert_class_constant,
@@ -17,7 +18,7 @@ from tests.conftest import (
 )
 import tmmse.parallel as parallel
 import tmmse.precoding as precoding
-from tmmse.channel import Ensemble, from_local_supports, tx_blocks
+from tmmse.channel import Ensemble, from_local_supports, herm, tx_blocks
 from tmmse.evaluation import evaluate
 from tmmse.oracle import mse_exact, solve_team_exact, verify_stationarity
 from tmmse.parallel import SAMPLE_BLOCK
@@ -42,7 +43,6 @@ from tmmse.precoding import (
     tmmse_unidirectional,
     write_matrix_dump,
     _rcond,
-    _sweep_rcond,
 )
 from tmmse.topology import association_from_stripes, stripe_layout
 
@@ -308,13 +308,14 @@ class TestStripeTasks:
         assoc = association_from_stripes([(0,), (1,), (2,), (3,)], 4, 3)
         real, failed, swept = precoding._solve_hops, [], set()
 
-        def solve_hops(t, a, d, stripe, positions):
+        def solve_hops(*args):
+            *_, stripe, positions = args
             if stripe in (1, 3):
                 time.sleep(0.2 if stripe == 1 else 0)
                 failed.append(stripe)
                 raise SingularSweepError(stripe, positions[0], 0, 0.0)
             swept.add(stripe)
-            return real(t, a, d, stripe, positions)
+            return real(*args)
 
         monkeypatch.setattr(precoding, "_solve_hops", solve_hops)
         with pytest.raises(SingularSweepError) as err:
@@ -413,8 +414,7 @@ class TestStripeStatistics:
     @pytest.mark.parametrize("K,N", [(4, 1), (3, 2), (5, 2)])
     def test_chain_end_is_an_ordinary_hop(self, rng, K, N):
         # from Pi_M = 0 the chain end is guarded and solved like every hop, and
-        # its T V is its local filter bit for bit, on each guard path: the N = 1
-        # closed form, the K x K system (K <= 2N) and the QR restriction
+        # its T V is its local filter bit for bit: at N = 1, K <= 2N and K > 2N
         S, M = 20, 3
         txs = list(range(M))
         h = rng.standard_normal((S, K, N * M)) + 1j * rng.standard_normal((S, K, N * M))
@@ -502,10 +502,9 @@ class TestStripeStatistics:
         assert err.value.stripe == 0 and err.value.position == 0 and err.value.sample == 0
 
     def test_singular_sweep_reports_batched_coordinates(self, rng):
-        # K = 3 > 2N: the guard runs on the 2N-dimensional restriction, and all
-        # positions of a stripe are checked in one batched call; positions 1
-        # (sample 2) and 2 (sample 1) of stripe 1 are singular, position 1 is
-        # the first the forward product meets
+        # all positions of a stripe are solved and guarded in one batched
+        # call; positions 1 (sample 2) and 2 (sample 1) of stripe 1 are
+        # singular, position 1 is the first the forward product meets
         S, K, M = 4, 3, 4
         h = rng.standard_normal((S, K, 2 * M)) + 1j * rng.standard_normal((S, K, 2 * M))
         ens = Ensemble(h=h, h_hat=h.copy(), weights=np.full(S, 1 / S), n_antennas=1)
@@ -534,49 +533,95 @@ class TestStripeStatistics:
         assert len(xs) == M
 
 
-class TestSweepGuard:
-    """The capacitance-form guard reports the rcond of the K x K system I - D A T."""
+def hop_inputs(rng, S, K, N, M):
+    """A Gaussian pool h_hat (S, K, N*M) of one run of M TXs, with Psi, w and P."""
+    h = rng.standard_normal((S, K, N * M)) + 1j * rng.standard_normal((S, K, N * M))
+    w = rng.random(K) + 0.3
+    return h, random_psd_stack(rng, M, N), w / w.sum(), 2.0
 
-    @pytest.mark.parametrize("K,N", [(10, 1), (3, 1), (2, 1), (6, 4), (5, 2), (1, 1)])
-    def test_matches_dense_rcond(self, rng, K, N):
-        S = 16
-        a = rng.standard_normal((S, K, N)) + 1j * rng.standard_normal((S, K, N))
-        t = rng.standard_normal((S, N, K)) + 1j * rng.standard_normal((S, N, K))
-        for d in (
-            0.3 * (rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))),
-            0.3 * (rng.standard_normal((S, K, K)) + 1j * rng.standard_normal((S, K, K))),
-            np.zeros((K, K), complex),
-        ):
-            dense = _rcond(np.eye(K) - d @ a @ t)
-            np.testing.assert_allclose(_sweep_rcond(d @ a, t), dense, rtol=1e-10, atol=0)
-            if K <= 2 * N:  # the K x K system itself is formed
-                formed = _rcond(np.eye(K) - (d @ a) @ t)
-                np.testing.assert_array_equal(_sweep_rcond(d @ a, t), formed)
 
-    @pytest.mark.parametrize("K", [10, 5, 2])
-    def test_exactly_singular(self, rng, K):
-        # rank-one P has its nonzero eigenvalue at tr(P): D = I / tr(P) is singular
-        # (K = 1 is left out: a 1 x 1 system has rcond 1 unless it is exactly 0)
-        a = rng.standard_normal((K, 1)) + 1j * rng.standard_normal((K, 1))
-        t = rng.standard_normal((1, K)) + 1j * rng.standard_normal((1, K))
-        d = np.eye(K) / np.trace(a @ t)
-        assert _sweep_rcond(d @ a, t) < RCOND_FLOOR
-        assert _rcond(np.eye(K) - d @ a @ t) < RCOND_FLOOR
+def random_d(rng, *shape):
+    return 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-    def test_near_singular_matches_dense(self, rng):
-        # D = (1 - eps) I / tr(A T) puts the determinant 1 - T D A at eps: the
-        # N = 1 closed form tracks the dense rcond down to the singular system
-        K = 10
-        a = rng.standard_normal((K, 1)) + 1j * rng.standard_normal((K, 1))
-        t = rng.standard_normal((1, K)) + 1j * rng.standard_normal((1, K))
-        for eps in (1e-6, 0.0):
-            d = (1 - eps) * np.eye(K) / np.trace(a @ t)
-            closed, dense = _sweep_rcond(d @ a, t), _rcond(np.eye(K) - d @ a @ t)
-            if eps:
-                np.testing.assert_allclose(closed, dense, rtol=1e-8, atol=0)
-                assert closed > RCOND_FLOOR
-            else:
-                assert closed < RCOND_FLOOR and dense < RCOND_FLOOR
+
+def solve_hops(h_hat, psi, w, power, d):
+    """T V of _solve_hops on TXs 0..M-1, positions 0..M-1 of stripe 0."""
+    return precoding._solve_hops(h_hat, range(len(psi)), psi, w, power, d, 0, range(len(psi)))[1]
+
+
+def dense_system(h_hat, psi, w, power, d):
+    """The dense reference of one run of hops: per sample and position, the
+    local filter T (local_filter) and the K x K sweep system I - D A T."""
+    h = tx_blocks(h_hat, psi.shape[-1])
+    a, t = np.sqrt(w)[:, None] * h, local_filter(h, psi, w, power)
+    return a, t, np.eye(len(w)) - d @ a @ t
+
+
+def woodbury_bound(h_hat, psi, w, power, d):
+    """1 / ((1 + |D|_F) (1 + |D A|_F |Z|_F)) <= rcond(I - D A T), Z the local
+    filter against I - D: |P|_2 < 1 and (I - D A T)^-1 = I + D A Z."""
+    a = np.sqrt(w)[:, None] * tx_blocks(h_hat, psi.shape[-1])
+    z = local_filter(tx_blocks(h_hat, psi.shape[-1]), psi, w, power, d @ a)
+    norm = lambda x: np.linalg.norm(x, axis=(-2, -1))  # noqa: E731
+    return 1 / ((1 + norm(d)) * (1 + norm(d @ a) * norm(z)))
+
+
+def dense_hops(h_hat, psi, w, power, d):
+    """What _solve_hops must do, from the dense reference: raise at the first
+    position whose _rcond(I - D A T) falls below the floor, naming its worst
+    sample, else return T V = T (I - D A T)^-1 (I - D)."""
+    _, t, x = dense_system(h_hat, psi, w, power, d)
+    rcond = _rcond(x).reshape(-1, len(psi))
+    failed = (rcond < RCOND_FLOOR).any(axis=0)
+    if failed.any():
+        i = int(np.argmax(failed))
+        raise SingularSweepError(0, i, int(np.argmin(rcond[:, i])), float(rcond[:, i].min()))
+    return t @ np.linalg.solve(x, np.eye(len(w)) - d)
+
+
+def outcome(hops, *args):
+    """("solved", T V), or the exception type and its details."""
+    try:
+        return "solved", hops(*args)
+    except SingularSweepError as exc:
+        return SingularSweepError, (exc.position, exc.sample, exc.rcond)
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError, None
+
+
+def assert_same_outcome(*args, rtol=1e-8):
+    """_solve_hops raises where the dense reference raises, naming the same
+    position and sample and its rcond (within rounding: both carry errors
+    near K eps absolute, ~1e-4 relative at the floor), and else agrees on T V,
+    each sample's within rtol + 1e-14 / gap of its largest entry, where
+    gap = sigma_min(X) / (1 + |I - X|_2), X = I - D A T, is the relative
+    distance of X to a singular system (rcond is blind to it at K = 1)."""
+    (kind, got), (want_kind, want) = outcome(solve_hops, *args), outcome(dense_hops, *args)
+    assert kind == want_kind
+    if kind == "solved":
+        x = dense_system(*args)[2]
+        gap = np.linalg.svd(x, compute_uv=False)[..., -1] / (
+            1 + np.linalg.norm(np.eye(x.shape[-1]) - x, 2, axis=(-2, -1)))
+        tol = (rtol + 1e-14 / gap[..., None, None]) * np.abs(want).max(axis=(-2, -1),
+                                                                        keepdims=True)
+        close = (np.abs(got - want) <= tol) | (np.isnan(got) & np.isnan(want))
+        assert close.all(), f"{(~close).sum()} entries of T V differ"
+    elif kind is SingularSweepError:
+        assert got[:2] == want[:2]
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-3, atol=1e-15)
+    return kind, got
+
+
+def count_svds(monkeypatch):
+    """(shape, result) of each stack that _rcond is called on from here on."""
+    calls = []
+
+    def rcond(x):
+        calls.append((x.shape, _rcond(x)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(precoding, "_rcond", rcond)
+    return calls
 
 
 def near_singular_d(a, t, eps):
@@ -587,87 +632,102 @@ def near_singular_d(a, t, eps):
     return (1 - eps) / lam[:, None, None] * np.eye(a.shape[-2])
 
 
+class TestSweepGuard:
+    """The guard of _solve_hops reports the rcond of the K x K system I - D A T,
+    with T the local filter, wherever the screen does not clear a sample."""
+
+    @pytest.mark.parametrize("K,N", [(10, 1), (3, 1), (2, 1), (6, 4), (5, 2), (1, 1)])
+    def test_matches_dense_rcond(self, rng, monkeypatch, K, N):
+        # with the floor at 1.5 no sample clears the screen (bound <= rcond
+        # <= 1) and every sample fails: the exact path's rcond is the dense
+        # one on every sample, and the error names position 0's worst sample
+        S, M = 16, 3
+        h_hat, psi, w, power = hop_inputs(rng, S, K, N, M)
+        monkeypatch.setattr(precoding, "RCOND_FLOOR", 1.5)
+        calls = count_svds(monkeypatch)
+        for d in (random_d(rng, M, K, K), random_d(rng, K, K), np.zeros((K, K), complex)):
+            calls.clear()
+            with pytest.raises(SingularSweepError) as err:
+                solve_hops(h_hat, psi, w, power, d)
+            dense = _rcond(dense_system(h_hat, psi, w, power, d)[2])
+            (shape, got), = calls
+            assert shape == (S * M, K, K)
+            np.testing.assert_allclose(got.reshape(S, M), dense, rtol=1e-10, atol=0)
+            assert (err.value.position, err.value.sample) == (0, int(np.argmin(got[::M])))
+            assert err.value.rcond == got[::M].min()
+
+    @pytest.mark.parametrize("shape", [(3, 1, 4), (2, 5, 3, 2)])
+    def test_frobenius_norms_of_any_layout(self, rng, shape):
+        # a herm view has no contiguous last axis; at N = 1 the hop's Z is one
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for y in (x, herm(x), x[..., ::2, :]):
+            np.testing.assert_allclose(precoding._frobenius2(y),
+                                       np.linalg.norm(y, axis=(-2, -1)) ** 2, rtol=1e-14)
+
+    @pytest.mark.parametrize("K", [10, 5, 2])
+    def test_exactly_singular(self, rng, K):
+        # rank-one P has its nonzero eigenvalue at tr(P): D = I / tr(P) of
+        # sample 2 makes its I - D P singular, and the hop's own system too
+        # (K = 1 is left out: a 1 x 1 system has rcond 1 unless it is exactly 0)
+        h_hat, psi, w, power = hop_inputs(rng, 4, K, 1, 1)
+        a, t, _ = dense_system(h_hat, psi, w, power, np.zeros((K, K)))
+        d = np.eye(K) / np.trace(a[2, 0] @ t[2, 0])
+        kind, got = assert_same_outcome(h_hat, psi, w, power, d)
+        assert kind is SingularSweepError and got[:2] == (0, 2) and got[2] < RCOND_FLOOR
+
+    def test_near_singular_matches_dense(self, rng):
+        # D = (1 - eps) I / tr(A T) puts an eigenvalue of I - D A T at eps: the
+        # one N x N system tracks the dense T V down to the singular system
+        K = 10
+        h_hat, psi, w, power = hop_inputs(rng, 1, K, 1, 1)
+        a, t, _ = dense_system(h_hat, psi, w, power, np.zeros((K, K)))
+        for eps in (1e-6, 0.0):
+            d = (1 - eps) * np.eye(K) / np.trace(a[0, 0] @ t[0, 0])
+            kind, _ = assert_same_outcome(h_hat, psi, w, power, d, rtol=1e-8)
+            assert kind == ("solved" if eps else SingularSweepError)
+
+
 class TestScreenedGuard:
-    """_solve_hops screens the formed sweep systems (N >= 2, or K <= 2) with
-    1 / (|X|_F |X^-1|_F) and takes the SVD only where that bound is below
-    twice the floor, so it raises exactly where the exact guard raises."""
+    """_solve_hops screens its guard with 1 / ((1 + |D|_F) (1 + |D A|_F |Z|_F))
+    <= rcond, from the norms of its own system, and takes the dense rcond only
+    where that bound is below twice the floor, so it raises exactly where a
+    dense guard of every sample raises."""
 
-    SHAPES = [(6, 4), (4, 2), (2, 1), (7, 2), (10, 3)]  # K <= 2N, then K > 2N (QR)
-
-    @staticmethod
-    def system(rng, S, K, N):
-        a = rng.standard_normal((S, K, N)) + 1j * rng.standard_normal((S, K, N))
-        t = rng.standard_normal((S, N, K)) + 1j * rng.standard_normal((S, N, K))
-        return a, t
-
-    @staticmethod
-    def count_svds(monkeypatch):
-        """Shapes of the stacks that _rcond is called on from here on."""
-        calls = []
-        monkeypatch.setattr(precoding, "_rcond", lambda x: calls.append(x.shape) or _rcond(x))
-        return calls
-
-    @staticmethod
-    def outcome(monkeypatch, t, a, d, positions, exact):
-        """What _solve_hops does, screened or with the exact _rcond in place
-        of the screen: ("solved", T V), or the exception type and its details."""
-        with monkeypatch.context() as m:
-            if exact:
-                m.setattr(precoding, "_screened_rcond", _rcond)
-            try:
-                return "solved", precoding._solve_hops(t, a, d, 0, positions)
-            except SingularSweepError as exc:
-                return SingularSweepError, (exc.position, exc.sample, exc.rcond)
-            except np.linalg.LinAlgError as exc:
-                return np.linalg.LinAlgError, str(exc)
-
-    def assert_same_outcome(self, monkeypatch, t, a, d, positions):
-        (kind, got), (want_kind, want) = (
-            self.outcome(monkeypatch, t, a, d, positions, exact) for exact in (False, True))
-        assert kind == want_kind
-        if kind == "solved":
-            np.testing.assert_array_equal(got, want)
-        else:
-            assert got == want
-        return kind, got
+    SHAPES = [(6, 4), (4, 2), (2, 1), (7, 2), (10, 3)]  # K <= 2N, then K > 2N
 
     @pytest.mark.parametrize("K,N", SHAPES)
-    def test_bound_brackets_the_exact_rcond(self, rng, K, N):
-        # lower <= rcond <= K lower on the system the screen sees (the K x K
-        # system, or the 2N x 2N restriction), random and near-singular
+    def test_bound_brackets_the_exact_rcond(self, rng, monkeypatch, K, N):
+        # bound <= rcond on random and near-singular per-sample D; the samples
+        # the bound cannot clear, and only those, get the dense rcond
         S = 64
-        a, t = self.system(rng, S, K, N)
-        seen = []
-
-        def record(x):
-            seen.append(x)
-            return _rcond(x)
-
-        for d in (0.3 * (rng.standard_normal((S, K, K)) + 1j * rng.standard_normal((S, K, K))),
-                  *(near_singular_d(a, t, eps) for eps in (1e-3, 1e-8, 1e-11, 1e-13))):
-            exact = _sweep_rcond(d @ a, t, record)
-            x = seen.pop()
-            assert x.shape[-1] == min(K, 2 * N)
-            lower = 1 / (np.linalg.norm(x, axis=(-2, -1)) *
-                         np.linalg.norm(np.linalg.inv(x), axis=(-2, -1)))
-            # both sides carry rounding errors of about eps; at K = 2 the
-            # bound is within rcond^2 of the rcond
-            assert (lower <= exact + 1e-14).all()
-            assert (exact <= K * lower + 1e-14).all()
-            screened = precoding._screened_rcond(x)
-            cleared = screened >= 2 * RCOND_FLOOR
-            np.testing.assert_array_equal(screened[~cleared], exact[~cleared])
-            assert (screened[cleared] <= exact[cleared] + 1e-14).all()
-            assert (exact[cleared] >= RCOND_FLOOR).all()
+        h_hat, psi, w, power = hop_inputs(rng, S, K, N, 1)
+        a, t, _ = dense_system(h_hat, psi, w, power, np.zeros((K, K)))
+        calls = count_svds(monkeypatch)
+        for d in (random_d(rng, S, 1, K, K),
+                  *(near_singular_d(a[:, 0], t[:, 0], eps)[:, None]
+                    for eps in (1e-3, 1e-8, 1e-11, 1e-13))):
+            calls.clear()
+            dense = _rcond(dense_system(h_hat, psi, w, power, d)[2])
+            bound = woodbury_bound(h_hat, psi, w, power, d)
+            # both sides carry rounding errors near eps / rcond
+            assert (bound <= dense * (1 + 1e-3) + 1e-15).all()
+            kind, _ = assert_same_outcome(h_hat, psi, w, power, d)
+            screened = bound < 2 * RCOND_FLOOR
+            if screened.any():
+                (shape, got), = calls
+                assert shape == (screened.sum(), K, K)
+                np.testing.assert_allclose(got, dense[screened], rtol=1e-3)
+            else:
+                assert calls == [] and kind == "solved"
 
     @pytest.mark.parametrize("K,N", SHAPES)
-    def test_raises_exactly_where_the_exact_guard_raises(self, rng, monkeypatch, K, N):
+    def test_raises_exactly_where_the_exact_guard_raises(self, rng, K, N):
         # one position (2 of 4) near-singular at one sample (5 of 9), just
         # above and just below the floor; position 3 below it at another
         # sample, so the first failing position is the one named
         S, M, position, sample = 9, 4, 2, 5
-        a, t = self.system(rng, S * M, K, N)
-        a, t = a.reshape(S, M, K, N), t.reshape(S, M, N, K)
+        h_hat, psi, w, power = hop_inputs(rng, S, K, N, M)
+        a, t, _ = dense_system(h_hat, psi, w, power, np.zeros((K, K)))
 
         def d_at(eps):
             d = 0.05 * np.tile(np.eye(K, dtype=complex), (M, 1, 1))
@@ -675,62 +735,153 @@ class TestScreenedGuard:
                                           eps)[0]
             return d
 
+        def rcond(d):  # the dense rcond of the near-singular sample
+            return _rcond(dense_system(h_hat, psi, w, power, d)[2][sample, position])
+
         # rcond is linear in eps near the singular system: aim at 0.5, 0.9,
         # 1.1 and 2 times the floor from its slope at eps = 1e-6
-        slope = _sweep_rcond(d_at(1e-6)[position] @ a[sample, position],
-                             t[sample, position]) / 1e-6
+        slope = rcond(d_at(1e-6)) / 1e-6
         raised = []
         for factor in (0.5, 0.9, 1.1, 2.0):
             d = d_at(factor * RCOND_FLOOR / slope)
-            exact = _sweep_rcond(d[position] @ a[sample, position], t[sample, position])
-            assert (exact < RCOND_FLOOR) == (factor < 1)
-            out = self.assert_same_outcome(monkeypatch, t, a, d, range(M))
-            raised.append(out[0] is SingularSweepError)
+            assert (rcond(d) < RCOND_FLOOR) == (factor < 1)
+            kind, got = assert_same_outcome(h_hat, psi, w, power, d)
+            raised.append(kind is SingularSweepError)
             if factor < 1:
-                assert out[1][:2] == (position, sample)
-                np.testing.assert_allclose(out[1][2], exact, rtol=1e-3)
+                assert got[:2] == (position, sample)
             d[position + 1] = near_singular_d(a[0, position + 1][None],
                                               t[0, position + 1][None], 0.0)[0]
-            out = self.assert_same_outcome(monkeypatch, t, a, d, range(M))
-            assert out[1][0] == (position if factor < 1 else position + 1)
+            kind, got = assert_same_outcome(h_hat, psi, w, power, d)
+            assert got[0] == (position if factor < 1 else position + 1)
         assert raised == [True, True, False, False]
 
     def test_exactly_singular_sample_takes_the_svd_of_the_whole_batch(self, rng, monkeypatch):
-        # K = N = 2 with A = T = D = I at one sample: I - D A T is the zero
-        # matrix, inv raises, and the guard falls back to one SVD of the batch
+        # K = N = 2 with Hhat = I, w = 1, Psi = 0, P = 2 and D = 1.5 I: at
+        # sample 3 the hop's system I + I/2 - 1.5 I is the zero matrix, solve
+        # raises, and every sample takes the dense guard in one _rcond call
         S, K = 6, 2
-        a, t = self.system(rng, S, K, K)
-        a[3], t[3] = np.eye(K), np.eye(K)
-        calls = self.count_svds(monkeypatch)
-        with pytest.raises(SingularSweepError) as err:
-            precoding._solve_hops(t[:, None], a[:, None], np.eye(K), 0, [0])
-        assert (err.value.position, err.value.sample, err.value.rcond) == (0, 3, 0.0)
-        assert calls == [(S, 1, K, K)]
+        h_hat, _, _, power = hop_inputs(rng, S, K, K, 1)
+        h_hat[3], psi, w = np.eye(K), np.zeros((1, K, K)), np.ones(K)
+        d = 1.5 * np.eye(K)
+        with pytest.raises(np.linalg.LinAlgError):
+            local_filter(h_hat[3], psi[0], w, power, d @ h_hat[3])
+        calls = count_svds(monkeypatch)
+        kind, got = assert_same_outcome(h_hat, psi, w, power, d)
+        assert (kind, got) == (SingularSweepError, (0, 3, 0.0))
+        assert [shape for shape, _ in calls] == [(S, K, K)]
 
     @pytest.mark.parametrize("K,N", SHAPES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_sample_behaves_as_the_exact_guard(self, rng, monkeypatch, K, N, bad):
-        S = 8
-        a, t = self.system(rng, S, K, N)
-        a[2, 0, 0] = bad
-        d = 0.3 * (rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K)))
+    def test_non_finite_sample_behaves_as_the_exact_guard(self, rng, K, N, bad):
+        h_hat, psi, w, power = hop_inputs(rng, 8, K, N, 1)
+        h_hat[2, 0, 0] = bad
         with np.errstate(invalid="ignore"):
-            self.assert_same_outcome(monkeypatch, t[:, None], a[:, None], d, [0])
+            assert_same_outcome(h_hat, psi, w, power, random_d(rng, K, K))
 
     @pytest.mark.parametrize("K,N", SHAPES)
     def test_chain_end_takes_no_svd(self, rng, monkeypatch, K, N):
-        # from Pi_M = 0 the system is I: the screen clears every sample with
-        # one inverse; a one-TX stripe's sweep is its chain end alone
+        # from Pi_M = 0 the bound is 1 and clears every sample; a one-TX
+        # stripe's sweep is its chain end alone
         S = 30
         h = rng.standard_normal((S, K, N)) + 1j * rng.standard_normal((S, K, N))
         ens = Ensemble(h=h, h_hat=h.copy(), weights=np.full(S, 1 / S), n_antennas=N)
         psi, w, power = random_psd_stack(rng, 1, N), np.full(K, 1 / K), 2.0
-        calls = self.count_svds(monkeypatch)
+        calls = count_svds(monkeypatch)
         stats = estimate_stripe_statistics(ens, [0], psi, w, power)
         (_, tv), = precoding._uni_hops(ens.h_hat, [0], stats, psi, w, power)
         assert calls == []
         t = precoding._tx_filters(ens.h_hat, [0], psi, w, power)[0]
         np.testing.assert_array_equal(tv, t[:, 0])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(shape=st.sampled_from([(1, 1), (2, 1), (3, 1), (10, 1), (6, 4), (4, 2), (5, 2), (7, 2),
+                              (10, 3)]),
+       eps=st.sampled_from([None, 1e-2, 1e-8, 1e-11, 1e-13, 0.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_solve_hops_agrees_with_the_dense_guard(shape, eps, seed):
+    # N = 1, K <= 2N and K > 2N; random D per position, or one position's D
+    # put near singular at one sample (eps = 0: singular); the bound never
+    # exceeds the dense rcond, and _solve_hops raises (position, sample,
+    # rcond) or solves exactly as the dense reference does
+    (K, N), S, M = shape, 5, 3
+    rng = np.random.default_rng(seed)
+    h_hat, psi, w, power = hop_inputs(rng, S, K, N, M)
+    a, t, _ = dense_system(h_hat, psi, w, power, np.zeros((K, K)))
+    d = random_d(rng, M, K, K)
+    if eps is not None:
+        s, m = rng.integers(S), rng.integers(M)
+        d[m] = near_singular_d(a[s, m][None], t[s, m][None], eps)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dense = _rcond(dense_system(h_hat, psi, w, power, d)[2])
+        # a sample within rounding of the floor may fall on either side of it
+        assume(not (np.abs(dense / RCOND_FLOOR - 1) < 1e-2).any())
+        bound = woodbury_bound(h_hat, psi, w, power, d)
+        assert not (bound > dense * (1 + 1e-3) + 1e-15).any()
+        kind, _ = assert_same_outcome(h_hat, psi, w, power, d, rtol=1e-6)
+    event(f"K={K} N={N}: {getattr(kind, '__name__', kind)}")
+
+
+class TestDenseUniReference:
+    """uni's statistics and precoders against a dense per-realization
+    reference on Gaussian pools: P_m = A_m T_m and
+    V_m = (I - Pi_{m+1} P_m)^-1 (I - Pi_{m+1}) formed as K x K matrices,
+    Pi_{m-1} = Pi_m + (I - Pi_m) E[P_m V_m], and the precoders of an explicit
+    forward product t_m = T_m V_m Vbar_{m-1} ... Vbar_1 c, Vbar = I - P V."""
+
+    @staticmethod
+    def hops(h_hat, l, pi_next, psi, w, power):
+        """T, P and V of TX l against the downstream response pi_next."""
+        eye, n = np.eye(len(w)), psi.shape[-1]
+        hl = h_hat[..., l * n : (l + 1) * n]
+        t = local_filter(hl, psi[l], w, power)
+        p = np.sqrt(w)[:, None] * (hl @ t)
+        return t, p, np.linalg.solve(eye - pi_next @ p, np.broadcast_to(eye - pi_next, p.shape))
+
+    def statistics(self, ens, txs, psi, w, power):
+        eye = np.eye(len(w))
+        pi = [np.zeros_like(eye, complex)]
+        for l in reversed(txs):
+            _, p, v = self.hops(ens.h_hat, l, pi[-1], psi, w, power)
+            pi.append(pi[-1] + (eye - pi[-1]) @ np.tensordot(ens.weights, p @ v, 1))
+        return np.array(pi[::-1])
+
+    def precoders(self, ens, txs, pi, c, psi, w, power):
+        u, rows = np.broadcast_to(c, (ens.n_samples, *c.shape)), []
+        for m, l in enumerate(txs):
+            t, p, v = self.hops(ens.h_hat, l, pi[m + 1], psi, w, power)
+            rows.append(t @ v @ u)
+            u = u - p @ v @ u
+        return np.concatenate(rows, axis=-2)
+
+    @pytest.mark.parametrize("Q,M,K,N", [(2, 20, 10, 1), (3, 8, 6, 4), (2, 4, 7, 2)])
+    def test_statistics_and_apply_match(self, rng, Q, M, K, N):
+        # the iiot shape (M = 20, K = 10, N = 1), the desk shape (M = 8,
+        # K = 6, N = 4) and K > 2N at N = 2; per-(user, TX) gains over two
+        # decades, estimation errors, and random serving stripes per user
+        S, L = 200, Q * M
+        gain = np.repeat(10 ** rng.uniform(-1, 1, (K, L)), N, axis=1)
+        h = np.sqrt(gain) * (rng.standard_normal((S, K, N * L))
+                             + 1j * rng.standard_normal((S, K, N * L)))
+        h_hat = h + 0.2 * np.sqrt(gain) * (rng.standard_normal(h.shape)
+                                           + 1j * rng.standard_normal(h.shape))
+        ens = Ensemble(h=h, h_hat=h_hat, weights=np.full(S, 1 / S), n_antennas=N)
+        psi, w, power = random_psd_stack(rng, L, N, 0.05), rng.random(K) + 0.2, 10.0
+        w /= w.sum()
+        stripes = stripe_layout(Q, M)
+        assoc = association_from_stripes(
+            [tuple(rng.choice(Q, rng.integers(1, Q + 1), replace=False)) for _ in range(K)],
+            Q, M)
+        state = fit_scheme("uni", ens, assoc, stripes, psi, w, power)
+        want = np.zeros((S, N * L, K), complex)
+        for q, txs in enumerate(stripes):
+            pi = self.statistics(ens, txs, psi, w, power)
+            np.testing.assert_allclose(state.stripe_stats[q].pi, pi, rtol=0,
+                                       atol=1e-10 * np.abs(pi).max())
+            want[:, txs[0] * N : (txs[-1] + 1) * N] = self.precoders(
+                ens, txs, pi, state.stripe_coeffs[q], psi, w, power)
+        got = apply_scheme(state, ens, assoc, stripes, psi, w, power)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
 
 
 class TestCoefficientSystems:
@@ -1088,8 +1239,7 @@ class TestForwardPass:
         return model, stripes, assoc, w, power, psi, ens, state, stack
 
     def test_superposition_identity(self, rng):
-        # N = 1 (closed-form guard), then N = 2 with K <= 2N (the K x K guard
-        # system is formed) and K > 2N (the guard's QR restriction)
+        # N = 1 (scalar hop solves), then N = 2 with K <= 2N and K > 2N
         for num_users, n in ((3, 1), (3, 2), (5, 2)):
             model, stripes, assoc, w, power, psi, ens, state, stack = self._setup(
                 rng, num_users, n)
