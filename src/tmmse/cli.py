@@ -9,23 +9,26 @@ rates.csv.
 
 A drop (run_drop) is a straight sequence of steps: the setting (users,
 statistics, Psi, stripes and the optional gains dump), the statistics pool
-and the fits, then, that pool released, the evaluation pool and per fitted
-scheme its evaluation, allocations and optional stats dump.  Each step's
-wall time goes to its stage in STAGES (the setting, so also a gains dump,
-and the draws to channel); a stats dump is not timed.  A failing step
-becomes a failure record (re-raised under config.strict) and skips only
-what depends on it; a failed setting or pool draw ends the drop.
+and the fits (fit_schemes), then, that pool released, the evaluation pool
+and the evaluations (evaluate_states), and per fitted scheme its
+allocations and optional stats dump.  Each step's wall time goes to its
+stage in STAGES (the setting, so also a gains dump, and the draws to
+channel); a stats dump is not timed.  A failing step becomes a failure
+record (re-raised under config.strict) and skips only what depends on it;
+a failed setting or pool draw ends the drop.  The fits and evaluations
+fail per scheme, one record per failing scheme in scheme order.
 
-Within a scheme, independent tasks run on one shared thread pool
-(parallel.map_ordered; as many threads as usable CPUs, at most two): fixed
-sample blocks of the pool for the draws, the fits' ensemble means and the
-evaluation, and uni's stripes for its statistics sweeps.  The tasks do not
-depend on the thread count and results are joined in task order, so
-rates.csv is byte-identical for any number of usable CPUs.  evaluate(pool,
-state) is streamed: a fitted state holds its Psi, w and P and yields its
-precoders one stripe at a time per sample block, and evaluate sums z = H t and
-the per-TX powers over them, so a drop holds one pool plus a stripe's working
-set per block in flight, never an (S, N*L, K) stack.  run concatenates drops.
+Independent tasks run on one shared thread pool (parallel.map_ordered; as
+many threads as usable CPUs, at most two): fixed sample blocks of the pool
+for the draws, the fits' ensemble means and the evaluations, and uni's
+stripes for its statistics sweeps; the fits of all schemes are one map,
+their evaluations another.  The tasks do not depend on the thread count
+and results are joined in task order, so rates.csv is byte-identical for
+any number of usable CPUs.  The evaluation is streamed: a fitted state
+holds its Psi, w and P and yields its precoders one stripe at a time per
+sample block, and evaluate_states sums z = H t and the per-TX powers over
+them, so a drop holds one pool, each scheme's z and a stripe's working set
+per block in flight, never an (S, N*L, K) stack.  run concatenates drops.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ import numpy as np
 
 from . import __version__
 from .channel import build_statistics, draw_ensemble, gains_table
-from .evaluation import allocate, evaluate
-from .precoding import SCHEMES, fit_scheme, write_matrix_dump
+from .evaluation import allocate, evaluate_states
+from .parallel import captured
+from .precoding import SCHEMES, fit_schemes, write_matrix_dump
 from .topology import assign_serving_stripes, build_grid_deployment
 
 SCHEMA_VERSION = 1
@@ -238,19 +242,28 @@ def run_drop(config, deployment, drop, out_dir=None):
     budgets = config.tx_budgets()
     result = RunResult([], [], [], dict.fromkeys(STAGES, 0.0), out_dir)
 
+    def failed(scheme, stage, out):  # records out if it is an exception, raised under strict
+        if isinstance(out, Exception):
+            result.failures.append(
+                {"drop": drop, "scheme": scheme, "stage": stage, "error": str(out)})
+            if config.strict:
+                raise out
+        return isinstance(out, Exception)
+
     def attempt(timing, stage, scheme, fn, *args):  # fn(*args), or None if it failed
         t0 = time.perf_counter()
-        try:
-            return fn(*args)
-        except Exception as exc:  # noqa: BLE001 - failures are per-run reportable
-            result.failures.append(
-                {"drop": drop, "scheme": scheme, "stage": stage, "error": str(exc)})
-            if config.strict:
-                raise
-            return None
-        finally:
-            if timing:
-                result.timings[timing] += time.perf_counter() - t0
+        out = captured(fn, *args)
+        if timing:
+            result.timings[timing] += time.perf_counter() - t0
+        return None if failed(scheme, stage, out) else out
+
+    def each_scheme(timing, schemes, fn, *args):  # fn(*args): a result or exception per scheme
+        if not schemes:
+            return []
+        t0 = time.perf_counter()
+        out = captured(fn, *args)  # a raise is every scheme's failure
+        result.timings[timing] += time.perf_counter() - t0
+        return [out] * len(schemes) if isinstance(out, Exception) else out
 
     setting = attempt("channel", "drop", None, _drop_setting, config, deployment, drop, w,
                       out_dir)
@@ -261,22 +274,22 @@ def run_drop(config, deployment, drop, out_dir=None):
                    config.statistics_samples, phase_seed(config.base_seed, drop, PHASE_STATS))
     if pool is None:
         return result
-    fits = [(scheme, attempt("statistics", "precoding", scheme, fit_scheme, scheme, pool,
-                             assoc, stripes, psi, w, total_power))
-            for scheme in config.schemes]
+    fits = each_scheme("statistics", config.schemes, fit_schemes, config.schemes, pool, assoc,
+                       stripes, psi, w, total_power)
+    fits = [(scheme, state) for scheme, state in zip(config.schemes, fits)
+            if not failed(scheme, "precoding", state)]
     del pool  # no state holds the statistics pool: it goes before the next draw
     pool = attempt("channel", "drop", None, draw_ensemble, stats, csi,
                    config.evaluation_samples, phase_seed(config.base_seed, drop, PHASE_EVAL))
     if pool is None:
         return result
 
-    for scheme, state in fits:
-        if state is None:
+    evaluated = each_scheme("evaluation", fits, evaluate_states, pool,
+                            [state for _, state in fits])
+    for (scheme, state), moments_mse in zip(fits, evaluated):
+        if failed(scheme, "precoding", moments_mse):
             continue
-        evaluated = attempt("evaluation", "precoding", scheme, evaluate, pool, state)
-        if evaluated is None:
-            continue
-        moments, mse = evaluated
+        moments, mse = moments_mse
         for mode in config.power_modes:
             allocated = attempt("allocation", f"allocation[{mode}]", scheme, allocate, moments,
                                 mse, mode, budgets, config.clamp_negative_powers,

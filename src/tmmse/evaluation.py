@@ -11,13 +11,16 @@ denominator as extra noise.
 
 Every quantity the allocation reads is a sum over TXs or a function of
 z = H t (S, K, K): z = sum_q H_q X_q over a state's stripe blocks, the
-per-TX powers are row sums, and the MSE comes from z per sample.  evaluate
-accumulates them one stripe block at a time within each sample block of the
-pool, and the sample blocks run on the thread pool of parallel.map_blocks.
-The per-sample z and ||t_k||^2 are concatenated in block order and the
-per-TX powers summed in block order, and the moments and the MSE are then
-taken once over the whole pool, so the result does not depend on the
-number of threads.
+per-TX powers are row sums, and the MSE comes from z per sample.
+evaluate_states accumulates them one stripe block at a time within each
+sample block of the pool, for every state of a drop in one map on the
+thread pool of parallel.map_blocks; the states that read a stripe's
+filters or scaled estimates take one copy per block.  Per state, the
+per-sample z and ||t_k||^2 are concatenated in block order and the per-TX
+powers summed in block order, and the moments and the MSE are then taken
+once over the whole pool, so the result does not depend on the number of
+threads, nor on which other states share the map.  evaluate is the
+one-state call.
 estimate_moments, mse_samples and compute_mse are the same sums over the
 sample blocks of a whole precoder stack.
 """
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import map_blocks
+from .parallel import first_failure, map_blocks, shared_pass, unwrap
 
 
 class InfeasiblePowerError(RuntimeError):
@@ -68,15 +71,31 @@ class MomentEstimates:
         return self.a.shape[0]
 
 
-def _accumulate(ensemble, blocks):
-    """Over the sample blocks of the pool: z = sum_q H_q X_q (S, K, K),
-    z[s, k, j] = g_k^H t_j, the per-TX powers E||t_{l,k}||^2 (L, K) and the
-    per-sample powers ||t_k||^2 (S, K); blocks(ensemble, samples), as a
-    state's, yields the stripe blocks (rows, X_q) of a slice of samples."""
+def _accumulate(ensemble, readers):
+    """Yields per (kind, blocks) of readers, in order, over the sample blocks
+    of the pool: z = sum_q H_q X_q (S, K, K), z[s, k, j] = g_k^H t_j, the
+    per-TX powers E||t_{l,k}||^2 (L, K) and the per-sample powers ||t_k||^2
+    (S, K), or the exception of its first failing block.  blocks(ensemble,
+    samples, shared), as a state's, yields the stripe blocks (rows, X_q) of
+    a slice of samples; each block task runs the readers in turn on one
+    store (parallel.shared_pass), a reader's sums let go once it is yielded."""
     if ensemble.n_samples < 1:
         raise ValueError("empty evaluation pool")
-    parts = map_blocks(lambda s: _block_sums(ensemble.select(s), blocks(ensemble, s)),
-                       ensemble.n_samples)
+
+    def block(samples):
+        ens = ensemble.select(samples)
+        return shared_pass([(kind, lambda shared, blocks=blocks: _block_sums(
+            ens, blocks(ensemble, samples, shared))) for kind, blocks in readers])
+
+    per_reader = [list(parts) for parts in zip(*map_blocks(block, ensemble.n_samples))]
+    while per_reader:
+        parts = per_reader.pop(0)
+        yield first_failure(parts) or _joined(parts)
+
+
+def _joined(parts):
+    """A reader's block sums in block order: z and ||t_k||^2 concatenated,
+    the per-TX powers summed."""
     z, per_tx, t_power = zip(*parts)
     return np.concatenate(z), sum(per_tx), np.concatenate(t_power)
 
@@ -99,8 +118,9 @@ def _block_sums(ensemble, blocks):
 
 
 def _stack_rows(precoders):
-    """A whole (S, N*L, K) stack as the one stripe block of each sample block."""
-    return lambda _, samples: [(slice(0, precoders.shape[1]), precoders[samples])]
+    """A whole (S, N*L, K) stack as a reader whose one stripe block per
+    sample block is all of its rows."""
+    return None, lambda _, samples, shared: [(slice(0, precoders.shape[1]), precoders[samples])]
 
 
 def _moments(weights, z, per_tx):
@@ -135,26 +155,40 @@ def _mse_samples(z, t_power, w, total_power):
     return np.einsum("skj->sj", np.abs(err) ** 2) + t_power / total_power
 
 
-def evaluate(ensemble, state):
-    """Moments and per-user MSE of a fitted state's precoders under the w and
-    P of its setting, streamed from its stripe blocks (state.blocks): no
-    (S, N*L, K) stack is held, only z, the power sums and one stripe block
-    per sample block in flight."""
-    z, per_tx, t_power = _accumulate(ensemble, state.blocks)
-    _, w, total_power = state.setting
+def evaluate_states(ensemble, states):
+    """evaluate of each fitted state, as one map over the pool's sample
+    blocks, each block running the states' stripe blocks in turn: states
+    that read a stripe's filters or scaled estimates (state.shares) take one
+    copy.  One (moments, MSE) or exception per state, in their order: a
+    state loses only its own result, with its first failing block's error."""
+    sums = _accumulate(ensemble, [(state.shares, state.blocks) for state in states])
+    return [s if isinstance(s, Exception) else _evaluated(ensemble, state.setting, *s)
+            for state, s in zip(states, sums)]
+
+
+def _evaluated(ensemble, setting, z, per_tx, t_power):
+    _, w, total_power = setting
     moments = _moments(ensemble.weights, z, per_tx)
     return moments, ensemble.weights @ _mse_samples(z, t_power, w, total_power)
 
 
+def evaluate(ensemble, state):
+    """Moments and per-user MSE of a fitted state's precoders under the w and
+    P of its setting, streamed from its stripe blocks (state.blocks): no
+    (S, N*L, K) stack is held, only z, the power sums and one stripe block
+    per sample block in flight.  evaluate_states of the one state."""
+    return unwrap(evaluate_states(ensemble, [state])[0])
+
+
 def estimate_moments(ensemble, precoders):
     """Weighted moments of g_k^H t_j; exact sums on finite-support ensembles."""
-    z, per_tx, _ = _accumulate(ensemble, _stack_rows(precoders))
+    z, per_tx, _ = unwrap(next(_accumulate(ensemble, [_stack_rows(precoders)])))
     return _moments(ensemble.weights, z, per_tx)
 
 
 def mse_samples(ensemble, precoders, w, total_power):
     """Per-sample MSE contributions (S, K); their weighted mean is the MSE."""
-    z, _, t_power = _accumulate(ensemble, _stack_rows(precoders))
+    z, _, t_power = unwrap(next(_accumulate(ensemble, [_stack_rows(precoders)])))
     return _mse_samples(z, t_power, w, total_power)
 
 

@@ -10,7 +10,6 @@ schemes are verified.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,60 +151,3 @@ def mse_exact(problem, candidate, k):
     per = (np.abs(err) ** 2).sum(axis=1) + (np.abs(candidate) ** 2).sum(axis=1) / problem.total_power
     return float(model.probs @ per)
 
-
-# --------------------------------------------------------------------------
-# reviewable JSON fixtures
-# --------------------------------------------------------------------------
-
-def _encode_complex(arr):
-    arr = np.asarray(arr, dtype=complex)
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
-
-
-def _decode_complex(data):
-    arr = np.asarray(data, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def dump_problem(problem, path):
-    doc = {
-        "schema_version": 1,
-        "n_antennas": problem.model.n_antennas,
-        "weights": np.asarray(problem.w, float).tolist(),
-        "total_power_mw": problem.total_power,
-        "serving_txs": [list(s) for s in problem.serving_txs],
-        "support": [
-            {
-                "prob": float(problem.model.probs[s]),
-                "h": _encode_complex(problem.model.h[s]),
-                "h_hat": _encode_complex(problem.model.h_hat[s]),
-                "labels": problem.model.labels[:, s].tolist(),
-            }
-            for s in range(problem.model.n_points)
-        ],
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-
-
-def load_problem(path):
-    with open(path) as f:
-        doc = json.load(f)
-    pts = doc["support"]
-    h = np.stack([_decode_complex(p["h"]) for p in pts])
-    h_hat = np.stack([_decode_complex(p["h_hat"]) for p in pts])
-    probs = np.array([p["prob"] for p in pts], dtype=float)
-    labels = np.stack([np.asarray(p["labels"], dtype=int) for p in pts], axis=1)
-    model = FiniteSupportModel(
-        h=h,
-        h_hat=h_hat,
-        probs=probs,
-        labels=labels,
-        n_antennas=int(doc["n_antennas"]),
-    )
-    return FiniteTeamProblem(
-        model=model,
-        serving_txs=tuple(tuple(s) for s in doc["serving_txs"]),
-        w=np.asarray(doc["weights"], dtype=float),
-        total_power=float(doc["total_power_mw"]),
-    )

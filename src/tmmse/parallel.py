@@ -9,7 +9,12 @@ separate cores.  Two kinds of item run on it:
   realizations, so map_blocks cuts a pool of S realizations into blocks of
   SAMPLE_BLOCK consecutive samples and maps those;
 * uni's stripes: each stripe's statistics sweep reads only that stripe's
-  TXs, so uni's fit maps the stripes (the hops within a stripe stay serial).
+  TXs, so the fit maps the stripes (the hops within a stripe stay serial).
+
+A drop's fits are one map over uni's stripes and the statistics pool's
+blocks, its evaluations one map over the evaluation pool's blocks.  A task
+serves every scheme: it returns each one's result or exception (captured),
+and arrays that several schemes read are formed once per block (shared_pass).
 
 Determinism rule: the items depend on the problem alone, never on the
 number of threads, and map_ordered returns the results in item order.
@@ -91,3 +96,33 @@ def sample_blocks(n_samples):
 def map_blocks(fn, n_samples):
     """map_ordered(fn, sample_blocks(n_samples)): one task per sample block."""
     return map_ordered(fn, sample_blocks(n_samples))
+
+
+def captured(fn, *args):
+    """fn(*args), or the exception it raised: a task serving several schemes
+    returns each one's failure as a value, as map_ordered keeps only one."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - a scheme's failure is its own result
+        return exc
+
+
+def first_failure(results):
+    """The first captured exception among results, in their order, or None."""
+    return next((r for r in results if isinstance(r, Exception)), None)
+
+
+def unwrap(result):
+    """result, raised if it is a captured exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def shared_pass(readers):
+    """[captured(fn, shared) for kind, fn in readers], in order, on one dict
+    shared that maps each kind to its number of readers: an entry that a
+    reader of a kind forms there is kept until each of them has taken it."""
+    kinds = [kind for kind, _ in readers]
+    shared = {kind: kinds.count(kind) for kind in kinds}
+    return [captured(fn, shared) for _, fn in readers]

@@ -10,23 +10,24 @@ leading sample axis of an :class:`~tmmse.channel.Ensemble`, so exactness on
 finite-support models falls out of the ensemble weights.
 
 A fitted state is the whole precoder: its setting is the (Psi, w, P) it was
-fitted under, checked once before it exists (fit_scheme, the builders).
-state.blocks(ensemble, samples) yields its precoders on a slice of the pool
-one stripe at a time, as (rows, X_q), X_q (B, rows, K) the stripe's rows of
-the (B, N*L, K) stack; a SingularSweepError names its sample by pool index.
-evaluation.evaluate sums what the rates need over these blocks, so a drop
-never holds a stack; apply_scheme writes the same blocks into one.
+fitted under, checked once before it exists (fit_schemes, the builders).
+state.blocks(ensemble, samples, shared) yields its precoders on a slice of
+the pool one stripe at a time, as (rows, X_q), X_q (B, rows, K) the
+stripe's rows of the (B, N*L, K) stack; a SingularSweepError names its
+sample by pool index.  evaluation.evaluate_states sums what the rates need
+over these blocks, so a drop never holds a stack; apply_scheme writes the
+same blocks into one.
 
-The shared thread pool (parallel.map_ordered) runs two kinds of task.
-Sample blocks: evaluation.evaluate runs state.blocks on the fixed sample
-blocks of parallel.map_blocks; the fits' ensemble means
-(bidirectional_coupling, local_mmse_coefficients) are summed over the same
-blocks in block order, every stripe inside each block, so each fit is one
-map.  Stripes: uni's fit runs one statistics sweep
-(estimate_stripe_statistics, M dependent hops) per stripe, since a stripe's
-sweep reads only its own TXs; if several stripes fail, the first failing
-stripe in stripe order is raised.  The blocks and stripes do not depend on
-the number of threads and every join keeps their order, so outputs do not
+A drop's fits are one map on the shared thread pool (fit_schemes):
+uni's stripes first, one statistics sweep (estimate_stripe_statistics, M
+dependent hops) each, since a stripe's sweep reads only its own TXs, then
+the statistics pool's sample blocks, each running the block parts of bi,
+no-share and local MMSE.  In a block, a stripe's one-TX filters T
+(no-share, local MMSE) and its B^-1 A^H (bi, centralized) are formed once
+and dropped when their last reader has them (_shared).  A scheme's error
+stays its own: its first failing block's, or uni's first failing
+stripe's in stripe order.  The blocks and stripes do not depend on the
+number of threads and every join keeps their order, so outputs do not
 either.  stripe_forward_pass, one realization, never uses the pool.
 
 Every scheme but uni is F_u c_u: F_u the MMSE filter of a unit's stacked
@@ -80,7 +81,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import herm, tx_blocks
-from .parallel import map_blocks, map_ordered
+from .parallel import (
+    captured, first_failure, map_blocks, map_ordered, sample_blocks, shared_pass, unwrap)
 
 RCOND_FLOOR = 1e-12
 COEFF_RESIDUAL_TOL = 1e-10
@@ -179,28 +181,51 @@ def _rows(txs, n):
     return slice(txs[0] * n, (txs[-1] + 1) * n)
 
 
+def _scaled(h_hat, txs, w, n):
+    """A = W^1/2 Hhat (..., K, N*M) of the run of M TXs txs."""
+    return np.sqrt(w)[:, None] * h_hat[..., _rows(txs, n)]
+
+
 def _scaled_estimate(h_hat, txs, psi, w, total_power):
-    """A = W^1/2 Hhat (..., K, N*M) of the run of M TXs txs and B^-1 A^H
-    (..., N*M, K), with B = Psi + I/P block diagonal (a row scaling at N = 1).
-    B^-1 A^H is formed as the conjugate of conj(B^-1) A^T, so no conjugated
-    copy of A is made."""
+    """B^-1 A^H (..., N*M, K) of the run of M TXs txs, A = W^1/2 Hhat
+    (_scaled) and B = Psi + I/P block diagonal (a row scaling at N = 1),
+    formed as the conjugate of conj(B^-1) A^T, so no conjugated copy of A
+    is made."""
     n = psi.shape[-1]
-    a = np.sqrt(w)[:, None] * h_hat[..., _rows(txs, n)]
+    a = _scaled(h_hat, txs, w, n)
     b_inv = np.linalg.inv(psi[txs[0] : txs[-1] + 1] + np.eye(n) / total_power)
     bah = np.einsum("lim,...klm->...lik", b_inv.conj(), a.reshape(*a.shape[:-1], -1, n))
-    return a, np.conj(bah, out=bah).reshape(*a.shape[:-2], -1, a.shape[-2])
+    return np.conj(bah, out=bah).reshape(*a.shape[:-2], -1, a.shape[-2])
 
 
-def _unit_kernel(h_hat, run, psi, w, total_power):
+def _shared(shared, kind, h_hat, txs, setting):
+    """The "filters" (T, Hhat) of _tx_filters or the "estimates" B^-1 A^H of
+    _scaled_estimate of the run of TXs txs under setting (psi, w,
+    total_power), taken from shared, a sample block's store
+    (parallel.shared_pass): formed at the first take and kept until the
+    shared[kind]-th, the last reader's (kept by none if kind is not in it)."""
+    key = (kind, txs[0], txs[-1], *map(id, setting))
+    value, left = shared.pop(key, None) or (
+        (_tx_filters if kind == "filters" else _scaled_estimate)(h_hat, txs, *setting),
+        shared.get(kind, 1))
+    if left > 1:
+        shared[key] = value, left - 1
+    return value
+
+
+def _unit_kernel(h_hat, run, shared, setting):
     """The K x K kernel (I + G_u)^-1 (..., K, K) of the unit whose TXs are the
-    stripes (TX runs) of run, and each stripe's B^-1 A^H from _scaled_estimate:
-    the unit filter's rows of a stripe are B^-1 A^H (I + G_u)^-1, and its
-    response W^1/2 Hhat_u F_u is I - (I + G_u)^-1.  G_u = sum A B^-1 A^H over
-    the stripes, one GEMM each."""
+    stripes (TX runs) of run, and each stripe's B^-1 A^H from the store
+    shared (_shared): the unit filter's rows of a stripe are
+    B^-1 A^H (I + G_u)^-1, and its response W^1/2 Hhat_u F_u is
+    I - (I + G_u)^-1.  G_u = sum A B^-1 A^H over the stripes, one GEMM each;
+    each reader forms A again, which costs less than B^-1 A^H and keeps the
+    store to one array per stripe."""
+    psi, w, _ = setting
     g, bahs = 0, []
     for txs in run:
-        a, bah = _scaled_estimate(h_hat, txs, psi, w, total_power)
-        g = g + a @ bah
+        bah = _shared(shared, "estimates", h_hat, txs, setting)
+        g = g + _scaled(h_hat, txs, w, psi.shape[-1]) @ bah
         bahs.append(bah)
     return np.linalg.inv(np.eye(len(w)) + g), bahs
 
@@ -371,26 +396,34 @@ def bidirectional_coupling(ensemble, stripes, size, psi, w, total_power):
     cheaper than a K x K inverse per TX; sqrt(w) and the sample weights are
     folded into the one scaled copy of Hhat_u that the mean reads.  The
     stripes are taken one after another inside each sample block of
-    parallel.map_blocks, and the blocks' means are summed in block order."""
+    parallel.map_blocks (_coupling_part), and the blocks' means are summed in
+    block order."""
     if size not in (1, len(stripes[0])):
         raise ValueError(f"unit size {size} is neither 1 nor the stripe length "
                          f"{len(stripes[0])}")
-    eye = np.eye(ensemble.num_users)
+    setting = (psi, w, total_power)
+    parts = map_blocks(lambda s: _coupling_part(ensemble.select(s), stripes, size, {},
+                                                setting), ensemble.n_samples)
+    return _couplings(parts, size, ensemble.num_users)
 
-    def stripe_mean(ens, txs):
-        if size > 1:
-            kernel = _unit_kernel(ens.h_hat, [txs], psi, w, total_power)[0]
-            return _mean(ens.weights, kernel)[None]
-        t, h = _tx_filters(ens.h_hat, txs, psi, w, total_power)
-        scale = (ens.weights[:, None] * np.sqrt(w))[:, None, :, None]  # broadcasts as h
-        return _mean(scale, h, t)
 
-    def block_sum(samples):
-        ens = ensemble.select(samples)
-        return np.concatenate([stripe_mean(ens, txs) for txs in stripes])
+def _coupling_part(ensemble, stripes, size, shared, setting):
+    """bidirectional_coupling's means on one sample block, from the block's
+    store shared: each stripe unit's E[(I + G_u)^-1], or the E[A_l T_l] of
+    each one-TX unit from its stripe's filters."""
+    if size > 1:
+        return np.concatenate([
+            _mean(ensemble.weights, _unit_kernel(ensemble.h_hat, [txs], shared, setting)[0])[None]
+            for txs in stripes])
+    scale = (ensemble.weights[:, None] * np.sqrt(setting[1]))[:, None, :, None]  # broadcasts as h
+    return np.concatenate([_mean(scale, h, t) for t, h in (
+        _shared(shared, "filters", ensemble.h_hat, txs, setting) for txs in stripes)])
 
-    mean = sum(map_blocks(block_sum, ensemble.n_samples))
-    return eye - mean if size > 1 else mean
+
+def _couplings(parts, size, num_users):
+    """The coupling matrices from the sample blocks' parts, summed in block order."""
+    mean = sum(parts)
+    return np.eye(num_users) - mean if size > 1 else mean
 
 
 def _coefficient_guard(rcond, failed):
@@ -448,10 +481,11 @@ def solve_statistical_precoders_bi(serving_units, coupling):
 
 def _stack(ensemble, state):
     """The (S, N*L, K) precoder stack of a state's stripe blocks on the whole
-    pool; rows that no block covers (stripes that serve nobody) are zero."""
+    pool, on a store of its own; rows that no block covers (stripes that
+    serve nobody) are zero."""
     out = np.zeros((ensemble.n_samples, ensemble.num_txs * ensemble.n_antennas,
                     ensemble.num_users), complex)
-    for rows, x in state.blocks(ensemble):
+    for rows, x in state.blocks(ensemble, slice(None), {}):
         out[:, rows] = x
     return out
 
@@ -481,8 +515,8 @@ def centralized_mmse(ensemble, psi, w, total_power):
     unit kernel of all N*L antennas with block-diagonal error covariance and
     c = I, so no per-sample (N*L)^2 system is formed."""
     _check_inputs(psi, total_power)
-    return _stack(ensemble, _fit_centralized(
-        "centralized", ensemble, None, [range(ensemble.num_txs)], psi, w, total_power))
+    return _stack(ensemble, FilterState("centralized", [range(ensemble.num_txs)], ensemble.num_txs,
+                                        np.eye(ensemble.num_users)[None], (psi, w, total_power)))
 
 
 def local_mmse_coefficients(ensemble, association, psi, w, total_power):
@@ -493,30 +527,42 @@ def local_mmse_coefficients(ensemble, association, psi, w, total_power):
     quadratic objective, assembled from ensemble moments of the effective
     per-TX channels.  Those moments are sums over the pool, so each user's
     Gram matrix, regularizer and right-hand side are summed over the sample
-    blocks of parallel.map_blocks, one filter call per block, in block
-    order.  Singular normal equations fall back to c = 1 with a warning
-    rather than failing the whole run.
+    blocks of parallel.map_blocks (_local_mmse_part), one filter call per
+    block, in block order.  Singular normal equations fall back to c = 1
+    with a warning rather than failing the whole run.
     """
-    n, L, K = ensemble.n_antennas, ensemble.num_txs, ensemble.num_users
-    serving = [list(txs) for txs in association.serving_txs]
+    setting, runs = (psi, w, total_power), [range(ensemble.num_txs)]
+    parts = map_blocks(lambda s: _local_mmse_part(ensemble.select(s), association, runs, {},
+                                                  setting), ensemble.n_samples)
+    return _local_mmse_solve(parts, association, setting, ensemble.num_txs)
 
-    def block_sums(samples):
-        ens = ensemble.select(samples)
-        f_all = _tx_filters(ens.h_hat, range(L), psi, w, total_power)[0]  # (B, L, N, K)
-        h_blocks = tx_blocks(ens.h, n)  # (B, L, K, N)
-        sums = []
-        for k, txs in enumerate(serving):
-            f = f_all[..., k][:, txs]  # (B, n_serving, N)
-            s_eff = np.einsum("slin,sln->sil", h_blocks[:, txs], f)  # (B, K, n_serving)
-            sums.append((_mean(ens.weights, herm(s_eff) * w, s_eff),  # one GEMM of (B*K, |L_k|)
-                         _mean(ens.weights, np.abs(f) ** 2).sum(axis=-1),
-                         _mean(ens.weights, np.conj(s_eff[:, k, :]))))
-        return sums
 
-    per_block = map_blocks(block_sums, ensemble.n_samples)
-    coeffs = np.zeros((L, K), dtype=complex)
-    for k, txs in enumerate(serving):
-        gram, reg, rhs = (sum(part) for part in zip(*(sums[k] for sums in per_block)))
+def _local_mmse_part(ensemble, association, runs, shared, setting):
+    """local_mmse_coefficients' sums on one sample block, per user: the
+    filters of the TX runs that tile 0..L-1 (the block's shared store), put
+    side by side."""
+    w = setting[1]
+    f_all = np.concatenate([_shared(shared, "filters", ensemble.h_hat, txs, setting)[0]
+                            for txs in runs], axis=1)  # (B, L, N, K)
+    h_blocks = tx_blocks(ensemble.h, ensemble.n_antennas)  # (B, L, K, N)
+    sums = []
+    for k, txs in enumerate(association.serving_txs):
+        txs = list(txs)
+        f = f_all[..., k][:, txs]  # (B, n_serving, N)
+        s_eff = np.einsum("slin,sln->sil", h_blocks[:, txs], f)  # (B, K, n_serving)
+        sums.append((_mean(ensemble.weights, herm(s_eff) * w, s_eff),  # one GEMM of (B*K, |L_k|)
+                     _mean(ensemble.weights, np.abs(f) ** 2).sum(axis=-1),
+                     _mean(ensemble.weights, np.conj(s_eff[:, k, :]))))
+    return sums
+
+
+def _local_mmse_solve(parts, association, setting, num_txs):
+    """The (L, K) coefficients from the sample blocks' parts, summed in block order."""
+    _, w, total_power = setting
+    coeffs = np.zeros((num_txs, len(w)), dtype=complex)
+    for k, txs in enumerate(association.serving_txs):
+        txs = list(txs)
+        gram, reg, rhs = (sum(part) for part in zip(*(sums[k] for sums in parts)))
         system = gram + np.diag(reg / total_power)
         if _rcond(system) < RCOND_FLOOR:
             warnings.warn(
@@ -571,33 +617,39 @@ class FilterState:
     setting: tuple  # (psi (L, N, N), w (K,), total_power) it was fitted under
     coupling: np.ndarray = None  # (units, K, K) E[W^1/2 Hhat_u F_u]; None if not fitted
 
-    def blocks(self, ensemble, samples=slice(None)):
-        """One-TX units: one filter call per stripe that serves anyone and one
-        GEMM per TX.  Units of whole stripes: the unit kernel, G_u summed over
-        the unit's stripes, then each stripe's rows B^-1 A^H (I + G_u)^-1 c_u."""
-        blocks = self._filter_blocks if self.size == 1 else self._kernel_blocks
-        return blocks(ensemble.select(samples))
+    @property
+    def shares(self):
+        """The kind of array it reads from a sample block's shared store."""
+        return "filters" if self.size == 1 else "estimates"
 
-    def _filter_blocks(self, ensemble):
+    def blocks(self, ensemble, samples, shared):
+        """One-TX units: each serving stripe's filters and one GEMM per TX.
+        Units of whole stripes: the unit kernel, G_u summed over the unit's
+        stripes, then each stripe's rows B^-1 A^H (I + G_u)^-1 c_u.  The
+        filters and B^-1 A^H come from shared, the block's store (_shared)."""
+        blocks = self._filter_blocks if self.size == 1 else self._kernel_blocks
+        return blocks(ensemble.select(samples), shared)
+
+    def _filter_blocks(self, ensemble, shared):
         n, k, s = ensemble.n_antennas, ensemble.num_users, ensemble.n_samples
         for txs in self.stripes:
             coeffs = self.coeffs[txs[0] : txs[-1] + 1]
             if np.any(coeffs):
-                x = _tx_filters(ensemble.h_hat, txs, *self.setting)[0]
+                x = _shared(shared, "filters", ensemble.h_hat, txs, self.setting)[0]
                 x = np.moveaxis(x, 1, 0).reshape(len(coeffs), -1, k) @ coeffs  # (M, S*N, K)
                 x = np.moveaxis(x.reshape(len(coeffs), s, -1, k), 0, 1).reshape(s, -1, k)
                 yield _rows(txs, n), x
                 del x  # not held through the next stripe's filter call
 
-    def _kernel_blocks(self, ensemble):
-        # each stripe's B^-1 A^H is formed once and the unit's set kept to the
+    def _kernel_blocks(self, ensemble, shared):
+        # each stripe's B^-1 A^H is taken once and the unit's set kept to the
         # second pass: N*L*K complex per sample for centralized, so the
         # ensemble should be one sample block, not a whole pool
         per_unit = self.size // len(self.stripes[0])  # stripes per unit
         for u, coeffs in enumerate(self.coeffs):
             run = self.stripes[u * per_unit : (u + 1) * per_unit]
             if np.any(coeffs):
-                kernel, bahs = _unit_kernel(ensemble.h_hat, run, *self.setting)
+                kernel, bahs = _unit_kernel(ensemble.h_hat, run, shared, self.setting)
                 kc = kernel @ coeffs
                 for txs in run:
                     yield _rows(txs, ensemble.n_antennas), bahs.pop(0) @ kc
@@ -615,8 +667,9 @@ class UniState:
     stripe_stats: list  # StripeStatistics per stripe
     stripe_coeffs: np.ndarray  # (Q, K, K)
     setting: tuple  # (psi (L, N, N), w (K,), total_power) it was fitted under
+    shares = None  # its hops share no array with another scheme
 
-    def blocks(self, ensemble, samples=slice(None)):
+    def blocks(self, ensemble, samples, shared):
         """The forward product of each stripe that serves anyone."""
         h_hat = ensemble.select(samples).h_hat
         for q, txs in enumerate(self.stripes):
@@ -630,14 +683,6 @@ class UniState:
         return [st.pi[0] for st in self.stripe_stats] + list(self.stripe_coeffs)
 
 
-def _fit_uni(scheme, ensemble, association, stripes, psi, w, total_power):
-    # one task per stripe: a stripe's sweep reads only its own TXs
-    stats = map_ordered(lambda q: estimate_stripe_statistics(
-        ensemble, stripes[q], psi, w, total_power, stripe=q), range(len(stripes)))
-    coeffs = solve_statistical_precoders_uni(association, stats)
-    return UniState(scheme, stripes, stats, coeffs, (psi, w, total_power))
-
-
 def _stripe_length(stripes, num_txs):
     """TXs per stripe; raises unless the stripes are equal-length runs tiling TXs 0..L-1."""
     stripes = [list(txs) for txs in stripes]
@@ -646,47 +691,77 @@ def _stripe_length(stripes, num_txs):
     return len(stripes[0])
 
 
-def _fit_units(scheme, ensemble, association, stripes, psi, w, total_power):
-    """F_u c_u with c from the coupling system: no-share on one-TX units
-    (each user's units are its serving TXs), bi on stripes."""
-    if scheme == "no-share":
-        size, serving_units = 1, association.serving_txs
-    else:
-        size, serving_units = len(stripes[0]), association.serving_stripes
-    coupling = bidirectional_coupling(ensemble, stripes, size, psi, w, total_power)
-    coeffs = solve_statistical_precoders_bi(serving_units, coupling)
-    return FilterState(scheme, stripes, size, coeffs, (psi, w, total_power), coupling)
+SCHEMES = ("centralized", "bi", "uni", "no-share", "local-mmse")
 
 
-def _fit_local_mmse(scheme, ensemble, association, stripes, psi, w, total_power):
-    c = local_mmse_coefficients(ensemble, association, psi, w, total_power)  # (L, K)
-    return FilterState(scheme, stripes, 1, c[:, None, :] * np.eye(ensemble.num_users),
-                       (psi, w, total_power))
+def fit_schemes(schemes, ensemble, association, stripes, psi, w, total_power):
+    """fit_scheme of each of schemes, as one map over uni's stripes (the
+    longest tasks, so first) and the statistics pool's sample blocks.
 
+    A stripe task is uni's sweep of that stripe.  A block task runs the
+    block parts of bi, no-share and local MMSE in turn on one store
+    (parallel.shared_pass), so no-share and local MMSE filter each stripe
+    once.  The join sums each scheme's parts in block order and solves its
+    coefficients.  Returns one state or exception per scheme, in their
+    order: a scheme loses only its own state, with the exception of its
+    first failing item (for uni, its first failing stripe in stripe order).
+    A failed check of Psi, P or the stripes, which every scheme shares,
+    raises."""
+    _check_inputs(psi, total_power)
+    size = _stripe_length(stripes, ensemble.num_txs)
+    setting, eye = (psi, w, total_power), np.eye(ensemble.num_users)
+    parts = {  # (store kind, one sample block's part) of the schemes summed over blocks
+        "bi": ("estimates" if size > 1 else "filters",
+               lambda ens, shared: _coupling_part(ens, stripes, size, shared, setting)),
+        "no-share": ("filters", lambda ens, shared: _coupling_part(ens, stripes, 1, shared,
+                                                                   setting)),
+        "local-mmse": ("filters", lambda ens, shared: _local_mmse_part(ens, association, stripes,
+                                                                       shared, setting)),
+    }
+    parts = {scheme: parts[scheme] for scheme in schemes if scheme in parts}
+    sweeps = list(range(len(stripes))) if "uni" in schemes else []
 
-def _fit_centralized(scheme, ensemble, association, stripes, *setting):
-    # one unit of all TXs with c = I: full CSIT sharing has nothing statistical to fit
-    return FilterState(scheme, stripes, ensemble.num_txs, np.eye(ensemble.num_users)[None],
-                       setting)
+    def task(item):
+        if isinstance(item, int):  # one of uni's stripes
+            return captured(estimate_stripe_statistics, ensemble, stripes[item], psi, w,
+                            total_power, item)
+        ens = ensemble.select(item)
+        return dict(zip(parts, shared_pass([(kind, lambda shared, part=part: part(ens, shared))
+                                            for kind, part in parts.values()])))
 
+    done = map_ordered(task, sweeps + (sample_blocks(ensemble.n_samples) if parts else []))
+    stats, blocks = done[:len(sweeps)], done[len(sweeps):]
 
-_FITS = {
-    "centralized": _fit_centralized,
-    "bi": _fit_units,
-    "uni": _fit_uni,
-    "no-share": _fit_units,
-    "local-mmse": _fit_local_mmse,
-}
-SCHEMES = tuple(_FITS)
+    def join(scheme, items):
+        if scheme == "centralized":  # one unit of all TXs with c = I: nothing to fit
+            return FilterState(scheme, stripes, ensemble.num_txs, eye[None], setting)
+        if scheme == "uni":
+            coeffs = solve_statistical_precoders_uni(association, items)
+            return UniState(scheme, stripes, items, coeffs, setting)
+        if scheme == "local-mmse":
+            c = _local_mmse_solve(items, association, setting, ensemble.num_txs)  # (L, K)
+            return FilterState(scheme, stripes, 1, c[:, None, :] * eye, setting)
+        if scheme not in parts:
+            raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        # F_u c_u with c from the coupling system: no-share on one-TX units
+        # (each user's units are its serving TXs), bi on stripes
+        unit, serving = ((1, association.serving_txs) if scheme == "no-share"
+                         else (size, association.serving_stripes))
+        coupling = _couplings(items, unit, len(w))
+        coeffs = solve_statistical_precoders_bi(serving, coupling)
+        return FilterState(scheme, stripes, unit, coeffs, setting, coupling)
+
+    fitted = []
+    for scheme in schemes:
+        items = stats if scheme == "uni" else [block[scheme] for block in blocks if scheme in block]
+        fitted.append(first_failure(items) or captured(join, scheme, items))
+    return fitted
 
 
 def fit_scheme(scheme, ensemble, association, stripes, psi, w, total_power):
-    """Statistical stage of the named scheme on the statistics pool."""
-    if scheme not in _FITS:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    _check_inputs(psi, total_power)
-    _stripe_length(stripes, ensemble.num_txs)
-    return _FITS[scheme](scheme, ensemble, association, stripes, psi, w, total_power)
+    """Statistical stage of the named scheme on the statistics pool: fit_schemes
+    of the one scheme."""
+    return unwrap(fit_schemes([scheme], ensemble, association, stripes, psi, w, total_power)[0])
 
 
 def apply_scheme(state, ensemble, association, stripes, psi, w, total_power):

@@ -12,6 +12,7 @@ import pytest
 from tests.conftest import forked_exit_code
 import tmmse.cli as cli
 import tmmse.parallel as parallel
+import tmmse.precoding as precoding
 from tmmse.cli import (
     ScenarioConfig,
     build_parser,
@@ -264,6 +265,16 @@ def failing_when(real, when, message):
     return call
 
 
+def failing_schemes(real, when, message):
+    """real, a joint call of a drop (fit_schemes or evaluate_states) with one
+    result per scheme, but with RuntimeError(message(scheme)) as the result
+    of each scheme where when(scheme)."""
+    def call(*args):
+        schemes = args[0] if real.__name__ == "fit_schemes" else [s.scheme for s in args[1]]
+        return [RuntimeError(message(s)) if when(s) else r for s, r in zip(schemes, real(*args))]
+    return call
+
+
 def deployment_of(cfg):
     return build_grid_deployment(
         cfg.num_stripes, cfg.txs_per_stripe, cfg.area_m, cfg.height_m, cfg.antennas_per_tx
@@ -281,21 +292,17 @@ class TestRunDrop:
         assert dep.num_users == 0 and cfg == small_config()  # arguments untouched
 
     @pytest.mark.parametrize("target, failing", [
-        ("fit_scheme", ("bi",)),
-        ("evaluate", ("bi",)),
-        ("fit_scheme", ("bi", "uni")),
+        ("fit_schemes", ("bi",)),
+        ("evaluate_states", ("bi",)),
+        ("fit_schemes", ("bi", "uni")),
     ], ids=["fit-bi", "evaluation-bi", "fit-bi-uni"])
     def test_failed_scheme_is_recorded_and_other_schemes_run(self, tmp_path, monkeypatch,
                                                              target, failing):
         # a failing fit or evaluation loses only its scheme's rows; under strict
-        # the first failing scheme in scheme order is the one raised.  The
-        # scheme is fit_scheme's first argument, and evaluate's is its state's.
-        def scheme_of(first, second, *args):
-            return first if target == "fit_scheme" else second.scheme
-
-        monkeypatch.setattr(cli, target, failing_when(
-            getattr(cli, target), lambda *args: scheme_of(*args) in failing,
-            lambda *args: f"{scheme_of(*args)} {target} failed"))
+        # the first failing scheme in scheme order is the one raised
+        monkeypatch.setattr(cli, target, failing_schemes(
+            getattr(cli, target), lambda scheme: scheme in failing,
+            lambda scheme: f"{scheme} {target} failed"))
         cfg = small_config()
         result = run(cfg, out_dir=str(tmp_path / "out"))
         assert [(f["drop"], f["scheme"], f["stage"]) for f in result.failures] == [
@@ -306,6 +313,40 @@ class TestRunDrop:
             cfg.drops * (len(cfg.schemes) - len(failing)) * 2 * cfg.num_users)
         with pytest.raises(RuntimeError, match=f"^{failing[0]} {target} failed$"):
             run(dataclasses.replace(cfg, strict=True), out_dir=str(tmp_path / "strict"))
+
+    def test_a_failing_block_part_is_one_record_of_its_scheme(self, monkeypatch):
+        # no-share's block parts raise inside the joint fit (bi's stripe units
+        # take the same function with size > 1): only no-share loses its rows,
+        # and strict raises its error
+        real = precoding._coupling_part
+
+        def coupling_part(ensemble, stripes, size, *args):
+            if size == 1:
+                raise RuntimeError("no-share block failed")
+            return real(ensemble, stripes, size, *args)
+
+        monkeypatch.setattr(precoding, "_coupling_part", coupling_part)
+        cfg = small_config(drops=1)
+        result = run_drop(cfg, deployment_of(cfg), 0)
+        assert result.failures == [{"drop": 0, "scheme": "no-share", "stage": "precoding",
+                                    "error": "no-share block failed"}]
+        assert {scheme for _, _, scheme, _, _ in result.rate_rows} == set(cfg.schemes) - {
+            "no-share"}
+        with pytest.raises(RuntimeError, match="^no-share block failed$"):
+            run_drop(dataclasses.replace(cfg, strict=True), deployment_of(cfg), 0)
+
+    def test_a_failing_joint_call_is_one_record_per_scheme(self, monkeypatch):
+        # a check that every scheme shares (Psi, P, the stripes) raises out of
+        # the joint fit: each scheme gets its record, in scheme order
+        def fit_schemes(*args):
+            raise ValueError("Psi must be finite")
+
+        monkeypatch.setattr(cli, "fit_schemes", fit_schemes)
+        cfg = small_config(drops=1, schemes=("uni", "bi"))
+        result = run_drop(cfg, deployment_of(cfg), 0)
+        assert [(f["scheme"], f["stage"], f["error"]) for f in result.failures] == [
+            (s, "precoding", "Psi must be finite") for s in ("uni", "bi")]
+        assert not result.rate_rows and result.timings["evaluation"] == 0
 
     def test_failed_allocation_keeps_other_mode(self, monkeypatch):
         real = cli.allocate
@@ -340,9 +381,9 @@ class TestRunDrop:
 
     @pytest.mark.parametrize("failing, expected", [
         ({"draw_ensemble": lambda *args: True}, [(None, "drop", "draw_ensemble")]),
-        ({"fit_scheme": lambda scheme, *args: scheme == "bi",
+        ({"fit_schemes": lambda scheme: scheme == "bi",
           "draw_ensemble": lambda *args: args[3].spawn_key[-1] == cli.PHASE_EVAL},
-         [("bi", "precoding", "fit_scheme"), (None, "drop", "draw_ensemble")]),
+         [("bi", "precoding", "fit_schemes"), (None, "drop", "draw_ensemble")]),
         ({"_write_csv": lambda path, *args: "gains_drop" in path},
          [(None, "drop", "_write_csv")]),
     ], ids=["draw", "bi-fit-then-evaluation-draw", "gains-dump"])
@@ -350,7 +391,8 @@ class TestRunDrop:
         # a failed setting or pool draw ends the drop: no rate rows, and the
         # failures before it are kept in order
         for name, when in failing.items():
-            monkeypatch.setattr(cli, name, failing_when(
+            fail = failing_schemes if name == "fit_schemes" else failing_when
+            monkeypatch.setattr(cli, name, fail(
                 getattr(cli, name), when, lambda *args, name=name: f"{name} failed"))
         cfg = small_config(drops=1, dump_gains=True)
         result = run_drop(cfg, deployment_of(cfg), 0, out_dir=str(tmp_path))
@@ -367,8 +409,8 @@ class TestRunDrop:
         cfg = small_config(drops=1)
         timings = run_drop(cfg, deployment_of(cfg), 0).timings
         assert list(timings) == list(cli.STAGES) and all(t > 0 for t in timings.values())
-        monkeypatch.setattr(cli, "fit_scheme", failing_when(
-            cli.fit_scheme, lambda *args: True, lambda *args: "fit failed"))
+        monkeypatch.setattr(cli, "fit_schemes", failing_schemes(
+            cli.fit_schemes, lambda scheme: True, lambda scheme: "fit failed"))
         result = run_drop(cfg, deployment_of(cfg), 0)
         assert len(result.failures) == len(cfg.schemes) and not result.rate_rows
         assert list(result.timings) == list(cli.STAGES)
@@ -394,16 +436,19 @@ class TestRunDrop:
 
 
 class TestEvaluationMemory:
-    @pytest.mark.parametrize("scheme", cli.SCHEMES)
-    def test_evaluation_holds_no_precoder_stack(self, scheme, monkeypatch):
+    @pytest.mark.parametrize("schemes", [(scheme,) for scheme in cli.SCHEMES] + [cli.SCHEMES],
+                             ids=[*cli.SCHEMES, "all"])
+    def test_evaluation_holds_no_precoder_stack(self, schemes, monkeypatch):
         # numpy memory taken between the evaluation pool's draw and the first
         # allocation, above what was live at the draw.  Ten stripes, so that a
         # stripe's working set (a few stripe-sized arrays) is well below one
         # (S, N*L, K) precoder stack, which is what the guard looks for.  Two
         # workers, so two sample blocks of the pool are in flight at once.
+        # The schemes' evaluations are one map, which keeps each scheme's
+        # z = H t (S, K, K) until it ends: every z but one's is allowed for.
         monkeypatch.setattr(parallel, "workers", lambda: 2)
         cfg = small_config(num_stripes=10, txs_per_stripe=4, num_users=3, drops=1,
-                           statistics_samples=400, evaluation_samples=400, schemes=(scheme,))
+                           statistics_samples=400, evaluation_samples=400, schemes=schemes)
         real_draw, real_allocate = cli.draw_ensemble, cli.allocate
         live, peaks = [], []
 
@@ -428,7 +473,8 @@ class TestEvaluationMemory:
             tracemalloc.stop()
         assert not result.failures
         stack_bytes = cfg.evaluation_samples * cfg.num_txs * cfg.num_users * 16  # complex
-        assert peaks[0] - live[0] < stack_bytes
+        z_bytes = cfg.evaluation_samples * cfg.num_users**2 * 16
+        assert peaks[0] - live[0] < stack_bytes + (len(schemes) - 1) * z_bytes
 
 
 class TestCdf:

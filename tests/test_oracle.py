@@ -11,8 +11,6 @@ from tests.conftest import (
 from tmmse.channel import FiniteSupportModel, finite_support_statistics
 from tmmse.oracle import (
     FiniteTeamProblem,
-    dump_problem,
-    load_problem,
     mse_exact,
     solve_team_exact,
     verify_stationarity,
@@ -150,20 +148,6 @@ class TestUniquenessAndFixtures:
             t3 = solve_team_exact(problem, k, shuffle_rng=np.random.default_rng(9))
             np.testing.assert_allclose(t1, t2, atol=1e-10)
             np.testing.assert_allclose(t1, t3, atol=1e-10)
-
-    def test_fixture_round_trip(self, tmp_path, rng):
-        model, _, assoc, w, power = random_stripe_setup(rng, 1, 2, 2, "uni")
-        problem = team_problem(model, assoc, w, power)
-        path = tmp_path / "problem.json"
-        dump_problem(problem, path)
-        again = load_problem(path)
-        np.testing.assert_allclose(again.model.h, model.h)
-        np.testing.assert_allclose(again.model.probs, model.probs)
-        np.testing.assert_array_equal(again.model.labels, model.labels)
-        for k in range(model.num_users):
-            np.testing.assert_allclose(
-                solve_team_exact(problem, k), solve_team_exact(again, k), atol=1e-12
-            )
 
     def test_zero_probability_points_ignored(self):
         h0 = np.ones((1, 1), complex)

@@ -19,7 +19,7 @@ from tests.conftest import (
 import tmmse.parallel as parallel
 import tmmse.precoding as precoding
 from tmmse.channel import Ensemble, from_local_supports, herm, tx_blocks
-from tmmse.evaluation import evaluate
+from tmmse.evaluation import evaluate, evaluate_states
 from tmmse.oracle import mse_exact, solve_team_exact, verify_stationarity
 from tmmse.parallel import SAMPLE_BLOCK
 from tmmse.precoding import (
@@ -33,6 +33,7 @@ from tmmse.precoding import (
     centralized_mmse,
     estimate_stripe_statistics,
     fit_scheme,
+    fit_schemes,
     local_filter,
     local_mmse_coefficients,
     read_matrix_dump,
@@ -210,13 +211,13 @@ class TestSampleBlocks:
         psi = random_psd_stack(rng, L, N)
         w, power = np.array([0.5, 0.3, 0.2]), 2.5
         assoc = association_from_stripes([(0, 1), (1, 2), (2,)], Q, M)
-        real, maps, states = precoding.map_blocks, [], []
-        monkeypatch.setattr(precoding, "map_blocks",
-                            lambda fn, n: maps.append(n) or real(fn, n))
+        real, maps, states = precoding.map_ordered, [], []
+        monkeypatch.setattr(precoding, "map_ordered",
+                            lambda fn, items: maps.append(items) or real(fn, items))
         for n_workers in (1, 2, 4):
             monkeypatch.setattr(parallel, "workers", lambda: n_workers)
             states.append(fit_scheme(scheme, ens, assoc, stripe_layout(Q, M), psi, w, power))
-        assert maps == [S] * 3
+        assert maps == [parallel.sample_blocks(S)] * 3
         assert states[0].coupling.shape == (L if scheme == "no-share" else Q, K, K)
         for state in states[1:]:
             np.testing.assert_array_equal(state.coupling, states[0].coupling)
@@ -324,6 +325,188 @@ class TestStripeTasks:
         assert (err.value.stripe, err.value.position) == (1, len(stripes[1]) - 1)
         if n_workers > 1:  # a serial fit stops at the failure
             assert failed == [3, 1] and swept == {0, 2}
+
+
+class TestJointPhases:
+    """fit_schemes and evaluate_states: a drop's fits as one map over uni's
+    stripes and the sample blocks, its evaluations as one map over the
+    blocks, each block forming a stripe's one-TX filters and scaled
+    estimates once for the schemes that read them."""
+
+    SHAPES = {"n1": (3, 3, 4, 1), "multi": (2, 3, 5, 2)}  # (Q, M, K, N); multi has K > 2N
+
+    @staticmethod
+    def problem(rng, Q, M, K, N):
+        L, S = Q * M, 2 * SAMPLE_BLOCK + 30  # three sample blocks, the last one partial
+
+        def pool():
+            h = rng.standard_normal((S, K, N * L)) + 1j * rng.standard_normal((S, K, N * L))
+            noise = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
+            wts = rng.random(S) + 0.5
+            return Ensemble(h=h, h_hat=h + 0.3 * noise, weights=wts / wts.sum(), n_antennas=N)
+
+        w = rng.random(K) + 0.3
+        serving = [(q % Q, (q + 1) % Q) for q in range(K - 1)] + [(Q - 1,)]  # every stripe serves
+        return (pool(), pool(), association_from_stripes(serving, Q, M), stripe_layout(Q, M),
+                random_psd_stack(rng, L, N), w / w.sum(), 3.0)
+
+    @staticmethod
+    def assert_states_equal(got, want):
+        assert type(got) is type(want) and got.scheme == want.scheme
+        for field in ("coeffs", "coupling", "stripe_coeffs"):
+            np.testing.assert_array_equal(getattr(got, field, None), getattr(want, field, None))
+        for a, b in zip(getattr(got, "stripe_stats", ()), getattr(want, "stripe_stats", ())):
+            np.testing.assert_array_equal(a.pi, b.pi)
+
+    @staticmethod
+    def assert_evaluations_equal(got, want):
+        (m, mse), (m_want, mse_want) = got, want
+        for field in ("mean_eff", "v", "b", "per_tx_power", "se_mean", "se_b"):
+            np.testing.assert_array_equal(getattr(m, field), getattr(m_want, field))
+        np.testing.assert_array_equal(mse, mse_want)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_bitwise_equal_to_one_scheme_at_a_time(self, rng, monkeypatch, n, shape):
+        monkeypatch.setattr(parallel, "workers", lambda: n)
+        fit_pool, eval_pool, assoc, stripes, psi, w, power = self.problem(rng, *shape)
+        states = fit_schemes(precoding.SCHEMES, fit_pool, assoc, stripes, psi, w, power)
+        for state in states:
+            self.assert_states_equal(state, fit_scheme(state.scheme, fit_pool, assoc, stripes,
+                                                       psi, w, power))
+        # the standalone fits, whose blocks filter all TXs in one call
+        by_scheme = {state.scheme: state for state in states}
+        np.testing.assert_array_equal(
+            by_scheme["no-share"].coupling,
+            bidirectional_coupling(fit_pool, stripes, 1, psi, w, power))
+        np.testing.assert_array_equal(
+            by_scheme["bi"].coupling,
+            bidirectional_coupling(fit_pool, stripes, len(stripes[0]), psi, w, power))
+        np.testing.assert_array_equal(
+            np.einsum("lkk->lk", by_scheme["local-mmse"].coeffs),
+            local_mmse_coefficients(fit_pool, assoc, psi, w, power))
+        for q, st in enumerate(by_scheme["uni"].stripe_stats):
+            np.testing.assert_array_equal(
+                st.pi, estimate_stripe_statistics(fit_pool, stripes[q], psi, w, power, q).pi)
+        for state, got in zip(states, evaluate_states(eval_pool, states)):
+            self.assert_evaluations_equal(got, evaluate(eval_pool, state))
+
+    @pytest.mark.parametrize("schemes", [
+        ("local-mmse", "no-share"), ("bi", "centralized"), ("uni",),
+        tuple(reversed(precoding.SCHEMES)), ("no-share", "centralized", "local-mmse", "bi"),
+    ])
+    def test_subsets_and_orders_give_each_scheme_its_full_list_result(self, rng, schemes):
+        fit_pool, eval_pool, assoc, stripes, psi, w, power = self.problem(rng, *self.SHAPES["n1"])
+        full = fit_schemes(precoding.SCHEMES, fit_pool, assoc, stripes, psi, w, power)
+        full = dict(zip(precoding.SCHEMES, zip(full, evaluate_states(eval_pool, full))))
+        states = fit_schemes(schemes, fit_pool, assoc, stripes, psi, w, power)
+        for scheme, state, got in zip(schemes, states, evaluate_states(eval_pool, states)):
+            self.assert_states_equal(state, full[scheme][0])
+            self.assert_evaluations_equal(got, full[scheme][1])
+
+    def test_states_of_other_settings_read_their_own_filters(self, rng):
+        # no-share under one P and local MMSE under another, evaluated jointly:
+        # each reads the filters of its own setting
+        fit_pool, eval_pool, assoc, stripes, psi, w, power = self.problem(rng, *self.SHAPES["n1"])
+        states = [fit_scheme("no-share", fit_pool, assoc, stripes, psi, w, power),
+                  fit_scheme("local-mmse", fit_pool, assoc, stripes, psi, w, 2 * power)]
+        for state, got in zip(states, evaluate_states(eval_pool, states)):
+            self.assert_evaluations_equal(got, evaluate(eval_pool, state))
+
+    @staticmethod
+    def failing_in_blocks(real, blocks, pool):
+        """real(ensemble, ...), raising RuntimeError("block b") on the sample
+        blocks b of pool listed in blocks (the later ones first in time)."""
+        def call(ens, *args):
+            for b in blocks:
+                if ens.h[0, 0, 0] == pool.h[b * SAMPLE_BLOCK, 0, 0]:
+                    time.sleep(0.1 * (b == min(blocks)))
+                    raise RuntimeError(f"block {b}")
+            return real(ens, *args)
+        return call
+
+    def test_a_failing_block_part_fails_only_its_scheme(self, rng, monkeypatch, n_workers):
+        # local MMSE fails in blocks 1 and 2, no-share's block parts are fine
+        # (they share the filters); uni fails on stripes 1 and 2
+        fit_pool, eval_pool, assoc, stripes, psi, w, power = self.problem(rng, *self.SHAPES["n1"])
+        want = fit_schemes(precoding.SCHEMES, fit_pool, assoc, stripes, psi, w, power)
+        real_hops = precoding._solve_hops
+
+        def solve_hops(*args):
+            *_, stripe, positions = args
+            if stripe in (1, 2):
+                raise SingularSweepError(stripe, positions[0], 0, 0.0)
+            return real_hops(*args)
+
+        monkeypatch.setattr(precoding, "_local_mmse_part", self.failing_in_blocks(
+            precoding._local_mmse_part, [1, 2], fit_pool))
+        monkeypatch.setattr(precoding, "_solve_hops", solve_hops)
+        got = fit_schemes(precoding.SCHEMES, fit_pool, assoc, stripes, psi, w, power)
+        for scheme, state, ref in zip(precoding.SCHEMES, got, want):
+            if scheme == "local-mmse":
+                assert isinstance(state, RuntimeError) and str(state) == "block 1"
+            elif scheme == "uni":
+                assert isinstance(state, SingularSweepError) and state.stripe == 1
+            else:
+                self.assert_states_equal(state, ref)
+        with pytest.raises(RuntimeError, match="^block 1$"):
+            fit_scheme("local-mmse", fit_pool, assoc, stripes, psi, w, power)
+
+    def test_a_failing_evaluation_block_fails_only_its_state(self, rng, monkeypatch, n_workers):
+        # no-share's blocks raise after their first stripe in sample blocks 0
+        # and 2, having taken that stripe's filters; local MMSE reads the same
+        fit_pool, eval_pool, assoc, stripes, psi, w, power = self.problem(rng, *self.SHAPES["n1"])
+        states = fit_schemes(precoding.SCHEMES, fit_pool, assoc, stripes, psi, w, power)
+        want = evaluate_states(eval_pool, states)
+        real = precoding.FilterState._filter_blocks
+
+        def filter_blocks(self, ens, shared):
+            blocks = real(self, ens, shared)
+            yield next(blocks)
+            if self.scheme == "no-share":
+                TestJointPhases.failing_in_blocks(lambda ens: None, [0, 2], eval_pool)(ens)
+            yield from blocks
+
+        monkeypatch.setattr(precoding.FilterState, "_filter_blocks", filter_blocks)
+        got = evaluate_states(eval_pool, states)
+        for state, result, ref in zip(states, got, want):
+            if state.scheme == "no-share":
+                assert isinstance(result, RuntimeError) and str(result) == "block 0"
+            else:
+                self.assert_evaluations_equal(result, ref)
+
+    def test_each_block_forms_a_stripes_filters_and_estimates_once(self, rng, monkeypatch):
+        # per sample block and stripe: one plain local_filter call for no-share
+        # and local MMSE together, one _scaled_estimate for bi and centralized
+        # together; one scheme at a time makes each of them per scheme
+        fit_pool, eval_pool, assoc, stripes, psi, w, power = self.problem(rng, *self.SHAPES["n1"])
+        schemes = ("centralized", "bi", "no-share", "local-mmse")
+        calls = {"local_filter": 0, "_scaled_estimate": 0}
+        real_filter, real_estimate = local_filter, precoding._scaled_estimate
+
+        def plain_filter(h_hat, psi, w, total_power, da=None):
+            calls["local_filter"] += da is None
+            return real_filter(h_hat, psi, w, total_power, da)
+
+        def scaled_estimate(*args):
+            calls["_scaled_estimate"] += 1
+            return real_estimate(*args)
+
+        monkeypatch.setattr(precoding, "local_filter", plain_filter)
+        monkeypatch.setattr(precoding, "_scaled_estimate", scaled_estimate)
+        blocks = len(parallel.sample_blocks(fit_pool.n_samples))
+        states = fit_schemes(schemes, fit_pool, assoc, stripes, psi, w, power)
+        assert calls == {"local_filter": blocks * len(stripes),
+                         "_scaled_estimate": blocks * len(stripes)}
+        calls.update(dict.fromkeys(calls, 0))
+        evaluate_states(eval_pool, states)
+        assert calls == {"local_filter": blocks * len(stripes),
+                         "_scaled_estimate": blocks * len(stripes)}
+        calls.update(dict.fromkeys(calls, 0))
+        for state in states:
+            evaluate(eval_pool, state)
+        assert calls == {"local_filter": 2 * blocks * len(stripes),
+                         "_scaled_estimate": 2 * blocks * len(stripes)}
 
 
 class TestPsiValidation:
@@ -633,8 +816,9 @@ def near_singular_d(a, t, eps):
 
 
 class TestSweepGuard:
-    """The guard of _solve_hops reports the rcond of the K x K system I - D A T,
-    with T the local filter, wherever the screen does not clear a sample."""
+    """The stripe sweep's singularity guard, which _solve_hops runs on every
+    hop, reports the rcond of the K x K system I - D A T, with T the local
+    filter, wherever the screen does not clear a sample."""
 
     @pytest.mark.parametrize("K,N", [(10, 1), (3, 1), (2, 1), (6, 4), (5, 2), (1, 1)])
     def test_matches_dense_rcond(self, rng, monkeypatch, K, N):
@@ -697,8 +881,9 @@ class TestScreenedGuard:
 
     @pytest.mark.parametrize("K,N", SHAPES)
     def test_bound_brackets_the_exact_rcond(self, rng, monkeypatch, K, N):
-        # bound <= rcond on random and near-singular per-sample D; the samples
-        # the bound cannot clear, and only those, get the dense rcond
+        # bound <= rcond, a lower bound and no upper one, on random and
+        # near-singular per-sample D; the samples the bound cannot clear, and
+        # only those, get the dense rcond
         S = 64
         h_hat, psi, w, power = hop_inputs(rng, S, K, N, 1)
         a, t, _ = dense_system(h_hat, psi, w, power, np.zeros((K, K)))
