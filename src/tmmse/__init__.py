@@ -51,12 +51,10 @@ from .precoding import (
     SingularSweepError,
     StripeStatistics,
     apply_scheme,
-    bidirectional_coupling,
     centralized_mmse,
     estimate_stripe_statistics,
     fit_scheme,
     local_filter,
-    local_mmse_coefficients,
     solve_statistical_precoders_bi,
     solve_statistical_precoders_uni,
     stripe_forward_pass,

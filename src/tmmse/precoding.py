@@ -18,17 +18,19 @@ sample by pool index.  evaluation.evaluate_states sums what the rates need
 over these blocks, so a drop never holds a stack; apply_scheme writes the
 same blocks into one.
 
-A drop's fits are one map on the shared thread pool (fit_schemes):
-uni's stripes first, one statistics sweep (estimate_stripe_statistics, M
-dependent hops) each, since a stripe's sweep reads only its own TXs, then
-the statistics pool's sample blocks, each running the block parts of bi,
-no-share and local MMSE.  In a block, a stripe's one-TX filters T
-(no-share, local MMSE) and its B^-1 A^H (bi, centralized) are formed once
-and dropped when their last reader has them (_shared).  A scheme's error
-stays its own: its first failing block's, or uni's first failing
-stripe's in stripe order.  The blocks and stripes do not depend on the
-number of threads and every join keeps their order, so outputs do not
-either.  stripe_forward_pass, one realization, never uses the pool.
+A drop's fits are one map on the shared thread pool (fit_schemes, the
+one fit path of every scheme; fit_scheme fits one): uni's stripes first,
+one statistics sweep (estimate_stripe_statistics, M dependent hops) each,
+since a stripe's sweep reads only its own TXs, then the statistics pool's
+sample blocks, each running the block parts of bi and no-share
+(_coupling_part) and of local MMSE (_local_mmse_part).  In a block, a
+stripe's one-TX filters T (no-share, local MMSE) and its B^-1 A^H (bi,
+centralized) are formed once and dropped when their last reader has them
+(_shared).  A scheme's error stays its own: its first failing block's, or
+uni's first failing stripe's in stripe order.  The blocks and stripes do
+not depend on the number of threads and every join keeps their order, so
+outputs do not either.  stripe_forward_pass, one realization, never uses
+the pool.
 
 Every scheme but uni is F_u c_u: F_u the MMSE filter of a unit's stacked
 estimate with its TXs' Psi blocks on the diagonal, c_u the unit's K x K
@@ -82,7 +84,7 @@ import numpy as np
 
 from .channel import herm, tx_blocks
 from .parallel import (
-    captured, first_failure, map_blocks, map_ordered, sample_blocks, shared_pass, unwrap)
+    captured, first_failure, map_ordered, sample_blocks, shared_pass, unwrap)
 
 RCOND_FLOOR = 1e-12
 COEFF_RESIDUAL_TOL = 1e-10
@@ -142,7 +144,7 @@ def local_filter(h_hat, psi, w, total_power, da=None):
 
     h_hat is (..., K, N); psi is the (N, N) error covariance, or a stack of
     them broadcast against the leading axes of h_hat; returns (..., N, K).
-    Psi must be Hermitian PSD and P > 0, as fit_scheme, the builders,
+    Psi must be Hermitian PSD and P > 0, as fit_schemes, the builders,
     apply_scheme and stripe_forward_pass check once per call.  The N x N
     system has eigenvalues >= 1/P; at N = 1 it is the division
     T = conj(hhat) w^1/2 / (sum_k w_k |hhat_k|^2 + psi + 1/P).  This is the
@@ -382,35 +384,20 @@ def estimate_stripe_statistics(ensemble, stripe_txs, psi, w, total_power, stripe
     return StripeStatistics(stripe, np.array(pi[::-1]))
 
 
-def bidirectional_coupling(ensemble, stripes, size, psi, w, total_power):
-    """Coupling matrices E[W^1/2 Hhat_u F_u] (U, K, K) of the units of size
-    TXs that tile the stripes, units in TX order; size is 1 or the stripe
-    length.  For bi (the stripe is the unit) this is E[Pbar_{q,0}]: the
-    paper's per-realization Pbar_{q,0} is the response of the stripe's MMSE
-    filter, so no sweep is run.  For no-share (one-TX units) it is
-    E[A_l T_l], the Pi_0 of a one-TX stripe.
+def _coupling_part(ensemble, stripes, size, shared, setting):
+    """The coupling means of bi (size the stripe length) or no-share (size 1)
+    on one sample block, from the block's store shared; the join sums them in
+    block order into E[W^1/2 Hhat_u F_u] per unit, units in TX order.
 
     A stripe unit needs no filter: its response is
-    W^1/2 Hhat_u F_u = I - (I + G_u)^-1 (_unit_kernel), one K x K inverse
-    per sample.  One-TX units keep the filter, whose N x N systems are
-    cheaper than a K x K inverse per TX; sqrt(w) and the sample weights are
-    folded into the one scaled copy of Hhat_u that the mean reads.  The
-    stripes are taken one after another inside each sample block of
-    parallel.map_blocks (_coupling_part), and the blocks' means are summed in
-    block order."""
-    if size not in (1, len(stripes[0])):
-        raise ValueError(f"unit size {size} is neither 1 nor the stripe length "
-                         f"{len(stripes[0])}")
-    setting = (psi, w, total_power)
-    parts = map_blocks(lambda s: _coupling_part(ensemble.select(s), stripes, size, {},
-                                                setting), ensemble.n_samples)
-    return _couplings(parts, size, ensemble.num_users)
-
-
-def _coupling_part(ensemble, stripes, size, shared, setting):
-    """bidirectional_coupling's means on one sample block, from the block's
-    store shared: each stripe unit's E[(I + G_u)^-1], or the E[A_l T_l] of
-    each one-TX unit from its stripe's filters."""
+    W^1/2 Hhat_u F_u = I - (I + G_u)^-1 (_unit_kernel), one K x K inverse per
+    sample, so its part is E[(I + G_u)^-1].  For bi this is E[Pbar_{q,0}]:
+    the paper's per-realization Pbar_{q,0} is the response of the stripe's
+    MMSE filter, so no sweep is run.  One-TX units keep the filter, whose
+    N x N systems are cheaper than a K x K inverse per TX: the part is the
+    E[A_l T_l] of each TX, the Pi_0 of a one-TX stripe, from its stripe's
+    filters, with sqrt(w) and the sample weights folded into the one scaled
+    copy of Hhat_u that the mean reads."""
     if size > 1:
         return np.concatenate([
             _mean(ensemble.weights, _unit_kernel(ensemble.h_hat, [txs], shared, setting)[0])[None]
@@ -418,12 +405,6 @@ def _coupling_part(ensemble, stripes, size, shared, setting):
     scale = (ensemble.weights[:, None] * np.sqrt(setting[1]))[:, None, :, None]  # broadcasts as h
     return np.concatenate([_mean(scale, h, t) for t, h in (
         _shared(shared, "filters", ensemble.h_hat, txs, setting) for txs in stripes)])
-
-
-def _couplings(parts, size, num_users):
-    """The coupling matrices from the sample blocks' parts, summed in block order."""
-    mean = sum(parts)
-    return np.eye(num_users) - mean if size > 1 else mean
 
 
 def _coefficient_guard(rcond, failed):
@@ -470,8 +451,9 @@ def solve_statistical_precoders_uni(association, stripe_stats):
 
 
 def solve_statistical_precoders_bi(serving_units, coupling):
-    """Coefficients c_u of the F_u c_u schemes from bidirectional_coupling;
-    serving_units[k] names user k's units (stripes for bi, TXs for no-share)."""
+    """Coefficients c_u of the F_u c_u schemes from their units' coupling
+    matrices E[W^1/2 Hhat_u F_u] (units, K, K); serving_units[k] names user
+    k's units (stripes for bi, TXs for no-share)."""
     return _solve_coefficient_columns(np.asarray(coupling), serving_units)
 
 
@@ -519,31 +501,13 @@ def centralized_mmse(ensemble, psi, w, total_power):
                                         np.eye(ensemble.num_users)[None], (psi, w, total_power)))
 
 
-def local_mmse_coefficients(ensemble, association, psi, w, total_power):
-    """Large-scale fading coefficients of the restricted per-TX scheme.
-
-    The scheme constrains t_{l,k} = c_{l,k} T_l e_k with scalar c; the
-    minimizing scalars solve the |L_k| x |L_k| normal equations of the
-    quadratic objective, assembled from ensemble moments of the effective
-    per-TX channels.  Those moments are sums over the pool, so each user's
-    Gram matrix, regularizer and right-hand side are summed over the sample
-    blocks of parallel.map_blocks (_local_mmse_part), one filter call per
-    block, in block order.  Singular normal equations fall back to c = 1
-    with a warning rather than failing the whole run.
-    """
-    setting, runs = (psi, w, total_power), [range(ensemble.num_txs)]
-    parts = map_blocks(lambda s: _local_mmse_part(ensemble.select(s), association, runs, {},
-                                                  setting), ensemble.n_samples)
-    return _local_mmse_solve(parts, association, setting, ensemble.num_txs)
-
-
-def _local_mmse_part(ensemble, association, runs, shared, setting):
-    """local_mmse_coefficients' sums on one sample block, per user: the
-    filters of the TX runs that tile 0..L-1 (the block's shared store), put
-    side by side."""
+def _local_mmse_part(ensemble, association, stripes, shared, setting):
+    """Local MMSE's sums on one sample block, per user: its Gram matrix,
+    regularizer and right-hand side (_local_mmse_solve), from the one-TX
+    filters of the stripes (the block's shared store) put side by side."""
     w = setting[1]
     f_all = np.concatenate([_shared(shared, "filters", ensemble.h_hat, txs, setting)[0]
-                            for txs in runs], axis=1)  # (B, L, N, K)
+                            for txs in stripes], axis=1)  # (B, L, N, K)
     h_blocks = tx_blocks(ensemble.h, ensemble.n_antennas)  # (B, L, K, N)
     sums = []
     for k, txs in enumerate(association.serving_txs):
@@ -557,7 +521,14 @@ def _local_mmse_part(ensemble, association, runs, shared, setting):
 
 
 def _local_mmse_solve(parts, association, setting, num_txs):
-    """The (L, K) coefficients from the sample blocks' parts, summed in block order."""
+    """Large-scale fading coefficients (L, K) of the restricted per-TX scheme.
+
+    The scheme constrains t_{l,k} = c_{l,k} T_l e_k with scalar c; the
+    minimizing scalars solve the |L_k| x |L_k| normal equations of the
+    quadratic objective, assembled from ensemble moments of the effective
+    per-TX channels: the sample blocks' parts (_local_mmse_part), summed in
+    block order.  Singular normal equations fall back to c = 1 with a
+    warning rather than failing the whole run."""
     _, w, total_power = setting
     coeffs = np.zeros((num_txs, len(w)), dtype=complex)
     for k, txs in enumerate(association.serving_txs):
@@ -747,7 +718,8 @@ def fit_schemes(schemes, ensemble, association, stripes, psi, w, total_power):
         # (each user's units are its serving TXs), bi on stripes
         unit, serving = ((1, association.serving_txs) if scheme == "no-share"
                          else (size, association.serving_stripes))
-        coupling = _couplings(items, unit, len(w))
+        mean = sum(items)  # in block order; a stripe unit's part is E[(I + G_u)^-1]
+        coupling = eye - mean if unit > 1 else mean
         coeffs = solve_statistical_precoders_bi(serving, coupling)
         return FilterState(scheme, stripes, unit, coeffs, setting, coupling)
 

@@ -29,13 +29,11 @@ from tmmse.precoding import (
     StripeStatistics,
     UniState,
     apply_scheme,
-    bidirectional_coupling,
     centralized_mmse,
     estimate_stripe_statistics,
     fit_scheme,
     fit_schemes,
     local_filter,
-    local_mmse_coefficients,
     read_matrix_dump,
     solve_statistical_precoders_bi,
     solve_statistical_precoders_uni,
@@ -152,11 +150,13 @@ def unit_couplings(ens, size, psi, w, power):
 
 class TestCouplingKernel:
     @pytest.mark.parametrize("length", [1, 2, 4])
-    def test_equals_the_mean_response_of_the_unit_filters(self, rng, length):
-        # N = 2 on stripes of length TXs: one-TX units (size 1) keep the
-        # filter; stripe units of two and four TXs take I - E[(I + G_u)^-1],
-        # with N*size > K at K = 3 and N*size <= K at K = 9
-        S, N, L = 40, 2, 8
+    def test_equals_the_mean_response_of_the_unit_filters(self, rng, monkeypatch, length):
+        # the fitted couplings on stripes of length TXs at N = 2: no-share's
+        # one-TX units (and bi's at length 1) keep the filter; bi's stripe
+        # units of two and four TXs take I - E[(I + G_u)^-1], with N*size > K
+        # at K = 3 and N*size <= K at K = 9.  A pool of three sample blocks,
+        # the last one partial, summed on one worker and on two.
+        S, N, L = 2 * SAMPLE_BLOCK + 40, 2, 8
         stripes = stripe_layout(L // length, length)
         for K in (3, 9):
             h_hat = rng.standard_normal((S, K, N * L)) + 1j * rng.standard_normal((S, K, N * L))
@@ -165,38 +165,18 @@ class TestCouplingKernel:
             psi = random_psd_stack(rng, L, N)
             w, power = rng.random(K) + 0.2, 2.5
             w /= w.sum()
-            for size in {1, length}:
-                np.testing.assert_allclose(
-                    bidirectional_coupling(ens, stripes, size, psi, w, power),
-                    unit_couplings(ens, size, psi, w, power), rtol=1e-11, atol=1e-13)
-
-    @pytest.mark.parametrize("size", [0, 2, 3, 8])
-    def test_rejects_units_that_are_neither_one_tx_nor_a_stripe(self, rng, size):
-        S, K, N = 4, 2, 1
-        h_hat = rng.standard_normal((S, K, 8)) + 1j * rng.standard_normal((S, K, 8))
-        ens = Ensemble(h=h_hat, h_hat=h_hat, weights=np.full(S, 1 / S), n_antennas=N)
-        with pytest.raises(ValueError, match=f"unit size {size}"):
-            bidirectional_coupling(ens, stripe_layout(2, 4), size, np.zeros((8, 1, 1)),
-                                   np.full(K, 0.5), 2.0)
+            assoc = association_from_stripes([(k % len(stripes),) for k in range(K)],
+                                             len(stripes), length)
+            for n_workers in (1, 2):
+                monkeypatch.setattr(parallel, "workers", lambda: n_workers)
+                for scheme, size in (("no-share", 1), ("bi", length)):
+                    np.testing.assert_allclose(
+                        fit_scheme(scheme, ens, assoc, stripes, psi, w, power).coupling,
+                        unit_couplings(ens, size, psi, w, power), rtol=1e-11, atol=1e-13)
 
 
 class TestSampleBlocks:
-    """Pools that span several sample blocks (parallel.map_blocks)."""
-
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_coupling_means_equal_the_whole_pool_mean(self, rng, monkeypatch, n_workers):
-        monkeypatch.setattr(parallel, "workers", lambda: n_workers)
-        S, K, N, L = 2 * SAMPLE_BLOCK + 40, 3, 2, 4
-        h_hat = rng.standard_normal((S, K, N * L)) + 1j * rng.standard_normal((S, K, N * L))
-        wts = rng.random(S) + 0.5
-        ens = Ensemble(h=h_hat, h_hat=h_hat, weights=wts / wts.sum(), n_antennas=N)
-        psi = random_psd_stack(rng, L, N)
-        w, power = np.array([0.5, 0.3, 0.2]), 2.5
-        for length in (1, 2, 4):  # stripe units of 1, 2 and 4 TXs
-            got = bidirectional_coupling(ens, stripe_layout(L // length, length), length,
-                                         psi, w, power)
-            np.testing.assert_allclose(got, unit_couplings(ens, length, psi, w, power),
-                                       rtol=1e-11, atol=1e-13)
+    """Pools that span several sample blocks (parallel.sample_blocks)."""
 
     @pytest.mark.parametrize("scheme", ["bi", "no-share"])
     def test_coupling_fit_is_one_map_bitwise_equal_for_any_worker_count(
@@ -374,18 +354,8 @@ class TestJointPhases:
         for state in states:
             self.assert_states_equal(state, fit_scheme(state.scheme, fit_pool, assoc, stripes,
                                                        psi, w, power))
-        # the standalone fits, whose blocks filter all TXs in one call
-        by_scheme = {state.scheme: state for state in states}
-        np.testing.assert_array_equal(
-            by_scheme["no-share"].coupling,
-            bidirectional_coupling(fit_pool, stripes, 1, psi, w, power))
-        np.testing.assert_array_equal(
-            by_scheme["bi"].coupling,
-            bidirectional_coupling(fit_pool, stripes, len(stripes[0]), psi, w, power))
-        np.testing.assert_array_equal(
-            np.einsum("lkk->lk", by_scheme["local-mmse"].coeffs),
-            local_mmse_coefficients(fit_pool, assoc, psi, w, power))
-        for q, st in enumerate(by_scheme["uni"].stripe_stats):
+        uni = states[precoding.SCHEMES.index("uni")]
+        for q, st in enumerate(uni.stripe_stats):
             np.testing.assert_array_equal(
                 st.pi, estimate_stripe_statistics(fit_pool, stripes[q], psi, w, power, q).pi)
         for state, got in zip(states, evaluate_states(eval_pool, states)):
@@ -539,9 +509,12 @@ class TestPsiValidation:
         ]
 
     def test_non_psd_psi_rejected(self):
-        for call in self.entry_points(np.ones((2, 1)), np.array([[-1.0]]), np.full(2, 0.5), 1.0):
-            with pytest.raises(ValueError):
-                call()
+        # a clearly negative eigenvalue, and one far beyond rounding but small
+        for eig in (-1.0, -1e-6):
+            for call in self.entry_points(np.ones((2, 1)), np.array([[eig]]), np.full(2, 0.5),
+                                          1.0):
+                with pytest.raises(ValueError, match="positive semidefinite"):
+                    call()
 
     def test_non_hermitian_psi_rejected(self):
         psi = np.array([[0.1, 0.5], [0.0, 0.1]])
@@ -880,7 +853,7 @@ class TestScreenedGuard:
     SHAPES = [(6, 4), (4, 2), (2, 1), (7, 2), (10, 3)]  # K <= 2N, then K > 2N
 
     @pytest.mark.parametrize("K,N", SHAPES)
-    def test_bound_brackets_the_exact_rcond(self, rng, monkeypatch, K, N):
+    def test_bound_is_a_lower_bound_on_the_exact_rcond(self, rng, monkeypatch, K, N):
         # bound <= rcond, a lower bound and no upper one, on random and
         # near-singular per-sample D; the samples the bound cannot clear, and
         # only those, get the dense rcond
@@ -1124,6 +1097,18 @@ class TestCoefficientSystems:
             for u in set(range(4)) - set(units):
                 assert (coeffs[u][:, k] == 0).all()
 
+    def test_unit_serving_nobody_drops_out(self, rng):
+        # unit 1 has Pi = I, so I - Pi_1 is singular, but it serves nobody:
+        # the solve returns, unit 1's coefficients are zero and the others are
+        # those of the problem without unit 1
+        K = 3
+        pi = 0.3 * (rng.standard_normal((3, K, K)) + 1j * rng.standard_normal((3, K, K)))
+        pi[1] = np.eye(K)
+        coeffs = solve_statistical_precoders_bi([(0, 2), (2,), (0, 2)], pi)
+        assert (coeffs[1] == 0).all()
+        want = solve_statistical_precoders_bi([(0, 1), (1,), (0, 1)], pi[[0, 2]])
+        np.testing.assert_allclose(coeffs[[0, 2]], want, rtol=1e-12)
+
     def test_singular_coupling_sum_raises(self):
         # Pi_0 = Pi_1 = -I: I + sum_j Pi_j (I - Pi_j)^-1 = 0, the block system is singular
         pi = np.stack([-np.eye(2, dtype=complex)] * 2)
@@ -1214,7 +1199,7 @@ class TestSchemeEquivalences:
         ens = exact_ensemble(model)
         eye_coeffs = np.stack([np.eye(K, dtype=complex)] * len(stripes))
         bi = tmmse_bidirectional(ens, eye_coeffs, stripes, psi, w, power)
-        coupling = bidirectional_coupling(ens, stripes, len(stripes[0]), psi, w, power)
+        coupling = fit_scheme("bi", ens, assoc, stripes, psi, w, power).coupling
         # with c = e_k the per-user output is the pure per-realization sweep
         for q, txs in enumerate(stripes):
             pbar = np.zeros((ens.n_samples, K, K), complex)
@@ -1334,10 +1319,17 @@ class TestNoShareUnits:
 
 
 class TestLocalMmseBaseline:
+    @staticmethod
+    def coefficients(ens, assoc, stripes, psi, w, power):
+        """The scalars c_{l,k} (L, K) on the diagonals of the fitted state's c_l."""
+        return np.einsum("lkk->lk", fit_scheme("local-mmse", ens, assoc, stripes, psi, w,
+                                               power).coeffs)
+
     def test_single_serving_tx_unit_coefficient(self, rng):
         model, stripes, _, w, power = random_stripe_setup(rng, 2, 1, 2, "no-share")
         assoc = association_from_stripes([(0,), (1,)], 2, 1)
-        coefs = local_mmse_coefficients(exact_ensemble(model), assoc, model.psi_stack(w), w, power)
+        coefs = self.coefficients(exact_ensemble(model), assoc, stripes, model.psi_stack(w), w,
+                                  power)
         for k, txs in enumerate(assoc.serving_txs):
             np.testing.assert_allclose(coefs[list(txs), k], 1.0, atol=1e-8)
 
@@ -1363,9 +1355,8 @@ class TestLocalMmseBaseline:
         assoc = association_from_stripes([(0,), (1,)], 2, 1)
         w = np.full(2, 0.5)
         with pytest.warns(UserWarning, match="unit coefficients"):
-            coefs = local_mmse_coefficients(
-                model.ensemble(), assoc, model.psi_stack(w), w, 2.0
-            )
+            coefs = self.coefficients(model.ensemble(), assoc, [[0], [1]], model.psi_stack(w), w,
+                                      2.0)
         assert coefs[0, 0] == 1.0
 
     @pytest.mark.parametrize("n_antennas", [1, 2])
@@ -1380,7 +1371,7 @@ class TestLocalMmseBaseline:
         psi = random_psd_stack(rng, Q * M, N, scale=0.05)
         w, power = np.array([0.5, 0.3, 0.2]), 3.0
         assoc = random_association(rng, Q, M, K)
-        coeffs = local_mmse_coefficients(ens, assoc, psi, w, power)
+        coeffs = self.coefficients(ens, assoc, stripe_layout(Q, M), psi, w, power)
         # min over c of E[ sum_i w_i |sum_l c_l g_i^H T_l e_k - delta_ik|^2
         #                  + sum_l |c_l|^2 ||T_l e_k||^2 / P ]
         t = local_filter(tx_blocks(h_hat, N), psi, w, power)  # (S, L, N, K)
