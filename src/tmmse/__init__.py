@@ -55,7 +55,6 @@ from .precoding import (
     estimate_stripe_statistics,
     fit_scheme,
     local_filter,
-    solve_statistical_precoders_bi,
     solve_statistical_precoders_uni,
     stripe_forward_pass,
     tmmse_bidirectional,

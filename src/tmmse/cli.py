@@ -26,9 +26,10 @@ their evaluations another.  The tasks do not depend on the thread count
 and results are joined in task order, so rates.csv is byte-identical for
 any number of usable CPUs.  The evaluation is streamed: a fitted state
 holds its Psi, w and P and yields its precoders one stripe at a time per
-sample block, and evaluate_states sums z = H t and the per-TX powers over
-them, so a drop holds one pool, each scheme's z and a stripe's working set
-per block in flight, never an (S, N*L, K) stack.  run concatenates drops.
+sample block, and evaluate_states sums z = H t over them and reduces it at
+once to the block's sums of the moments, per-TX powers and MSE, so a drop
+holds one pool and a stripe's working set per block in flight, never an
+(S, N*L, K) stack nor a scheme's z past its block.  run concatenates drops.
 """
 
 from __future__ import annotations

@@ -9,20 +9,19 @@ gamma_k = 1/MSE_k - 1.  A symmetric per-TX constraint is handled by the
 scaling factor nu^2 = max(1, max_l E||x_l||^2 / P_l), which enters the SINR
 denominator as extra noise.
 
-Every quantity the allocation reads is a sum over TXs or a function of
-z = H t (S, K, K): z = sum_q H_q X_q over a state's stripe blocks, the
-per-TX powers are row sums, and the MSE comes from z per sample.
-evaluate_states accumulates them one stripe block at a time within each
-sample block of the pool, for every state of a drop in one map on the
-thread pool of parallel.map_blocks; the states that read a stripe's
-filters or scaled estimates take one copy per block.  Per state, the
-per-sample z and ||t_k||^2 are concatenated in block order and the per-TX
-powers summed in block order, and the moments and the MSE are then taken
-once over the whole pool, so the result does not depend on the number of
-threads, nor on which other states share the map.  evaluate is the
-one-state call.
-estimate_moments, mse_samples and compute_mse are the same sums over the
-sample blocks of a whole precoder stack.
+Every quantity the allocation reads is a pool mean of a function of
+z = H t (S, K, K), z = sum_q H_q X_q over a state's stripe blocks: E[z_kk],
+E|z_kj|^2 (and E|z_kj|^4 for its standard error), the per-TX powers and
+the MSE.  So, as in the fit, each is a sum over the pool's sample blocks.
+evaluate_states runs every state of a drop in one map on the thread pool of
+parallel.map_blocks: each block task forms a state's z one stripe block at
+a time and reduces it at once to that state's weighted block sums; the
+states that read a stripe's filters or scaled estimates take one copy per
+block.  A state's block sums are added in block order, so the result does
+not depend on the number of threads, nor on which other states share the
+map.  evaluate is the one-state call.  estimate_moments is the same sums
+on a whole precoder stack as one block; mse_samples and compute_mse take
+the MSE of a stack per sample and its mean.
 """
 
 from __future__ import annotations
@@ -52,9 +51,12 @@ class MomentEstimates:
     a[k] = |E[g_k^H t_k]|^2 is the coherent signal power, v[k] its variance
     (hardening loss), b[k, j] = E[|g_k^H t_j|^2] the power received at user
     k from stream j.  per_tx_power[l, k] = E||t_{l,k}||^2 drives the per-TX
-    constraint accounting.  Standard errors use the effective sample size
-    of the ensemble weights (zero MC error on exact finite supports is
-    reflected by tiny dispersion, not by the weights).
+    constraint accounting.  Every field is built from the pool's weighted
+    sums, E[z_kk], E|z_kj|^2 and E|z_kj|^4 and the per-TX powers: se_mean
+    = sqrt(v * sum w^2) and se_b = sqrt((E|z_kj|^4 - b^2) * sum w^2), the
+    standard errors under the effective sample size 1 / sum w^2 of the
+    ensemble weights (zero MC error on exact finite supports is reflected by
+    tiny dispersion, not by the weights).
     """
 
     mean_eff: np.ndarray  # (K,) complex
@@ -71,38 +73,12 @@ class MomentEstimates:
         return self.a.shape[0]
 
 
-def _accumulate(ensemble, readers):
-    """Yields per (kind, blocks) of readers, in order, over the sample blocks
-    of the pool: z = sum_q H_q X_q (S, K, K), z[s, k, j] = g_k^H t_j, the
-    per-TX powers E||t_{l,k}||^2 (L, K) and the per-sample powers ||t_k||^2
-    (S, K), or the exception of its first failing block.  blocks(ensemble,
-    samples, shared), as a state's, yields the stripe blocks (rows, X_q) of
-    a slice of samples; each block task runs the readers in turn on one
-    store (parallel.shared_pass), a reader's sums let go once it is yielded."""
-    if ensemble.n_samples < 1:
-        raise ValueError("empty evaluation pool")
-
-    def block(samples):
-        ens = ensemble.select(samples)
-        return shared_pass([(kind, lambda shared, blocks=blocks: _block_sums(
-            ens, blocks(ensemble, samples, shared))) for kind, blocks in readers])
-
-    per_reader = [list(parts) for parts in zip(*map_blocks(block, ensemble.n_samples))]
-    while per_reader:
-        parts = per_reader.pop(0)
-        yield first_failure(parts) or _joined(parts)
-
-
-def _joined(parts):
-    """A reader's block sums in block order: z and ||t_k||^2 concatenated,
-    the per-TX powers summed."""
-    z, per_tx, t_power = zip(*parts)
-    return np.concatenate(z), sum(per_tx), np.concatenate(t_power)
-
-
-def _block_sums(ensemble, blocks):
-    """_accumulate's sums on one sample block, over its stripe blocks (rows, X_q),
-    X_q (S, rows, K); the per-TX powers carry the block's pool weights."""
+def _block_sums(ensemble, blocks, w, total_power):
+    """One sample block's sums over its stripe blocks (rows, X_q), X_q (S, rows,
+    K), each weighted by the block's pool weights: E[z_kk] (K), E|z_kj|^2 and
+    E|z_kj|^4 (K, K), the per-TX powers E||t_{l,k}||^2 (L, K) and the MSE (K),
+    where z = sum_q H_q X_q (S, K, K), z[s, k, j] = g_k^H t_j.  z and the
+    per-sample ||t_k||^2 are let go at return."""
     s, k, n = ensemble.n_samples, ensemble.num_users, ensemble.n_antennas
     z = np.zeros((s, k, k), complex)
     per_tx = np.zeros((ensemble.num_txs, k))
@@ -114,28 +90,19 @@ def _block_sums(ensemble, blocks):
         per_tx[rows.start // n : rows.stop // n] = np.einsum(
             "s,slnk->lk", ensemble.weights, p.reshape(s, -1, n, k))
         del x, p  # not held while the next block is made
-    return z, per_tx, t_power
+    weights, z2 = ensemble.weights, np.abs(z) ** 2
+    return (np.einsum("s,sk->k", weights, np.einsum("skk->sk", z)),
+            np.einsum("s,skj->kj", weights, z2),
+            np.einsum("s,skj->kj", weights, z2**2), per_tx,
+            weights @ _mse_samples(z, t_power, w, total_power))
 
 
-def _stack_rows(precoders):
-    """A whole (S, N*L, K) stack as a reader whose one stripe block per
-    sample block is all of its rows."""
-    return None, lambda _, samples, shared: [(slice(0, precoders.shape[1]), precoders[samples])]
-
-
-def _moments(weights, z, per_tx):
-    diag = np.einsum("skk->sk", z)
-    mean_eff = np.einsum("s,sk->k", weights, diag)
-    b = np.einsum("s,skj->kj", weights, np.abs(z) ** 2)
+def _moments(weights, mean_eff, b, b4, per_tx):
+    """MomentEstimates from a pool's weighted sums.  The weights sum to one, so
+    a variance is E|x|^2 - |E x|^2 and its standard error sqrt(variance * sum w^2)."""
     a = np.abs(mean_eff) ** 2
     v = np.maximum(np.real(np.diag(b)) - a, 0.0)
-    ess = 1.0 / np.sum(weights**2)
-    se_mean = np.sqrt(
-        np.einsum("s,sk->k", weights, np.abs(diag - mean_eff[None, :]) ** 2) / ess
-    )
-    se_b = np.sqrt(
-        np.einsum("s,skj->kj", weights, (np.abs(z) ** 2 - b[None, :, :]) ** 2) / ess
-    )
+    w2 = weights @ weights  # 1 / the effective sample size
     return MomentEstimates(
         mean_eff=mean_eff,
         a=a,
@@ -143,8 +110,8 @@ def _moments(weights, z, per_tx):
         b=b,
         per_tx_power=per_tx,
         tk_power=per_tx.sum(axis=0),
-        se_mean=se_mean,
-        se_b=se_b,
+        se_mean=np.sqrt(v * w2),
+        se_b=np.sqrt(np.maximum(b4 - b**2, 0.0) * w2),
     )
 
 
@@ -155,41 +122,60 @@ def _mse_samples(z, t_power, w, total_power):
     return np.einsum("skj->sj", np.abs(err) ** 2) + t_power / total_power
 
 
+def _nonempty(ensemble):
+    if ensemble.n_samples < 1:
+        raise ValueError("empty evaluation pool")
+
+
 def evaluate_states(ensemble, states):
     """evaluate of each fitted state, as one map over the pool's sample
     blocks, each block running the states' stripe blocks in turn: states
     that read a stripe's filters or scaled estimates (state.shares) take one
-    copy.  One (moments, MSE) or exception per state, in their order: a
-    state loses only its own result, with its first failing block's error."""
-    sums = _accumulate(ensemble, [(state.shares, state.blocks) for state in states])
-    return [s if isinstance(s, Exception) else _evaluated(ensemble, state.setting, *s)
-            for state, s in zip(states, sums)]
+    copy.  A block reduces each state's z to its _block_sums at once, and a
+    state's block sums are added in block order.  One (moments, MSE) or
+    exception per state, in their order: a state loses only its own result,
+    with its first failing block's error."""
+    _nonempty(ensemble)
+
+    def block(samples):
+        ens = ensemble.select(samples)
+        return shared_pass([(state.shares, lambda shared, state=state: _block_sums(
+            ens, state.blocks(ensemble, samples, shared), *state.setting[1:]))
+            for state in states])
+
+    return [first_failure(parts) or _evaluated(ensemble.weights, parts)
+            for parts in zip(*map_blocks(block, ensemble.n_samples))]
 
 
-def _evaluated(ensemble, setting, z, per_tx, t_power):
-    _, w, total_power = setting
-    moments = _moments(ensemble.weights, z, per_tx)
-    return moments, ensemble.weights @ _mse_samples(z, t_power, w, total_power)
+def _evaluated(weights, parts):
+    *sums, mse = (sum(part) for part in zip(*parts))  # in block order
+    return _moments(weights, *sums), mse
 
 
 def evaluate(ensemble, state):
     """Moments and per-user MSE of a fitted state's precoders under the w and
     P of its setting, streamed from its stripe blocks (state.blocks): no
-    (S, N*L, K) stack is held, only z, the power sums and one stripe block
-    per sample block in flight.  evaluate_states of the one state."""
+    (S, N*L, K) stack and no per-sample z is held past its sample block,
+    only one stripe block per sample block in flight and the block sums.
+    evaluate_states of the one state."""
     return unwrap(evaluate_states(ensemble, [state])[0])
 
 
 def estimate_moments(ensemble, precoders):
-    """Weighted moments of g_k^H t_j; exact sums on finite-support ensembles."""
-    z, per_tx, _ = unwrap(next(_accumulate(ensemble, [_stack_rows(precoders)])))
-    return _moments(ensemble.weights, z, per_tx)
+    """Weighted moments of g_k^H t_j; exact sums on finite-support ensembles.
+    The whole (S, N*L, K) stack is one stripe block of one sample block; w
+    and P enter only the MSE, which is not read."""
+    _nonempty(ensemble)
+    *sums, _ = _block_sums(ensemble, [(slice(0, precoders.shape[1]), precoders)],
+                           np.ones(ensemble.num_users), 1.0)
+    return _moments(ensemble.weights, *sums)
 
 
 def mse_samples(ensemble, precoders, w, total_power):
     """Per-sample MSE contributions (S, K); their weighted mean is the MSE."""
-    z, _, t_power = unwrap(next(_accumulate(ensemble, [_stack_rows(precoders)])))
-    return _mse_samples(z, t_power, w, total_power)
+    _nonempty(ensemble)
+    t_power = np.einsum("snk->sk", np.abs(precoders) ** 2)
+    return _mse_samples(ensemble.h @ precoders, t_power, w, total_power)
 
 
 def compute_mse(ensemble, precoders, w, total_power):

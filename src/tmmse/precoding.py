@@ -450,13 +450,6 @@ def solve_statistical_precoders_uni(association, stripe_stats):
     return _solve_coefficient_columns(pi0, association.serving_stripes)
 
 
-def solve_statistical_precoders_bi(serving_units, coupling):
-    """Coefficients c_u of the F_u c_u schemes from their units' coupling
-    matrices E[W^1/2 Hhat_u F_u] (units, K, K); serving_units[k] names user
-    k's units (stripes for bi, TXs for no-share)."""
-    return _solve_coefficient_columns(np.asarray(coupling), serving_units)
-
-
 # --------------------------------------------------------------------------
 # per-realization schemes
 # --------------------------------------------------------------------------
@@ -720,7 +713,7 @@ def fit_schemes(schemes, ensemble, association, stripes, psi, w, total_power):
                          else (size, association.serving_stripes))
         mean = sum(items)  # in block order; a stripe unit's part is E[(I + G_u)^-1]
         coupling = eye - mean if unit > 1 else mean
-        coeffs = solve_statistical_precoders_bi(serving, coupling)
+        coeffs = _solve_coefficient_columns(coupling, serving)
         return FilterState(scheme, stripes, unit, coeffs, setting, coupling)
 
     fitted = []

@@ -436,19 +436,12 @@ class TestRunDrop:
 
 
 class TestEvaluationMemory:
-    @pytest.mark.parametrize("schemes", [(scheme,) for scheme in cli.SCHEMES] + [cli.SCHEMES],
-                             ids=[*cli.SCHEMES, "all"])
-    def test_evaluation_holds_no_precoder_stack(self, schemes, monkeypatch):
-        # numpy memory taken between the evaluation pool's draw and the first
-        # allocation, above what was live at the draw.  Ten stripes, so that a
-        # stripe's working set (a few stripe-sized arrays) is well below one
-        # (S, N*L, K) precoder stack, which is what the guard looks for.  Two
-        # workers, so two sample blocks of the pool are in flight at once.
-        # The schemes' evaluations are one map, which keeps each scheme's
-        # z = H t (S, K, K) until it ends: every z but one's is allowed for.
-        monkeypatch.setattr(parallel, "workers", lambda: 2)
-        cfg = small_config(num_stripes=10, txs_per_stripe=4, num_users=3, drops=1,
-                           statistics_samples=400, evaluation_samples=400, schemes=schemes)
+    @staticmethod
+    def _evaluation_peak(cfg, monkeypatch, workers):
+        """numpy memory taken between the evaluation pool's draw and the first
+        allocation, above what was live at the draw, on the given number of
+        pool threads."""
+        monkeypatch.setattr(parallel, "workers", lambda: workers)
         real_draw, real_allocate = cli.draw_ensemble, cli.allocate
         live, peaks = [], []
 
@@ -472,9 +465,33 @@ class TestEvaluationMemory:
         finally:
             tracemalloc.stop()
         assert not result.failures
+        return peaks[0] - live[0]
+
+    @pytest.mark.parametrize("schemes", [(scheme,) for scheme in cli.SCHEMES] + [cli.SCHEMES],
+                             ids=[*cli.SCHEMES, "all"])
+    def test_evaluation_holds_no_precoder_stack(self, schemes, monkeypatch):
+        # Ten stripes, so that a stripe's working set (a few stripe-sized
+        # arrays) is well below one (S, N*L, K) precoder stack, which is what
+        # the guard looks for.  Two workers, so two sample blocks of the pool
+        # are in flight at once.  The schemes' evaluations are one map, and no
+        # scheme's z = H t (S, K, K) outlives its sample block.
+        cfg = small_config(num_stripes=10, txs_per_stripe=4, num_users=3, drops=1,
+                           statistics_samples=400, evaluation_samples=400, schemes=schemes)
         stack_bytes = cfg.evaluation_samples * cfg.num_txs * cfg.num_users * 16  # complex
-        z_bytes = cfg.evaluation_samples * cfg.num_users**2 * 16
-        assert peaks[0] - live[0] < stack_bytes + (len(schemes) - 1) * z_bytes
+        assert self._evaluation_peak(cfg, monkeypatch, 2) < stack_bytes
+
+    def test_all_schemes_hold_what_one_does_where_z_outweighs_a_stack(self, monkeypatch):
+        # K = 8 users on four single-antenna TXs: z = H t (S, K, K) is twice
+        # an (S, N*L, K) stack, so a map that kept each scheme's z until it
+        # ended would hold five of them.  One worker: on two, the peak is
+        # the sum of two blocks' and moves with how they overlap in time.
+        peaks = {}
+        for schemes in [(scheme,) for scheme in cli.SCHEMES] + [cli.SCHEMES]:
+            cfg = small_config(num_stripes=2, txs_per_stripe=2, num_users=8, drops=1,
+                               statistics_samples=400, evaluation_samples=400, schemes=schemes)
+            peaks[schemes] = self._evaluation_peak(cfg, monkeypatch, 1)
+        one = max(peak for schemes, peak in peaks.items() if len(schemes) == 1)
+        assert peaks[cli.SCHEMES] <= 1.25 * one, peaks
 
 
 class TestCdf:

@@ -35,13 +35,13 @@ from tmmse.precoding import (
     fit_schemes,
     local_filter,
     read_matrix_dump,
-    solve_statistical_precoders_bi,
     solve_statistical_precoders_uni,
     stripe_forward_pass,
     tmmse_bidirectional,
     tmmse_unidirectional,
     write_matrix_dump,
     _rcond,
+    _solve_coefficient_columns,
 )
 from tmmse.topology import association_from_stripes, stripe_layout
 
@@ -1056,14 +1056,14 @@ class TestCoefficientSystems:
 
     def test_zero_coupling_identity(self):
         pi = np.zeros((2, 3, 3), complex)
-        coeffs = solve_statistical_precoders_bi([(0, 1)] * 3, pi)
+        coeffs = _solve_coefficient_columns(pi, [(0, 1)] * 3)
         np.testing.assert_allclose(coeffs[0], np.eye(3), atol=1e-12)
         np.testing.assert_allclose(coeffs[1], np.eye(3), atol=1e-12)
 
     def test_matches_dense_block_solve(self, rng):
         K = 3
         pi = 0.3 * (rng.standard_normal((2, K, K)) + 1j * rng.standard_normal((2, K, K)))
-        coeffs = solve_statistical_precoders_bi([(0, 1)] * K, pi)
+        coeffs = _solve_coefficient_columns(pi, [(0, 1)] * K)
         for k in range(K):
             a = np.block([[np.eye(K), pi[1]], [pi[0], np.eye(K)]])
             rhs = np.concatenate([np.eye(K)[:, k]] * 2)
@@ -1075,7 +1075,7 @@ class TestCoefficientSystems:
         # uniqueness: solving with the block order reversed changes nothing
         K = 3
         pi = 0.3 * (rng.standard_normal((2, K, K)) + 1j * rng.standard_normal((2, K, K)))
-        coeffs = solve_statistical_precoders_bi([(0, 1)] * K, pi)
+        coeffs = _solve_coefficient_columns(pi, [(0, 1)] * K)
         for k in range(K):
             a = np.block([[np.eye(K), pi[0]], [pi[1], np.eye(K)]])  # order (1, 0)
             rhs = np.concatenate([np.eye(K)[:, k]] * 2)
@@ -1088,7 +1088,7 @@ class TestCoefficientSystems:
         K = 4
         serving = [(2,), (0, 3), (1, 2, 3), (0, 1)]
         pi = 0.3 * (rng.standard_normal((4, K, K)) + 1j * rng.standard_normal((4, K, K)))
-        coeffs = solve_statistical_precoders_bi(serving, pi)
+        coeffs = _solve_coefficient_columns(pi, serving)
         for k, units in enumerate(serving):
             a = np.block([[np.eye(K) if i == j else pi[j] for j in units] for i in units])
             x = np.linalg.solve(a, np.tile(np.eye(K)[:, k], len(units)))
@@ -1104,23 +1104,23 @@ class TestCoefficientSystems:
         K = 3
         pi = 0.3 * (rng.standard_normal((3, K, K)) + 1j * rng.standard_normal((3, K, K)))
         pi[1] = np.eye(K)
-        coeffs = solve_statistical_precoders_bi([(0, 2), (2,), (0, 2)], pi)
+        coeffs = _solve_coefficient_columns(pi, [(0, 2), (2,), (0, 2)])
         assert (coeffs[1] == 0).all()
-        want = solve_statistical_precoders_bi([(0, 1), (1,), (0, 1)], pi[[0, 2]])
+        want = _solve_coefficient_columns(pi[[0, 2]], [(0, 1), (1,), (0, 1)])
         np.testing.assert_allclose(coeffs[[0, 2]], want, rtol=1e-12)
 
     def test_singular_coupling_sum_raises(self):
         # Pi_0 = Pi_1 = -I: I + sum_j Pi_j (I - Pi_j)^-1 = 0, the block system is singular
         pi = np.stack([-np.eye(2, dtype=complex)] * 2)
         with pytest.raises(SingularCoefficientSystem) as err:
-            solve_statistical_precoders_bi([(0, 1)] * 2, pi)
+            _solve_coefficient_columns(pi, [(0, 1)] * 2)
         assert err.value.user in (0, 1)
 
     def test_singular_unit_factor_raises(self):
         # Pi_0 = I makes I - Pi_0 singular for the user unit 0 serves
         pi = np.stack([np.eye(2, dtype=complex), np.zeros((2, 2), complex)])
         with pytest.raises(SingularCoefficientSystem) as err:
-            solve_statistical_precoders_bi([(1,), (0, 1)], pi)
+            _solve_coefficient_columns(pi, [(1,), (0, 1)])
         assert err.value.user == 1
 
 

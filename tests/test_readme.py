@@ -1,11 +1,13 @@
 """The README's library sketch runs as written, and the names it documents exist."""
 
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 
+import tmmse
 from tmmse import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -31,7 +33,8 @@ def test_flags_list_matches_parser():
 
 
 def test_documented_module_names_resolve():
-    pattern = r"\b(?:tmmse\.)?((?:cli|precoding|oracle)\.[A-Za-z_]\w*)"
+    modules = [m.name for m in pkgutil.iter_modules(tmmse.__path__) if not m.name.startswith("_")]
+    pattern = rf"\b(?:tmmse\.)?((?:{'|'.join(modules)})\.[A-Za-z_]\w*)"
     names = set(re.findall(pattern, README.read_text()))
     assert len(names) >= 4  # the pattern still finds the README's references
     for name in sorted(names):
