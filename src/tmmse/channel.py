@@ -10,7 +10,11 @@ rho2/(kappa+1).
 Two channel model flavors feed the precoding stage:
 
 * :class:`ChannelStatistics` + :func:`draw_ensemble` -- the Gaussian Monte
-  Carlo model derived from deployment geometry;
+  Carlo model derived from deployment geometry.  A TX knows the exact
+  channel of the users its stripe serves and the prior mean of every other
+  user's (:class:`LocalCsiModel`), so the local estimate is an elementwise
+  function of the channel: a drawn pool holds the channels alone and forms
+  the estimate of the columns a reader asks for (Ensemble.estimate);
 * :class:`FiniteSupportModel` -- a discrete joint distribution on which all
   expectations are exact finite sums (the substrate of the team oracle).
 
@@ -124,12 +128,13 @@ class LocalCsiModel:
     error_variances: np.ndarray  # (K, L)
     n_antennas: int
 
-    def estimate(self, h):
-        """Apply the rule to full channel matrices (..., K, N*L)."""
+    def estimate(self, h, cols=slice(None)):
+        """Apply the rule to the columns cols of channel matrices (..., K, N*L):
+        a new (..., K, len(cols)) array."""
         n = self.n_antennas
-        known = np.repeat(self.known, n, axis=1)
-        mean = np.repeat(self.mean, n, axis=1)
-        return np.where(known, h, mean.astype(complex))
+        known = np.repeat(self.known, n, axis=1)[:, cols]
+        mean = np.repeat(self.mean, n, axis=1)[:, cols]
+        return np.where(known, h[..., cols], mean)
 
     def psi_stack(self, w):
         """Error covariances Psi_l = E[E_l^H W E_l] for all TXs -> (L, N, N).
@@ -197,18 +202,26 @@ def gains_table(statistics):
     return rows
 
 
-@dataclass
 class Ensemble:
     """Weighted collection of joint realizations used for expectations.
 
     Monte Carlo pools carry uniform weights; finite-support models carry
     their exact probabilities, making every downstream average exact.
+
+    An explicit ensemble holds its estimates h_hat.  A drawn pool
+    (draw_ensemble) holds its channels h alone, with the LocalCsiModel csi
+    that maps them to the estimate: estimate(cols) forms the columns a
+    reader asks for, so the precoders of a sample block read a stripe's
+    estimate at a time, and reading h_hat forms the whole estimate once and
+    keeps it.
     """
 
-    h: np.ndarray  # (S, K, N*L)
-    h_hat: np.ndarray  # (S, K, N*L)
-    weights: np.ndarray  # (S,), sums to one over the whole pool
-    n_antennas: int
+    def __init__(self, h, h_hat, weights, n_antennas, csi=None):
+        self.h = h  # (S, K, N*L)
+        self._h_hat = h_hat  # (S, K, N*L), or None on a drawn pool until h_hat is read
+        self.weights = weights  # (S,), sums to one over the whole pool
+        self.n_antennas = n_antennas
+        self.csi = csi  # a drawn pool's LocalCsiModel, else None
 
     @property
     def n_samples(self):
@@ -222,50 +235,59 @@ class Ensemble:
     def num_txs(self):
         return self.h.shape[2] // self.n_antennas
 
+    @property
+    def h_hat(self):
+        """The whole estimate (S, K, N*L); a drawn pool forms it at the first read."""
+        if self._h_hat is None:
+            self._h_hat = self.csi.estimate(self.h)
+        return self._h_hat
+
+    def estimate(self, cols):
+        """The estimate's columns cols (S, K, len(cols)): a view of an explicit
+        ensemble's h_hat, formed from h on a drawn pool."""
+        return self._h_hat[..., cols] if self.csi is None else self.csi.estimate(self.h, cols)
+
     def h_hat_block(self, l):
-        return tx_blocks(self.h_hat, self.n_antennas)[..., l, :, :]
+        n = self.n_antennas
+        return self.estimate(slice(l * n, (l + 1) * n))
 
     def select(self, samples):
         """The realizations of a slice of samples, as views.  They keep their
         pool weights, so sums over the slices of a pool add up to its means."""
-        return Ensemble(self.h[samples], self.h_hat[samples], self.weights[samples],
-                        self.n_antennas)
+        h_hat = None if self._h_hat is None else self._h_hat[samples]
+        return Ensemble(self.h[samples], h_hat, self.weights[samples], self.n_antennas,
+                        self.csi)
 
 
 def draw_ensemble(statistics, csi_model, n_samples, seed_seq):
     """Monte Carlo pool: independent CN(mean, scatter) entries, replicated per
-    antenna, then the local CSI rule.  Realization i draws its normals from
-    the i-th substream of seed_seq, so it is reproducible regardless of pool
-    size or order.  The normals and the channels are filled one sample block
-    at a time on the thread pool (parallel.map_blocks); the blocks write into
-    arrays allocated here and allocate nothing large themselves, since memory
-    a worker thread frees stays in its own malloc arena."""
+    antenna; the pool keeps csi_model, which forms the local estimate where
+    it is read (Ensemble.estimate).  Realization i draws its normals from the
+    i-th substream of seed_seq, so it is reproducible regardless of pool
+    size or order.  The channels are filled one sample block at a time on
+    the thread pool (parallel.map_blocks): a block draws its normals into a
+    block-sized buffer and writes its rows of h in place, so the pool holds
+    h alone."""
     if n_samples < 1:
         raise ValueError("need at least one realization")
     n = statistics.n_antennas
     mean = np.repeat(statistics.mean, n, axis=1)
     std = np.sqrt(np.repeat(statistics.scatter_var, n, axis=1) / 2.0)
     children = seed_seq.spawn(n_samples)
-    z = np.empty((n_samples, 2, *mean.shape))  # (real, imaginary) per realization
     h = np.empty((n_samples, *mean.shape), complex)
 
     def fill(samples):
-        for zi, child in zip(z[samples], children[samples]):
+        hb = h[samples]
+        z = np.empty((len(hb), 2, *mean.shape))  # (real, imaginary) per realization
+        for zi, child in zip(z, children[samples]):
             np.random.default_rng(child).standard_normal(out=zi)
-        hb = h[samples]  # in place, so the pool holds one complex array beside z
-        np.multiply(1j, z[samples, 1], out=hb)
-        hb += z[samples, 0]
+        np.multiply(1j, z[:, 1], out=hb)
+        hb += z[:, 0]
         hb *= std
         hb += mean
 
     map_blocks(fill, n_samples)
-    del z
-    return Ensemble(
-        h=h,
-        h_hat=csi_model.estimate(h),
-        weights=np.full(n_samples, 1.0 / n_samples),
-        n_antennas=n,
-    )
+    return Ensemble(h, None, np.full(n_samples, 1.0 / n_samples), n, csi_model)
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,10 @@ holds its Psi, w and P and yields its precoders one stripe at a time per
 sample block, and evaluate_states sums z = H t over them and reduces it at
 once to the block's sums of the moments, per-TX powers and MSE, so a drop
 holds one pool and a stripe's working set per block in flight, never an
-(S, N*L, K) stack nor a scheme's z past its block.  run concatenates drops.
+(S, N*L, K) stack nor a scheme's z past its block.  A pool holds its
+channels (S, K, N*L) alone: the local estimate is an elementwise function
+of them, formed a stripe at a time inside each block where the precoders
+read it.  run concatenates drops.
 """
 
 from __future__ import annotations

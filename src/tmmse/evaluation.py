@@ -140,7 +140,7 @@ def evaluate_states(ensemble, states):
     def block(samples):
         ens = ensemble.select(samples)
         return shared_pass([(state.shares, lambda shared, state=state: _block_sums(
-            ens, state.blocks(ensemble, samples, shared), *state.setting[1:]))
+            ens, state.blocks(ens, samples.start, shared), *state.setting[1:]))
             for state in states])
 
     return [first_failure(parts) or _evaluated(ensemble.weights, parts)

@@ -36,9 +36,9 @@ import os
 import threading
 
 # Samples per block.  Each thread gets its own glibc malloc arena, which keeps
-# what the thread freed: with 250 samples, two blocks in flight raised a
-# default drop's peak RSS from 88.5 to 98.7-99.5 MiB (in-process, 6 drops);
-# with 125, to 91.0-93.1 MiB (2-core VM, OpenBLAS on 1 thread).
+# what the thread freed: with 250 samples, two blocks in flight put a default
+# drop's peak RSS at 80.8-81.0 MiB (in-process, 6 drops); with 125, at
+# 71.2-72.8 MiB (2-core VM, OpenBLAS on 1 thread).
 SAMPLE_BLOCK = 125
 # Threads of the shared pool at most: the core count the gain was measured on.
 MAX_WORKERS = 2

@@ -11,12 +11,17 @@ finite-support models falls out of the ensemble weights.
 
 A fitted state is the whole precoder: its setting is the (Psi, w, P) it was
 fitted under, checked once before it exists (fit_schemes, the builders).
-state.blocks(ensemble, samples, shared) yields its precoders on a slice of
-the pool one stripe at a time, as (rows, X_q), X_q (B, rows, K) the
-stripe's rows of the (B, N*L, K) stack; a SingularSweepError names its
-sample by pool index.  evaluation.evaluate_states sums what the rates need
-over these blocks, so a drop never holds a stack; apply_scheme writes the
-same blocks into one.
+state.blocks(block, first, shared) yields its precoders on a sample block
+(Ensemble.select of the pool, its first sample at pool index first) one
+stripe at a time, as (rows, X_q), X_q (B, rows, K) the stripe's rows of the
+(B, N*L, K) stack; a SingularSweepError names its sample by pool index.
+evaluation.evaluate_states sums what the rates need over these blocks, so a
+drop never holds a stack; apply_scheme writes the same blocks into one.
+
+Every reader takes the estimate of the TX run it filters from the pool
+(_estimate), which a drawn pool forms from its channels there: a drop holds
+no whole-pool estimate, only a stripe's (a TX's in uni's statistics sweep)
+per task in flight.
 
 A drop's fits are one map on the shared thread pool (fit_schemes, the
 one fit path of every scheme; fit_scheme fits one): uni's stripes first,
@@ -168,67 +173,79 @@ def local_filter(h_hat, psi, w, total_power, da=None):
     return _solve_small(a, hh)
 
 
-def _tx_filters(h_hat, txs, psi, w, total_power):
-    """Local filters T (..., M, N, K) of the run of M TXs txs, from one
-    local_filter call, and their estimates Hhat (..., M, K, N), a view of
-    h_hat (..., K, N*L).  A TX's response P = A T, A = W^1/2 Hhat, has
-    rank <= N and is never formed."""
-    n = psi.shape[-1]
-    h = tx_blocks(h_hat[..., _rows(txs, n)], n)
-    return local_filter(h, psi[txs[0] : txs[-1] + 1], w, total_power), h
-
-
 def _rows(txs, n):
-    """Rows of the (S, N*L, K) precoder stack that belong to the TX run txs."""
+    """Rows of the (S, N*L, K) precoder stack that belong to the TX run txs;
+    the same columns of a channel or estimate (S, K, N*L)."""
     return slice(txs[0] * n, (txs[-1] + 1) * n)
 
 
-def _scaled(h_hat, txs, w, n):
-    """A = W^1/2 Hhat (..., K, N*M) of the run of M TXs txs."""
-    return np.sqrt(w)[:, None] * h_hat[..., _rows(txs, n)]
+def _estimate(ensemble, txs):
+    """Hhat (..., K, N*M) of the run of M TXs txs (Ensemble.estimate): the
+    estimate that the filter and kernel functions below take as h_hat."""
+    return ensemble.estimate(_rows(txs, ensemble.n_antennas))
+
+
+def _tx_filters(h_hat, txs, psi, w, total_power):
+    """Local filters T (..., M, N, K) of the run of M TXs txs, from one
+    local_filter call on their estimate h_hat (..., K, N*M).  A TX's
+    response P = A T, A = W^1/2 Hhat, has rank <= N and is never formed."""
+    n = psi.shape[-1]
+    return local_filter(tx_blocks(h_hat, n), psi[txs[0] : txs[-1] + 1], w, total_power)
+
+
+def _scaled(h_hat, w):
+    """A = W^1/2 Hhat of an estimate h_hat (..., K, N*M)."""
+    return np.sqrt(w)[:, None] * h_hat
 
 
 def _scaled_estimate(h_hat, txs, psi, w, total_power):
-    """B^-1 A^H (..., N*M, K) of the run of M TXs txs, A = W^1/2 Hhat
-    (_scaled) and B = Psi + I/P block diagonal (a row scaling at N = 1),
-    formed as the conjugate of conj(B^-1) A^T, so no conjugated copy of A
-    is made."""
+    """B^-1 A^H (..., N*M, K) of the run of M TXs txs from their estimate
+    h_hat (..., K, N*M), A = W^1/2 Hhat (_scaled) and B = Psi + I/P block
+    diagonal (a row scaling at N = 1), formed as the conjugate of
+    conj(B^-1) A^T, so no conjugated copy of A is made."""
     n = psi.shape[-1]
-    a = _scaled(h_hat, txs, w, n)
+    a = _scaled(h_hat, w)
     b_inv = np.linalg.inv(psi[txs[0] : txs[-1] + 1] + np.eye(n) / total_power)
     bah = np.einsum("lim,...klm->...lik", b_inv.conj(), a.reshape(*a.shape[:-1], -1, n))
     return np.conj(bah, out=bah).reshape(*a.shape[:-2], -1, a.shape[-2])
 
 
-def _shared(shared, kind, h_hat, txs, setting):
-    """The "filters" (T, Hhat) of _tx_filters or the "estimates" B^-1 A^H of
-    _scaled_estimate of the run of TXs txs under setting (psi, w,
-    total_power), taken from shared, a sample block's store
-    (parallel.shared_pass): formed at the first take and kept until the
-    shared[kind]-th, the last reader's (kept by none if kind is not in it)."""
+def _shared(shared, kind, ensemble, txs, setting, h_hat=None):
+    """The "filters" T of _tx_filters or the "estimates" B^-1 A^H of
+    _scaled_estimate of the run of TXs txs of a sample block ensemble under
+    setting (psi, w, total_power), taken from shared, the block's store
+    (parallel.shared_pass): formed at the first take, from the run's
+    estimate h_hat (formed here if the caller has not), and kept until the
+    shared[kind]-th, the last reader's (kept by none if kind is not in it).
+    The store keeps no estimate: a reader that needs one forms it."""
     key = (kind, txs[0], txs[-1], *map(id, setting))
     value, left = shared.pop(key, None) or (
-        (_tx_filters if kind == "filters" else _scaled_estimate)(h_hat, txs, *setting),
+        (_tx_filters if kind == "filters" else _scaled_estimate)(
+            _estimate(ensemble, txs) if h_hat is None else h_hat, txs, *setting),
         shared.get(kind, 1))
     if left > 1:
         shared[key] = value, left - 1
     return value
 
 
-def _unit_kernel(h_hat, run, shared, setting):
+def _unit_kernel(ensemble, run, shared, setting):
     """The K x K kernel (I + G_u)^-1 (..., K, K) of the unit whose TXs are the
-    stripes (TX runs) of run, and each stripe's B^-1 A^H from the store
-    shared (_shared): the unit filter's rows of a stripe are
-    B^-1 A^H (I + G_u)^-1, and its response W^1/2 Hhat_u F_u is
+    stripes (TX runs) of run, on a sample block ensemble, and each stripe's
+    B^-1 A^H from the store shared (_shared): the unit filter's rows of a
+    stripe are B^-1 A^H (I + G_u)^-1, and its response W^1/2 Hhat_u F_u is
     I - (I + G_u)^-1.  G_u = sum A B^-1 A^H over the stripes, one GEMM each;
-    each reader forms A again, which costs less than B^-1 A^H and keeps the
-    store to one array per stripe."""
-    psi, w, _ = setting
+    each reader forms the stripe's estimate (B^-1 A^H's too, on a miss) and A
+    again, which costs less than B^-1 A^H and keeps the store to one array
+    per stripe."""
+    _, w, _ = setting
     g, bahs = 0, []
     for txs in run:
-        bah = _shared(shared, "estimates", h_hat, txs, setting)
-        g = g + _scaled(h_hat, txs, w, psi.shape[-1]) @ bah
+        a = _estimate(ensemble, txs)
+        bah = _shared(shared, "estimates", ensemble, txs, setting, a)
+        a = _scaled(a, w)  # the estimate is let go as A is formed
+        g = g + a @ bah
         bahs.append(bah)
+    del a  # not held through the inverse
     return np.linalg.inv(np.eye(len(w)) + g), bahs
 
 
@@ -267,7 +284,8 @@ def _frobenius2(x):
 
 
 def _solve_hops(h_hat, txs, psi, w, total_power, d, stripe, positions, first=0):
-    """(A, T V) of the run of TXs txs, each hop one N x N system.
+    """(A, T V) of the run of TXs txs from their estimate h_hat (..., K, N*M),
+    each hop one N x N system.
 
     A = W^1/2 Hhat (..., M, K, N) and T V = Z (I - D) (..., M, N, K), with Z
     the local filter against I - D (local_filter with da = D A); d is the
@@ -286,7 +304,7 @@ def _solve_hops(h_hat, txs, psi, w, total_power, d, stripe, positions, first=0):
     error reports from.
     """
     n = psi.shape[-1]
-    h = tx_blocks(h_hat[..., _rows(txs, n)], n)
+    h = tx_blocks(h_hat, n)
     psi = psi[txs[0] : txs[-1] + 1]
     a = np.sqrt(w)[:, None] * h
     da = d @ a
@@ -329,7 +347,8 @@ def _forward_product(hops, u):
 
 
 def _uni_hops(h_hat, txs, stats, psi, w, total_power, first=0):
-    """(A_m, T_m V_m) of unidirectional sharing, V_m from the statistical Pi_m.
+    """(A_m, T_m V_m) of unidirectional sharing on the run txs, from its
+    estimate h_hat (..., K, N*M), V_m from the statistical Pi_m.
 
     Once Pi is known the positions are independent: every position of the
     stripe is solved and guarded in one batched call.  The chain end is one
@@ -372,12 +391,14 @@ def estimate_stripe_statistics(ensemble, stripe_txs, psi, w, total_power, stripe
     Pi_M = 0, Z_M = T_M, so T_M V_M = T_M and Pi_{M-1} = E[A_M T_M].
     Expectations are weighted sums over the ensemble: exact on finite
     support, Monte Carlo averages otherwise.  The pool must be independent
-    of the evaluation pool to keep rate estimates unbiased.
+    of the evaluation pool to keep rate estimates unbiased.  Each hop reads
+    its TX's estimate (S, K, N) of the whole pool (_estimate).
     """
     eye = np.eye(len(w))
     pi = [np.zeros((len(w), len(w)), complex)]
     for m in range(len(stripe_txs), 0, -1):
-        a, tv = _solve_hops(ensemble.h_hat, stripe_txs[m - 1 : m], psi, w, total_power, pi[-1],
+        txs = stripe_txs[m - 1 : m]
+        a, tv = _solve_hops(_estimate(ensemble, txs), txs, psi, w, total_power, pi[-1],
                             stripe, [m - 1])
         r = _mean(ensemble.weights, a, tv)[0]
         pi.append(pi[-1] + (eye - pi[-1]) @ r)
@@ -396,15 +417,19 @@ def _coupling_part(ensemble, stripes, size, shared, setting):
     MMSE filter, so no sweep is run.  One-TX units keep the filter, whose
     N x N systems are cheaper than a K x K inverse per TX: the part is the
     E[A_l T_l] of each TX, the Pi_0 of a one-TX stripe, from its stripe's
-    filters, with sqrt(w) and the sample weights folded into the one scaled
-    copy of Hhat_u that the mean reads."""
+    filters and estimate, with sqrt(w) and the sample weights folded into the
+    one scaled copy of Hhat_u that the mean reads."""
     if size > 1:
         return np.concatenate([
-            _mean(ensemble.weights, _unit_kernel(ensemble.h_hat, [txs], shared, setting)[0])[None]
+            _mean(ensemble.weights, _unit_kernel(ensemble, [txs], shared, setting)[0])[None]
             for txs in stripes])
     scale = (ensemble.weights[:, None] * np.sqrt(setting[1]))[:, None, :, None]  # broadcasts as h
-    return np.concatenate([_mean(scale, h, t) for t, h in (
-        _shared(shared, "filters", ensemble.h_hat, txs, setting) for txs in stripes)])
+    parts = []
+    for txs in stripes:
+        h_hat = _estimate(ensemble, txs)
+        t = _shared(shared, "filters", ensemble, txs, setting, h_hat)
+        parts.append(_mean(scale, tx_blocks(h_hat, ensemble.n_antennas), t))
+    return np.concatenate(parts)
 
 
 def _coefficient_guard(rcond, failed):
@@ -460,7 +485,7 @@ def _stack(ensemble, state):
     serve nobody) are zero."""
     out = np.zeros((ensemble.n_samples, ensemble.num_txs * ensemble.n_antennas,
                     ensemble.num_users), complex)
-    for rows, x in state.blocks(ensemble, slice(None), {}):
+    for rows, x in state.blocks(ensemble, 0, {}):
         out[:, rows] = x
     return out
 
@@ -499,7 +524,7 @@ def _local_mmse_part(ensemble, association, stripes, shared, setting):
     regularizer and right-hand side (_local_mmse_solve), from the one-TX
     filters of the stripes (the block's shared store) put side by side."""
     w = setting[1]
-    f_all = np.concatenate([_shared(shared, "filters", ensemble.h_hat, txs, setting)[0]
+    f_all = np.concatenate([_shared(shared, "filters", ensemble, txs, setting)
                             for txs in stripes], axis=1)  # (B, L, N, K)
     h_blocks = tx_blocks(ensemble.h, ensemble.n_antennas)  # (B, L, K, N)
     sums = []
@@ -551,14 +576,15 @@ def stripe_forward_pass(h_hat, stripe_txs, stripe_stats, coeffs_q, served_users,
     stripe serves, u = sum_k sqrt(p_k) c_{q,k} U_k; each TX then transmits
     x_m = T_m V_m u and forwards the updated K-vector Vbar_m u downstream.
     Returns the per-TX transmit vectors and the per-hop payload size (K
-    complex values).
+    complex values).  h_hat is the realization's whole estimate (K, N*L).
     """
     _check_inputs(psi, total_power)
     K = len(w)
     u = np.zeros(K, dtype=complex)
     for k in served_users:
         u += np.sqrt(powers[k]) * coeffs_q[:, k] * messages[k]
-    hops = _uni_hops(h_hat, stripe_txs, stripe_stats, psi, w, total_power)
+    hops = _uni_hops(h_hat[..., _rows(stripe_txs, psi.shape[-1])], stripe_txs, stripe_stats,
+                     psi, w, total_power)
     return list(_forward_product(hops, u)), K
 
 
@@ -586,20 +612,21 @@ class FilterState:
         """The kind of array it reads from a sample block's shared store."""
         return "filters" if self.size == 1 else "estimates"
 
-    def blocks(self, ensemble, samples, shared):
+    def blocks(self, ensemble, first, shared):
         """One-TX units: each serving stripe's filters and one GEMM per TX.
         Units of whole stripes: the unit kernel, G_u summed over the unit's
         stripes, then each stripe's rows B^-1 A^H (I + G_u)^-1 c_u.  The
-        filters and B^-1 A^H come from shared, the block's store (_shared)."""
+        filters and B^-1 A^H come from shared, the block's store (_shared).
+        No unit raises, so first goes unread."""
         blocks = self._filter_blocks if self.size == 1 else self._kernel_blocks
-        return blocks(ensemble.select(samples), shared)
+        return blocks(ensemble, shared)
 
     def _filter_blocks(self, ensemble, shared):
         n, k, s = ensemble.n_antennas, ensemble.num_users, ensemble.n_samples
         for txs in self.stripes:
             coeffs = self.coeffs[txs[0] : txs[-1] + 1]
             if np.any(coeffs):
-                x = _shared(shared, "filters", ensemble.h_hat, txs, self.setting)[0]
+                x = _shared(shared, "filters", ensemble, txs, self.setting)
                 x = np.moveaxis(x, 1, 0).reshape(len(coeffs), -1, k) @ coeffs  # (M, S*N, K)
                 x = np.moveaxis(x.reshape(len(coeffs), s, -1, k), 0, 1).reshape(s, -1, k)
                 yield _rows(txs, n), x
@@ -613,8 +640,9 @@ class FilterState:
         for u, coeffs in enumerate(self.coeffs):
             run = self.stripes[u * per_unit : (u + 1) * per_unit]
             if np.any(coeffs):
-                kernel, bahs = _unit_kernel(ensemble.h_hat, run, shared, self.setting)
+                kernel, bahs = _unit_kernel(ensemble, run, shared, self.setting)
                 kc = kernel @ coeffs
+                del kernel  # not held through the yields
                 for txs in run:
                     yield _rows(txs, ensemble.n_antennas), bahs.pop(0) @ kc
 
@@ -633,13 +661,12 @@ class UniState:
     setting: tuple  # (psi (L, N, N), w (K,), total_power) it was fitted under
     shares = None  # its hops share no array with another scheme
 
-    def blocks(self, ensemble, samples, shared):
+    def blocks(self, ensemble, first, shared):
         """The forward product of each stripe that serves anyone."""
-        h_hat = ensemble.select(samples).h_hat
         for q, txs in enumerate(self.stripes):
             if np.any(self.stripe_coeffs[q]):
-                hops = _uni_hops(h_hat, txs, self.stripe_stats[q], *self.setting,
-                                 samples.start or 0)
+                hops = _uni_hops(_estimate(ensemble, txs), txs, self.stripe_stats[q],
+                                 *self.setting, first)
                 yield _rows(txs, ensemble.n_antennas), np.concatenate(
                     list(_forward_product(hops, self.stripe_coeffs[q])), axis=-2)
 

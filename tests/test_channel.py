@@ -113,6 +113,18 @@ class TestSampling:
         mean = np.repeat(stats.mean, stats.n_antennas, axis=1)
         np.testing.assert_allclose(sample.h_hat[0][~known], mean[~known].astype(complex))
 
+    def test_columns_formed_where_read_equal_the_whole_estimate(self, small_scenario):
+        # a drawn pool holds h alone and forms the columns a reader asks for,
+        # on a sample block too, bit for bit those of the whole estimate
+        _, _, stats = small_scenario
+        pool = draw_ensemble(stats, stats.csi_model(), 8, np.random.SeedSequence(3))
+        block = pool.select(slice(2, 6))
+        columns = [slice(0, 1), slice(2, 5), slice(None)]
+        formed = [(pool.estimate(cols), block.estimate(cols)) for cols in columns]
+        for cols, (whole, part) in zip(columns, formed):
+            np.testing.assert_array_equal(whole, pool.h_hat[..., cols])
+            np.testing.assert_array_equal(part, pool.h_hat[2:6][..., cols])
+
     def test_determinism_bit_identical(self, small_scenario):
         _, _, stats = small_scenario
         csi = stats.csi_model()

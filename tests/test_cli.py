@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import forked_exit_code
+import tmmse.channel as channel
 import tmmse.cli as cli
 import tmmse.parallel as parallel
 import tmmse.precoding as precoding
@@ -492,6 +493,58 @@ class TestEvaluationMemory:
             peaks[schemes] = self._evaluation_peak(cfg, monkeypatch, 1)
         one = max(peak for schemes, peak in peaks.items() if len(schemes) == 1)
         assert peaks[cli.SCHEMES] <= 1.25 * one, peaks
+
+    def test_bi_holds_no_more_than_the_other_schemes(self, monkeypatch):
+        # The shape above, one scheme at a time: bi's kernel (I + G_u)^-1
+        # (S, K, K) is let go once (I + G_u)^-1 c_u is formed, so it is not
+        # held beside it while the stripes' rows are made.
+        peaks = {}
+        for scheme in cli.SCHEMES:
+            cfg = small_config(num_stripes=2, txs_per_stripe=2, num_users=8, drops=1,
+                               statistics_samples=400, evaluation_samples=400,
+                               schemes=(scheme,))
+            peaks[scheme] = self._evaluation_peak(cfg, monkeypatch, 1)
+        others = max(peak for scheme, peak in peaks.items() if scheme != "bi")
+        assert peaks["bi"] <= 1.15 * others, peaks
+
+
+class TestPoolFootprint:
+    """A drawn pool holds its channels h alone; the local estimate is formed
+    where it is read, a stripe at a time."""
+
+    def test_drawn_pool_holds_h_alone(self, monkeypatch):
+        # One worker, whose one block buffer of normals is 1/8 of h at 1000
+        # samples; the pool's substreams (SeedSequence objects) are live
+        # during the draw too.  Four antennas per TX make h outweigh them.
+        monkeypatch.setattr(parallel, "workers", lambda: 1)
+        cfg = small_config(num_stripes=2, txs_per_stripe=4, antennas_per_tx=4, num_users=8,
+                           drops=1)
+        w = cfg.resolved_weights()
+        _, stats, csi, _, _ = cli._drop_setting(cfg, deployment_of(cfg), 0, w, None)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pool = cli.draw_ensemble(stats, csi, 1000, cli.phase_seed(cfg.base_seed, 0,
+                                                                       cli.PHASE_STATS))
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert live - before <= 1.1 * pool.h.nbytes
+        assert peak - before < 1.5 * pool.h.nbytes
+
+    def test_run_drop_never_forms_a_whole_estimate(self, monkeypatch):
+        real, columns = channel.LocalCsiModel.estimate, []
+
+        def estimate(self, h, *args):
+            out = real(self, h, *args)
+            columns.append((out.shape[-1], h.shape[-1]))
+            return out
+
+        monkeypatch.setattr(channel.LocalCsiModel, "estimate", estimate)
+        cfg = small_config(drops=1)
+        result = run_drop(cfg, deployment_of(cfg), 0)
+        assert not result.failures and columns
+        assert all(formed < whole for formed, whole in columns), columns
 
 
 class TestCdf:

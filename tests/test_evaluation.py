@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tests.conftest import random_stripe_setup
-from tmmse.channel import Ensemble
+from tmmse import cli, parallel
+from tmmse.channel import Ensemble, draw_ensemble
 from tmmse.evaluation import (
     InfeasiblePowerError,
     MomentEstimates,
@@ -18,7 +19,7 @@ from tmmse.evaluation import (
 )
 from tmmse.parallel import SAMPLE_BLOCK
 from tmmse.precoding import SCHEMES, apply_scheme, fit_scheme
-from tmmse.topology import association_from_stripes
+from tmmse.topology import association_from_stripes, build_grid_deployment
 
 
 def make_moments(a, v, b, per_tx=None, num_txs=1):
@@ -352,3 +353,29 @@ class TestAllocatePipeline:
         assert sol.nu2 >= 1.0
         assert (r_tx <= r_sum + 1e-12).all()
         assert (r_tx >= 0).all() and (r_sum >= 0).all()
+
+
+class TestLocalMmseSpendsTheSumBudget:
+    """Local MMSE's coefficients are the exact least squares of its MSE on the
+    pool it was fitted on, so by uplink-downlink duality its sum-mode powers,
+    evaluated on that same pool, spend the budget exactly:
+    sum_k p_k E||t_k||^2 = P, to rounding.  This holds at full scale, where
+    the oracle cannot reach, and it runs the blocked fit, every block sum of
+    the evaluation and the duality solve together.  The other schemes are
+    not exact on a Monte Carlo pool, whose sample error moments are not Psi."""
+
+    DESK = dict(num_stripes=3, txs_per_stripe=8, antennas_per_tx=4, num_users=6)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shape", [{}, DESK], ids=["default", "desk"])
+    def test_gap_is_rounding(self, monkeypatch, shape, workers):
+        monkeypatch.setattr(parallel, "workers", lambda: workers)
+        cfg = cli.ScenarioConfig(**shape, drops=1).validate()
+        w, power = cfg.resolved_weights(), cfg.total_power()
+        deployment = build_grid_deployment(cfg.num_stripes, cfg.txs_per_stripe, cfg.area_m,
+                                           cfg.height_m, cfg.antennas_per_tx)
+        assoc, stats, csi, psi, stripes = cli._drop_setting(cfg, deployment, 0, w, None)
+        pool = draw_ensemble(stats, csi, 500, cli.phase_seed(cfg.base_seed, 0, cli.PHASE_STATS))
+        state = fit_scheme("local-mmse", pool, assoc, stripes, psi, w, power)
+        _, solution = allocate(*evaluate(pool, state), "sum", cfg.tx_budgets())
+        assert abs(1 - solution.sum_power / power) <= 1e-10

@@ -580,7 +580,7 @@ class TestStripeStatistics:
         assert (stats.pi[-1] == 0).all()
         for h_hat in (ens.h_hat, ens.h_hat[0]):  # a pool, and one realization
             *_, (_, tv) = precoding._uni_hops(h_hat, txs, stats, psi, w, power)
-            t = precoding._tx_filters(h_hat, txs, psi, w, power)[0]
+            t = precoding._tx_filters(h_hat, txs, psi, w, power)
             np.testing.assert_array_equal(tv, t[..., -1, :, :])
 
     def test_deterministic_recursion(self, rng):
@@ -948,7 +948,7 @@ class TestScreenedGuard:
         stats = estimate_stripe_statistics(ens, [0], psi, w, power)
         (_, tv), = precoding._uni_hops(ens.h_hat, [0], stats, psi, w, power)
         assert calls == []
-        t = precoding._tx_filters(ens.h_hat, [0], psi, w, power)[0]
+        t = precoding._tx_filters(ens.h_hat, [0], psi, w, power)
         np.testing.assert_array_equal(tv, t[:, 0])
 
 
