@@ -35,8 +35,6 @@ of them, formed a stripe at a time inside each block where the precoders
 read it.  run concatenates drops.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import dataclasses
@@ -46,6 +44,7 @@ import numbers
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +78,7 @@ class ScenarioConfig:
     txs_per_stripe: int = 20
     antennas_per_tx: int = 1
     num_users: int = 10
-    area_m: tuple = (100.0, 50.0)
+    area_m: tuple[float, ...] = (100.0, 50.0)
     height_m: float = 7.0
     ricean_kappa: float = 6.0
     carrier_ghz: float = 4.9
@@ -87,15 +86,15 @@ class ScenarioConfig:
     noise_figure_db: float = 7.0
     shadow_std_db: float = 4.0
     serving_stripes_per_user: int = 2
-    weights: list = None  # None -> uniform 1/K
+    weights: list[float] = None  # None -> uniform 1/K
     per_tx_power_mw: float = 1.0
     sum_power_mw: float = None  # overrides per_tx_power_mw * L when set
     drops: int = 100
     statistics_samples: int = 1000
     evaluation_samples: int = 1000
     base_seed: int = 1
-    schemes: tuple = SCHEMES
-    power_modes: tuple = POWER_MODES
+    schemes: tuple[str, ...] = SCHEMES
+    power_modes: tuple[str, ...] = POWER_MODES
     rate_units: str = "bits"
     output_dir: str = "results"
     strict: bool = False
@@ -122,17 +121,12 @@ class ScenarioConfig:
         return float(self.tx_budgets().sum())
 
     def validate(self):
+        """Check every field against its declared type (a None default may stay
+        None), then the ranges; raise ValueError naming the field."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.type in ("int", "float") and not (value is None and f.default is None):
-                _require_number(f.name, value, integral=f.type == "int")
-        for name in ("area_m", "weights", "schemes", "power_modes"):
-            value = getattr(self, name)
-            if not isinstance(value, (list, tuple)) and not (name == "weights" and value is None):
-                raise ValueError(f"{name} must be a list, got {value!r}")
-        for name in ("area_m", "weights"):
-            for x in getattr(self, name) or ():
-                _require_number(name, x)
+            if not (value is None and f.default is None):
+                _require_type(f.name, value, f.type)
         if min(self.num_stripes, self.txs_per_stripe, self.antennas_per_tx) < 1:
             raise ValueError("num_stripes, txs_per_stripe and antennas_per_tx must be >= 1")
         if self.num_users < 1:
@@ -153,6 +147,8 @@ class ScenarioConfig:
             raise ValueError("per_tx_power_mw or sum_power_mw must give a positive budget")
         if self.drops < 1 or self.statistics_samples < 1 or self.evaluation_samples < 1:
             raise ValueError("drops, statistics_samples and evaluation_samples must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         for name in ("schemes", "power_modes"):
             values = getattr(self, name)
             if not values or len(set(values)) != len(values):
@@ -169,38 +165,45 @@ class ScenarioConfig:
         return self
 
     def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["area_m"] = list(self.area_m)
-        d["schemes"] = list(self.schemes)
-        d["power_modes"] = list(self.power_modes)
-        d["schema_version"] = SCHEMA_VERSION
-        return d
+        return {**dataclasses.asdict(self), "schema_version": SCHEMA_VERSION}
 
     @classmethod
     def from_dict(cls, d):
+        """A validated config from a JSON object; JSON lists become the tuples
+        that tuple-typed fields hold."""
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {d!r}")
         d = dict(d)
         d.pop("schema_version", None)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(d) - set(fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if isinstance(d.get("area_m"), (list, tuple)):
-            d["area_m"] = tuple(float(_require_number("area_m", x)) for x in d["area_m"])
-        for key in ("schemes", "power_modes"):
-            if isinstance(d.get(key), (list, tuple)):
-                d[key] = tuple(d[key])
+        for name, value in d.items():
+            if typing.get_origin(fields[name]) is tuple and isinstance(value, list):
+                d[name] = tuple(value)
         return cls(**d).validate()
 
 
-def _require_number(name, value, integral=False):
-    """Return value if it is a finite real number (an integer if integral), not a bool."""
-    kind = numbers.Integral if integral else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite {'integer' if integral else 'number'}, "
-                         f"got {value!r}")
-    return value
+_JSON_KINDS = {int: "a finite integer", float: "a finite number", bool: "true or false",
+               str: "a string", tuple: "a list", list: "a list"}  # field type -> what it takes
+
+
+def _require_type(name, value, kind):
+    """Raise ValueError unless value is of the field type kind as JSON gives it:
+    numbers finite and not booleans (integers for int), a list (or tuple)
+    whose entries are of its entry type."""
+    origin = typing.get_origin(kind) or kind
+    sequence = origin in (list, tuple)
+    if origin in (int, float):
+        ok = (isinstance(value, numbers.Integral if origin is int else numbers.Real)
+              and not isinstance(value, bool) and math.isfinite(value))
+    else:
+        ok = isinstance(value, (list, tuple) if sequence else origin)
+    if not ok:
+        raise ValueError(f"{name} must be {_JSON_KINDS[origin]}, got {value!r}")
+    for entry in value if sequence else ():
+        _require_type(name, entry, typing.get_args(kind)[0])
 
 
 def load_config(path):
@@ -433,34 +436,35 @@ def write_cdf_csv(path, cdf_rows, rate_units="bits"):
 # command line
 # --------------------------------------------------------------------------
 
-def _env(name, default=None):
-    return os.environ.get(ENV_PREFIX + name, default)
-
-
-def _env_flag(name):
-    val = _env(name)
-    return val is not None and val.lower() not in ("", "0", "false", "no")
+def _switch(text):  # a switch's variable: on unless empty, 0, false or no
+    return text.lower() not in ("", "0", "false", "no")
 
 
 def build_parser():
+    """The command line.  Each option's dest is the config field it sets
+    (--config, --emit-cdf and --progress set none)."""
     parser = argparse.ArgumentParser(
         prog="tmmse",
         description=(
             "Distributed team-MMSE precoding simulator for radio-stripe "
-            "cell-free networks. Flags override TMMSE_* environment "
-            "variables, which override the config file."
+            f"cell-free networks. An option left unset reads {ENV_PREFIX}<OPTION> "
+            "(dashes as underscores); flags override those variables, which "
+            "override the config file."
         ),
     )
     parser.add_argument("--config", help="scenario JSON path")
-    parser.add_argument("--seed", type=int, help="base seed (env TMMSE_SEED)")
+    parser.add_argument("--seed", dest="base_seed", type=int, help="base seed")
     parser.add_argument("--drops", type=int, help="number of user drops")
-    parser.add_argument("--samples-stats", type=int, help="statistics pool size")
-    parser.add_argument("--samples-eval", type=int, help="evaluation pool size")
-    parser.add_argument("--schemes", help="comma list of "
-                        f"{','.join(SCHEMES)}")
-    parser.add_argument("--power-mode", choices=["sum", "per-tx", "both"],
+    parser.add_argument("--samples-stats", dest="statistics_samples", type=int,
+                        help="statistics pool size")
+    parser.add_argument("--samples-eval", dest="evaluation_samples", type=int,
+                        help="evaluation pool size")
+    parser.add_argument("--schemes", help=f"comma list of {','.join(SCHEMES)}",
+                        type=lambda text: tuple(s.strip() for s in text.split(",") if s.strip()))
+    parser.add_argument("--power-mode", dest="power_modes", metavar="{sum,per-tx,both}",
+                        type=lambda mode: POWER_MODES if mode == "both" else (mode,),
                         help="power constraint mode")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", dest="output_dir", help="output directory")
     parser.add_argument("--strict", action="store_true", default=None,
                         help="abort on the first per-drop failure")
     parser.add_argument("--clamp-negative-powers", action="store_true", default=None,
@@ -476,43 +480,29 @@ def build_parser():
 
 
 def resolve_config(args):
-    """Merge precedence: CLI flag > environment variable > config file > default."""
-    config_path = args.config or _env("CONFIG")
-    config = load_config(config_path) if config_path else ScenarioConfig()
-    updates = {}
+    """Merge precedence: CLI flag > environment variable > config file > default.
 
-    def split_list(text):
-        return tuple(s.strip() for s in text.split(",") if s.strip())
-
-    for flag, env_name, key, parse in (
-        (args.seed, "SEED", "base_seed", int),
-        (args.drops, "DROPS", "drops", int),
-        (args.samples_stats, "SAMPLES_STATS", "statistics_samples", int),
-        (args.samples_eval, "SAMPLES_EVAL", "evaluation_samples", int),
-        (args.schemes, "SCHEMES", "schemes", split_list),
-        (args.power_mode, "POWER_MODE", "power_modes",
-         lambda mode: POWER_MODES if mode == "both" else (mode,)),
-        (args.out, "OUT", "output_dir", str),
-    ):
-        value = flag if flag is not None else _env(env_name)
+    Each option the command line left unset (None; --help and --progress
+    have defaults of their own) is set in args from its variable, ENV_PREFIX
+    plus the option's name in capitals with dashes as underscores, parsed by
+    the option's type (a switch's by _switch).  Then every option whose dest
+    is a config field overrides the file's value."""
+    for action in build_parser()._actions:
+        if action.default is not None or getattr(args, action.dest) is not None:
+            continue
+        name = ENV_PREFIX + action.option_strings[0][2:].upper().replace("-", "_")
+        value = os.environ.get(name)
         if value is not None:
+            parse = _switch if action.nargs == 0 else action.type or str
             try:
-                updates[key] = parse(value)
+                setattr(args, action.dest, parse(value))
             except ValueError as exc:
-                raise ValueError(f"{ENV_PREFIX}{env_name}={value!r}: bad {key}: {exc}") from None
-    for flag, env_name, key in (
-        (args.strict, "STRICT", "strict"),
-        (args.clamp_negative_powers, "CLAMP_NEGATIVE_POWERS", "clamp_negative_powers"),
-        (args.dump_gains, "DUMP_GAINS", "dump_gains"),
-        (args.dump_stats, "DUMP_STATS", "dump_stats"),
-    ):
-        if flag is not None:
-            updates[key] = flag
-        elif _env_flag(env_name):
-            updates[key] = True
-    if updates:
-        config = dataclasses.replace(config, **updates)
-    return config
+                raise ValueError(f"{name}={value!r}: bad {action.dest}: {exc}") from None
+    config = load_config(args.config) if args.config else ScenarioConfig()
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    return dataclasses.replace(config, **{
+        field: value for field, value in vars(args).items()
+        if field in fields and value is not None})
 
 
 def main(argv=None):
@@ -523,8 +513,7 @@ def main(argv=None):
     except ValueError as exc:  # a bad flag, variable or config file: one line, exit status 2
         parser.error(str(exc))
     result = run(config, progress=args.progress)
-    want_cdf = args.emit_cdf if args.emit_cdf is not None else _env_flag("EMIT_CDF")
-    if want_cdf and result.rate_rows and result.out_dir:  # no output directory, no files
+    if args.emit_cdf and result.rate_rows and result.out_dir:  # no output directory, no files
         write_cdf_csv(os.path.join(result.out_dir, "cdf.csv"), emit_cdf(result.rate_rows),
                       config.rate_units)
     n_rates = len(result.rate_rows)

@@ -11,8 +11,8 @@ denominator as extra noise.
 
 Every quantity the allocation reads is a pool mean of a function of
 z = H t (S, K, K), z = sum_q H_q X_q over a state's stripe blocks: E[z_kk],
-E|z_kj|^2 (and E|z_kj|^4 for its standard error), the per-TX powers and
-the MSE.  So, as in the fit, each is a sum over the pool's sample blocks.
+E|z_kj|^2, the per-TX powers and the MSE.  So, as in the fit, each is a sum
+over the pool's sample blocks.
 evaluate_states runs every state of a drop in one map on the thread pool of
 parallel.map_blocks: each block task forms a state's z one stripe block at
 a time and reduces it at once to that state's weighted block sums; the
@@ -52,11 +52,7 @@ class MomentEstimates:
     (hardening loss), b[k, j] = E[|g_k^H t_j|^2] the power received at user
     k from stream j.  per_tx_power[l, k] = E||t_{l,k}||^2 drives the per-TX
     constraint accounting.  Every field is built from the pool's weighted
-    sums, E[z_kk], E|z_kj|^2 and E|z_kj|^4 and the per-TX powers: se_mean
-    = sqrt(v * sum w^2) and se_b = sqrt((E|z_kj|^4 - b^2) * sum w^2), the
-    standard errors under the effective sample size 1 / sum w^2 of the
-    ensemble weights (zero MC error on exact finite supports is reflected by
-    tiny dispersion, not by the weights).
+    sums E[z_kk] and E|z_kj|^2 and the per-TX powers.
     """
 
     mean_eff: np.ndarray  # (K,) complex
@@ -65,8 +61,6 @@ class MomentEstimates:
     b: np.ndarray  # (K, K)
     per_tx_power: np.ndarray  # (L, K)
     tk_power: np.ndarray  # (K,)
-    se_mean: np.ndarray  # (K,)
-    se_b: np.ndarray  # (K, K)
 
     @property
     def num_users(self):
@@ -75,8 +69,8 @@ class MomentEstimates:
 
 def _block_sums(ensemble, blocks, w, total_power):
     """One sample block's sums over its stripe blocks (rows, X_q), X_q (S, rows,
-    K), each weighted by the block's pool weights: E[z_kk] (K), E|z_kj|^2 and
-    E|z_kj|^4 (K, K), the per-TX powers E||t_{l,k}||^2 (L, K) and the MSE (K),
+    K), each weighted by the block's pool weights: E[z_kk] (K), E|z_kj|^2
+    (K, K), the per-TX powers E||t_{l,k}||^2 (L, K) and the MSE (K),
     where z = sum_q H_q X_q (S, K, K), z[s, k, j] = g_k^H t_j.  z and the
     per-sample ||t_k||^2 are let go at return."""
     s, k, n = ensemble.n_samples, ensemble.num_users, ensemble.n_antennas
@@ -90,28 +84,23 @@ def _block_sums(ensemble, blocks, w, total_power):
         per_tx[rows.start // n : rows.stop // n] = np.einsum(
             "s,slnk->lk", ensemble.weights, p.reshape(s, -1, n, k))
         del x, p  # not held while the next block is made
-    weights, z2 = ensemble.weights, np.abs(z) ** 2
+    weights = ensemble.weights
     return (np.einsum("s,sk->k", weights, np.einsum("skk->sk", z)),
-            np.einsum("s,skj->kj", weights, z2),
-            np.einsum("s,skj->kj", weights, z2**2), per_tx,
+            np.einsum("s,skj->kj", weights, np.abs(z) ** 2), per_tx,
             weights @ _mse_samples(z, t_power, w, total_power))
 
 
-def _moments(weights, mean_eff, b, b4, per_tx):
+def _moments(mean_eff, b, per_tx):
     """MomentEstimates from a pool's weighted sums.  The weights sum to one, so
-    a variance is E|x|^2 - |E x|^2 and its standard error sqrt(variance * sum w^2)."""
+    a variance is E|x|^2 - |E x|^2."""
     a = np.abs(mean_eff) ** 2
-    v = np.maximum(np.real(np.diag(b)) - a, 0.0)
-    w2 = weights @ weights  # 1 / the effective sample size
     return MomentEstimates(
         mean_eff=mean_eff,
         a=a,
-        v=v,
+        v=np.maximum(np.real(np.diag(b)) - a, 0.0),
         b=b,
         per_tx_power=per_tx,
         tk_power=per_tx.sum(axis=0),
-        se_mean=np.sqrt(v * w2),
-        se_b=np.sqrt(np.maximum(b4 - b**2, 0.0) * w2),
     )
 
 
@@ -143,13 +132,13 @@ def evaluate_states(ensemble, states):
             ens, state.blocks(ens, samples.start, shared), *state.setting[1:]))
             for state in states])
 
-    return [first_failure(parts) or _evaluated(ensemble.weights, parts)
+    return [first_failure(parts) or _evaluated(parts)
             for parts in zip(*map_blocks(block, ensemble.n_samples))]
 
 
-def _evaluated(weights, parts):
+def _evaluated(parts):
     *sums, mse = (sum(part) for part in zip(*parts))  # in block order
-    return _moments(weights, *sums), mse
+    return _moments(*sums), mse
 
 
 def evaluate(ensemble, state):
@@ -168,7 +157,7 @@ def estimate_moments(ensemble, precoders):
     _nonempty(ensemble)
     *sums, _ = _block_sums(ensemble, [(slice(0, precoders.shape[1]), precoders)],
                            np.ones(ensemble.num_users), 1.0)
-    return _moments(ensemble.weights, *sums)
+    return _moments(*sums)
 
 
 def mse_samples(ensemble, precoders, w, total_power):

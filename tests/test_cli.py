@@ -116,6 +116,11 @@ class TestConfig:
             ({"power_modes": 3}, "power_modes"),
             ({"schemes": "uni"}, "schemes"),
             ([1, 2], "config"),
+            ({"strict": "no"}, "strict"),
+            ({"dump_stats": "false"}, "dump_stats"),
+            ({"output_dir": 5}, "output_dir"),
+            ({"rate_units": 2}, "rate_units"),
+            ({"base_seed": -3}, "base_seed"),
         ],
     )
     def test_bad_field_rejected_at_load(self, overrides, field):
@@ -207,6 +212,16 @@ class TestRun:
             "total": round(result.timings["total"], 6)}
         assert manifest["timings_s"]["total"] > 0
         assert manifest["failures"] == []
+
+    def test_manifest_config_loads_back(self, tmp_path):
+        # the manifest's config, written back as a config file, is the run's config
+        cfg = small_config(drops=1, schemes=("local-mmse",), power_modes=("sum",),
+                           weights=[0.5, 0.25, 0.25], sum_power_mw=12.0, dump_gains=True)
+        run(cfg, out_dir=str(tmp_path / "out"))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(manifest["config"]))
+        assert cli.load_config(cfg_path) == cfg
 
     def test_rates_csv_round_trip(self, tmp_path):
         cfg = small_config(drops=1, schemes=("uni",), power_modes=("sum",))
@@ -671,6 +686,7 @@ class TestFlagsAndEnv:
         ([], "power_modes must be a list", '{"power_modes": 3}'),
         ([], "schemes must be a list", '{"schemes": "uni"}'),
         ([], "config must be a JSON object", "[1, 2]"),
+        ([], "strict must be true or false", '{"strict": "no"}'),
     ])
     def test_bad_config_is_one_error_line_not_a_traceback(self, argv, message, config, tmp_path,
                                                           tmp_path_factory):

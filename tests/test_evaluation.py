@@ -17,7 +17,6 @@ from tmmse.evaluation import (
     mse_samples,
     per_tx_scaling,
 )
-from tmmse.parallel import SAMPLE_BLOCK
 from tmmse.precoding import SCHEMES, apply_scheme, fit_scheme
 from tmmse.topology import association_from_stripes, build_grid_deployment
 
@@ -36,8 +35,6 @@ def make_moments(a, v, b, per_tx=None, num_txs=1):
         b=b,
         per_tx_power=np.asarray(per_tx, float),
         tk_power=np.asarray(per_tx, float).sum(axis=0),
-        se_mean=np.zeros(K),
-        se_b=np.zeros((K, K)),
     )
 
 
@@ -236,7 +233,7 @@ class TestStreamedEvaluation:
     its fitted w and P, equals estimate_moments and compute_mse on
     apply_scheme's stack (the same blocks written into one) under those."""
 
-    FIELDS = ("mean_eff", "a", "v", "b", "per_tx_power", "tk_power", "se_mean", "se_b")
+    FIELDS = ("mean_eff", "a", "v", "b", "per_tx_power", "tk_power")
 
     @staticmethod
     def _both(scheme, model, assoc, stripes, w, power):
@@ -278,38 +275,6 @@ class TestStreamedEvaluation:
         if scheme != "centralized":  # every TX serves every user there
             assert (m.per_tx_power[2:] == 0).all() and (m_ref.per_tx_power[2:] == 0).all()
             assert (m.per_tx_power[:2] > 0).any()
-
-
-class TestStandardErrors:
-    """se_mean and se_b, which evaluate and estimate_moments build from the
-    pool's sums E|x|^2 - |E x|^2, equal the two-pass
-    sqrt(sum_s w_s |x_s - E x|^2 * sum_s w_s^2) of x = g_k^H t_k and |g_k^H t_j|^2."""
-
-    @staticmethod
-    def _reference(ens, t):
-        z = ens.h @ t
-        w, w2 = ens.weights, ens.weights @ ens.weights
-        x, y = np.einsum("skk->sk", z), np.abs(z) ** 2
-        se_mean = np.sqrt(np.einsum("s,sk->k", w, np.abs(x - w @ x) ** 2) * w2)
-        se_b = np.sqrt(np.einsum("s,skj->kj", w, (y - np.einsum("s,skj->kj", w, y)) ** 2) * w2)
-        return se_mean, se_b
-
-    @pytest.mark.parametrize("pool", ["finite-support", "monte-carlo"])
-    @pytest.mark.parametrize("scheme", ["centralized", "uni"])
-    def test_two_pass_reference(self, rng, scheme, pool):
-        model, stripes, assoc, w, power = random_stripe_setup(rng, 2, 2, 3, "uni")
-        ens, psi = model.ensemble(), model.psi_stack(w)
-        state = fit_scheme(scheme, ens, assoc, stripes, psi, w, power)
-        assert np.ptp(ens.weights) > 0  # the finite support's weights are not uniform
-        if pool == "monte-carlo":  # uniform weights, so sum w^2 = 1/S, over several blocks
-            draw = rng.choice(ens.n_samples, size=3 * SAMPLE_BLOCK, p=ens.weights)
-            ens = Ensemble(h=ens.h[draw], h_hat=ens.h_hat[draw],
-                           weights=np.full(draw.size, 1 / draw.size), n_antennas=1)
-        t = apply_scheme(state, ens, assoc, stripes, psi, w, power)
-        se_mean, se_b = self._reference(ens, t)
-        for m in (evaluate(ens, state)[0], estimate_moments(ens, t)):
-            np.testing.assert_allclose(m.se_mean, se_mean, rtol=1e-10)
-            np.testing.assert_allclose(m.se_b, se_b, rtol=1e-10)
 
 
 class TestAllocatePipeline:
